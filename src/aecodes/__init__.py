@@ -1,16 +1,6 @@
 """Construction and exact verification of absorption-emission quantum codes."""
 
-from .exactnum import (
-    RadicalSum,
-    Rational,
-    SqrtRational,
-    normalize,
-    radsum_add,
-    radsum_is_zero,
-    sqrt_mul,
-    squarefree_decompose,
-    to_float,
-)
+from .exactnum import RadicalSum, SqrtRational, squarefree_decompose
 from .combinatorics import (
     FCoeffArgs,
     binom,
@@ -20,14 +10,7 @@ from .combinatorics import (
     check_lemma_B4,
     f_coeff,
 )
-from .angular import (
-    CGIndex,
-    HalfInt,
-    cg_specialized,
-    cg_transition,
-    clebsch_gordan,
-    wigner_D,
-)
+from .angular import CGIndex, HalfInt, cg_transition, clebsch_gordan, wigner_D
 from .codes import (
     CodeBasis,
     CodeKind,
@@ -63,14 +46,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "RadicalSum",
-    "Rational",
     "SqrtRational",
-    "normalize",
-    "radsum_add",
-    "radsum_is_zero",
-    "sqrt_mul",
     "squarefree_decompose",
-    "to_float",
     "FCoeffArgs",
     "binom",
     "check_corollary_B3",
@@ -80,7 +57,6 @@ __all__ = [
     "f_coeff",
     "CGIndex",
     "HalfInt",
-    "cg_specialized",
     "cg_transition",
     "clebsch_gordan",
     "wigner_D",

@@ -167,7 +167,8 @@ def _check_transition_indices(n: int, t: int, r: int, a: int, q: int) -> None:
 def cg_transition(n: int, t: int, r: int, a: int, q: int, j: int) -> SqrtRational:
     """C^{n/2-t+q, j-n/2+t}_{n/2, j+a-n/2; r, t-a} via its binomial closed form.
 
-    Zero outside -min(a,q) <= j <= n - max(a, 2t-q).  The alternating sum is
+    Written C_{r,a}^q(j) for short.  Zero outside
+    -min(a,q) <= j <= n - max(a, 2t-q).  The alternating sum is
     phase-anchored so the result follows the Condon-Shortley convention
     exactly (the exhaustive cross-check against the general routine is the
     guard); the raw closed form is off by the j-independent factor
@@ -195,11 +196,6 @@ def cg_transition(n: int, t: int, r: int, a: int, q: int, j: int) -> SqrtRationa
     )
     sign = 1 if total > 0 else -1
     return SqrtRational.of_sign_radicand(sign, pref * total * total)
-
-
-def cg_specialized(n: int, t: int, r: int, a: int, q: int, j: int) -> SqrtRational:
-    """Alias of :func:`cg_transition` named after the shorthand C_{r,a}^q(j)."""
-    return cg_transition(n, t, r, a, q, j)
 
 
 def cg_transition_general(n: int, t: int, r: int, a: int, q: int, j: int) -> SqrtRational:

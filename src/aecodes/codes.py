@@ -57,6 +57,8 @@ class CodeBasis:
     def __post_init__(self):
         if self.two_J <= 0:
             raise ValueError("two_J must be positive")
+        if not self.basis:
+            raise ValueError("a code needs at least one basis vector")
         for vec in self.basis:
             if len(vec) != self.two_J + 1:
                 raise ValueError(

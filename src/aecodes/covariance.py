@@ -199,8 +199,9 @@ def _projector(cols, dim: int) -> mpmath.matrix:
 
 
 def operator_norm(m: mpmath.matrix) -> mpmath.mpf:
-    _, s, _ = mpmath.svd(m)
-    return max(s[i] for i in range(s.rows))
+    """Spectral norm of a Hermitian matrix: its largest |eigenvalue|."""
+    eigenvalues = mpmath.eigh(m, eigvals_only=True)
+    return max(abs(eigenvalues[i]) for i in range(eigenvalues.rows))
 
 
 def covariance_residual(

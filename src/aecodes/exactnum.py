@@ -20,18 +20,9 @@ from typing import Iterable, Union
 
 import mpmath
 
-Rational = Fraction
-
 RationalLike = Union[Fraction, int]
 
 _TRIAL_PRIME_LIMIT = 1_000_000
-
-
-def normalize(num: int, den: int) -> Fraction:
-    """Canonical reduced fraction with positive denominator."""
-    if den == 0:
-        raise ZeroDivisionError("denominator must be nonzero")
-    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +271,6 @@ class SqrtRational:
         return f"{self.coeff}*sqrt({self.kernel})"
 
 
-def sqrt_mul(a: SqrtRational, b: SqrtRational) -> SqrtRational:
-    """Product of two signed square roots (sign and radicand multiply)."""
-    return a * b
-
-
 # ---------------------------------------------------------------------------
 # Finite sums of square roots
 # ---------------------------------------------------------------------------
@@ -409,19 +395,6 @@ class RadicalSum:
         return " + ".join(repr(SqrtRational(c, k)) for k, c in self.terms())
 
 
-def radsum_add(a: RadicalSum, b: RadicalSum) -> RadicalSum:
-    return a + b
-
-
-def radsum_is_zero(a: RadicalSum) -> bool:
-    return a.is_zero()
-
-
-def to_float(a: RadicalSum, precision_bits: int) -> mpmath.mpf:
-    """High-precision float value of a radical sum."""
-    return a.to_mpf(precision_bits)
-
-
 # ---------------------------------------------------------------------------
 # Serialization of scalars (shared by the code file format and reports)
 # ---------------------------------------------------------------------------
@@ -437,7 +410,10 @@ def sqrt_rational_to_json(s: SqrtRational) -> dict:
 
 
 def sqrt_rational_from_json(d: dict) -> SqrtRational:
-    radicand = Fraction(int(d["radicand_num"]), int(d["radicand_den"]))
+    den = int(d["radicand_den"])
+    if den == 0:
+        raise ValueError("radicand_den must be nonzero")
+    radicand = Fraction(int(d["radicand_num"]), den)
     return SqrtRational.of_sign_radicand(int(d["sign"]), radicand)
 
 

@@ -4,6 +4,16 @@ Everything here is decided with exact arithmetic: an inner product is a
 finite sum of signed square roots of rationals, and a condition holds when
 the canonical form of the sum is literally zero.
 
+Every check reduces to one kernel, ``_element``, which sums
+u[x+shift] * weight(x) * v[x] over two coefficient vectors.  The checks
+differ only in the weight:
+
+* correction, <c_i| E_a^dagger E_b |c_j>: the product of the two operators'
+  Clebsch-Gordan amplitudes at x+shift and x;
+* detection, <c_i| E |c_j>: the operator's amplitude at x;
+* (C3)/(C4): the binomial ratio binom(n-2t, x-b) / sqrt(binom(n, x-b+a)
+  binom(n, x)).
+
 Operator pairs whose sector shifts differ act into different total-momentum
 sectors and are skipped as identically zero; a debug flag records them in
 the Gram data to make the structural vanishing visible in reports.
@@ -16,7 +26,7 @@ which also fixes the report ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from .codes import CodeBasis
 from .combinatorics import binom
@@ -111,30 +121,62 @@ def _check_dims(code: CodeBasis, eset: ErrorSet) -> None:
             )
 
 
-def _pair_value(
+def _element(u, v, support, shift: int, weight) -> RadicalSum:
+    """sum_x u[x+shift] * weight(x) * v[x] over x in ``support``.
+
+    An index outside ``u``, a zero ``u[x+shift]`` or a ``None`` weight
+    contributes nothing; the weight is asked for only when both
+    coefficients are nonzero.
+    """
+    terms = []
+    for x in support:
+        y = x + shift
+        if not 0 <= y < len(u) or u[y].is_zero():
+            continue
+        w = weight(x)
+        if w is not None:
+            terms.append(u[y] * w * v[x])
+    return RadicalSum.total(terms)
+
+
+def _check_block(
     code: CodeBasis,
     supports: list[tuple[int, ...]],
-    i: int,
-    j: int,
-    op_a: ErrorOp,
-    op_b: ErrorOp,
+    shift: int,
+    weight,
+    labels: tuple[str, str],
+    violations: list[KLViolation],
 ) -> RadicalSum:
-    """<c_i| op_a^dagger op_b |c_j> for operators sharing a target sector."""
-    vi, vj = code.basis[i], code.basis[j]
-    shift = op_b.delta_m - op_a.delta_m
-    terms = []
-    for j2 in supports[j]:
-        amp_b = op_b.entries.get(j2)
-        if amp_b is None:
-            continue
-        j1 = j2 + shift
-        if not 0 <= j1 <= code.two_J:
-            continue
-        amp_a = op_a.entries.get(j1)
-        if amp_a is None or vi[j1].is_zero():
-            continue
-        terms.append(amp_a * vi[j1] * amp_b * vj[j2])
-    return RadicalSum.total(terms)
+    """One operator (pair): off-diagonal elements vanish, diagonal ones agree.
+
+    Appends a violation per failing element and returns the first diagonal
+    element, the Gram entry.
+    """
+    diag0 = None
+    for i, u in enumerate(code.basis):
+        for j, v in enumerate(code.basis):
+            val = _element(u, v, supports[j], shift, weight)
+            if i != j:
+                residual = val
+            elif diag0 is None:
+                diag0 = val
+                continue
+            else:
+                residual = val - diag0
+            if not residual.is_zero():
+                violations.append(KLViolation(i, j, *labels, residual))
+    return diag0
+
+
+def _pair_weight(op_a: ErrorOp, op_b: ErrorOp, shift: int):
+    """x -> amplitude of op_a at x+shift times amplitude of op_b at x."""
+    ea, eb = op_a.entries, op_b.entries
+
+    def weight(x):
+        amp_a, amp_b = ea.get(x + shift), eb.get(x)
+        return None if amp_a is None or amp_b is None else amp_a * amp_b
+
+    return weight
 
 
 def check_kl_correct(
@@ -150,29 +192,13 @@ def check_kl_correct(
     supports = [code.support(i) for i in range(code.dim)]
     violations: list[KLViolation] = []
     gram: dict[tuple[str, ...], RadicalSum] = {}
-    sectors = eset.by_sector()
-    for _, ops in sorted(sectors.items()):
-        for ai in range(len(ops)):
-            for bi in range(ai, len(ops)):
-                op_a, op_b = ops[ai], ops[bi]
-                diag0 = None
-                for i in range(code.dim):
-                    for j in range(code.dim):
-                        val = _pair_value(code, supports, i, j, op_a, op_b)
-                        if i != j:
-                            if not val.is_zero():
-                                violations.append(
-                                    KLViolation(i, j, op_a.label, op_b.label, val)
-                                )
-                        elif diag0 is None:
-                            diag0 = val
-                        else:
-                            residual = val - diag0
-                            if not residual.is_zero():
-                                violations.append(
-                                    KLViolation(i, j, op_a.label, op_b.label, residual)
-                                )
-                gram[(op_a.label, op_b.label)] = diag0
+    for _, ops in sorted(eset.by_sector().items()):
+        for op_a, op_b in combinations_with_replacement(ops, 2):
+            shift = op_b.delta_m - op_a.delta_m
+            labels = (op_a.label, op_b.label)
+            gram[labels] = _check_block(
+                code, supports, shift, _pair_weight(op_a, op_b, shift), labels, violations
+            )
     if include_cross_sector:
         # Different delta_J means disjoint target sectors, hence exact zeros.
         for op_a, op_b in combinations(eset.ops, 2):
@@ -192,60 +218,29 @@ def check_kl_detect(code: CodeBasis, eset: ErrorSet) -> KLReport:
             # Image lies in a different momentum sector: matrix element is 0.
             gram[(op.label,)] = RadicalSum.zero()
             continue
-        diag0 = None
-        for i in range(code.dim):
-            vi = code.basis[i]
-            for j in range(code.dim):
-                vj = code.basis[j]
-                terms = []
-                for j2 in supports[j]:
-                    amp = op.entries.get(j2)
-                    if amp is None:
-                        continue
-                    tgt = j2 + op.delta_m
-                    if 0 <= tgt <= code.two_J and not vi[tgt].is_zero():
-                        terms.append(vi[tgt] * amp * vj[j2])
-                val = RadicalSum.total(terms)
-                if i != j:
-                    if not val.is_zero():
-                        violations.append(KLViolation(i, j, op.label, "", val))
-                elif diag0 is None:
-                    diag0 = val
-                else:
-                    residual = val - diag0
-                    if not residual.is_zero():
-                        violations.append(KLViolation(i, j, op.label, "", residual))
-        gram[(op.label,)] = diag0
+        gram[(op.label,)] = _check_block(
+            code, supports, op.delta_m, op.entries.get, (op.label, ""), violations
+        )
     return KLReport("detect", not violations, tuple(violations), gram)
 
 
-def _weighted_sum(
-    code: CodeBasis,
-    supports: list[tuple[int, ...]],
-    t: int,
-    i: int,
-    k: int,
-    a: int,
-    b: int,
-) -> RadicalSum:
-    """sum_j binom(n-2t, j) * v_i[j+a] * v_k[j+b] / sqrt(binom(n,j+a) binom(n,j+b)).
+def _condition_weight(n: int, t: int, a: int, b: int):
+    """x -> binom(n-2t, x-b) / sqrt(binom(n, x-b+a) binom(n, x)) for 0 <= x-b <= n-2t.
 
-    Coefficients with index beyond n count as zero, matching the convention
-    that pads the vectors on the right.
+    Paired with the index shift a - b, this gives the (C3)/(C4) sum
+    sum_j binom(n-2t, j) v_i[j+a] v_k[j+b] / sqrt(binom(n,j+a) binom(n,j+b)),
+    where coefficients with index beyond n count as zero, matching the
+    convention that pads the vectors on the right.
     """
-    n = code.two_J
-    vi, vk = code.basis[i], code.basis[k]
-    terms = []
-    for idx in supports[i]:
-        j = idx - a
+
+    def weight(x):
+        j = x - b
         if not 0 <= j <= n - 2 * t:
-            continue
-        if j + b > n or vk[j + b].is_zero():
-            continue
-        weight = binom(n - 2 * t, j) / binom(n, j + a)
-        kernel = SqrtRational.sqrt(binom(n, j + a) / binom(n, j + b))
-        terms.append((vi[idx] * vk[j + b] * kernel).scaled(weight))
-    return RadicalSum.total(terms)
+            return None
+        top = binom(n, j + a)
+        return SqrtRational.sqrt(top / binom(n, x)).scaled(binom(n - 2 * t, j) / top)
+
+    return weight
 
 
 def check_conditions(code: CodeBasis, t: int, t_prime: int) -> ConditionReport:
@@ -258,25 +253,32 @@ def check_conditions(code: CodeBasis, t: int, t_prime: int) -> ConditionReport:
         raise ValueError("t must be nonnegative")
     if t_prime not in (t, 2 * t):
         raise ValueError(f"t_prime must be t or 2t, got {t_prime}")
+    n, basis = code.two_J, code.basis
     supports = [code.support(i) for i in range(code.dim)]
+    pairs = list(combinations(range(code.dim), 2))
     one = RadicalSum.from_rational(1)
     c2 = all(code.inner(i, i) == one for i in range(code.dim))
-    c1 = all(
-        code.inner(i, k).is_zero() for i, k in combinations(range(code.dim), 2)
-    )
+    c1 = all(code.inner(i, k).is_zero() for i, k in pairs)
+    # One weight per (a, b), and each vector's (C4) diagonal sum once per (a, b).
+    grid = [
+        (a, b, _condition_weight(n, t, a, b))
+        for a in range(t_prime + 1)
+        for b in range(t_prime + 1)
+    ]
+    diag = [
+        [_element(v, v, s, a - b, w) for v, s in zip(basis, supports)]
+        for a, b, w in grid
+    ] if pairs else []
     c3_failures: list[ConditionFailure] = []
     c4_failures: list[ConditionFailure] = []
-    for i, k in combinations(range(code.dim), 2):
-        for a in range(t_prime + 1):
-            for b in range(t_prime + 1):
-                s3 = _weighted_sum(code, supports, t, i, k, a, b)
-                if not s3.is_zero():
-                    c3_failures.append(ConditionFailure(a, b, (i, k), s3))
-                s4 = _weighted_sum(code, supports, t, i, i, a, b) - _weighted_sum(
-                    code, supports, t, k, k, a, b
-                )
-                if not s4.is_zero():
-                    c4_failures.append(ConditionFailure(a, b, (i, k), s4))
+    for i, k in pairs:
+        for (a, b, w), d in zip(grid, diag):
+            s3 = _element(basis[i], basis[k], supports[k], a - b, w)
+            if not s3.is_zero():
+                c3_failures.append(ConditionFailure(a, b, (i, k), s3))
+            s4 = d[i] - d[k]
+            if not s4.is_zero():
+                c4_failures.append(ConditionFailure(a, b, (i, k), s4))
     return ConditionReport(t, t_prime, c1, c2, tuple(c3_failures), tuple(c4_failures))
 
 

@@ -217,6 +217,8 @@ def enumerate_and_search(
     eset = build_ae_error_set(n, t)
     for s0 in supports:
         for s1 in supports:
+            if limit is not None and len(results) >= limit:
+                return results
             try:
                 spec = SearchSpec(n, t, s0, s1, require_counter_symmetric)
             except ValueError:
@@ -230,6 +232,4 @@ def enumerate_and_search(
                     f"staggered solution fails direct verification: {spec}"
                 )
             results.append(result)
-            if limit is not None and len(results) >= limit:
-                return results
     return results

@@ -10,7 +10,6 @@ from aecodes.angular import (
     CGIndex,
     HalfInt,
     cg_binomial_reconstruction,
-    cg_specialized,
     cg_transition,
     cg_transition_general,
     clebsch_gordan,
@@ -98,22 +97,22 @@ class TestTransitionForm:
     def test_spot_instance_n7(self):
         n, t, r, a, q = 7, 1, 1, 1, 1
         for j in range(-1, 8):
-            assert cg_specialized(n, t, r, a, q, j) == cg_transition_general(
+            assert cg_transition(n, t, r, a, q, j) == cg_transition_general(
                 n, t, r, a, q, j
             )
 
     def test_zero_outside_region(self):
         n, t, r, a, q = 8, 2, 2, 1, 2
-        assert cg_specialized(n, t, r, a, q, -min(a, q) - 1).is_zero()
-        assert cg_specialized(n, t, r, a, q, n - max(a, 2 * t - q) + 1).is_zero()
+        assert cg_transition(n, t, r, a, q, -min(a, q) - 1).is_zero()
+        assert cg_transition(n, t, r, a, q, n - max(a, 2 * t - q) + 1).is_zero()
 
     def test_preconditions_rejected(self):
         with pytest.raises(ValueError):
-            cg_specialized(8, 1, 2, 1, 1, 0)  # r > t
+            cg_transition(8, 1, 2, 1, 1, 0)  # r > t
         with pytest.raises(ValueError):
-            cg_specialized(8, 2, 1, 0, 2, 0)  # a < t - r
+            cg_transition(8, 2, 1, 0, 2, 0)  # a < t - r
         with pytest.raises(ValueError):
-            cg_specialized(3, 2, 2, 2, 2, 0)  # n < 2t
+            cg_transition(3, 2, 2, 2, 2, 0)  # n < 2t
 
     def test_binomial_reconstruction(self):
         for n in range(0, 9):

@@ -71,6 +71,29 @@ class TestConstructVerify:
         assert status == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_empty_basis_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"kind": "AE", "two_J": 7, "label": "", "basis": []}))
+        for argv in (
+            ["verify", str(path), "--t", "1"],
+            ["covariance", str(path), "--group", "bd"],
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+            assert "Traceback" not in captured.err
+
+    def test_zero_radicand_denominator_exits_two(self, tmp_path, capsys):
+        data = fixtures()["J7half"].to_dict()
+        data["basis"][0][0] = {"sign": 1, "radicand_num": "1", "radicand_den": "0"}
+        path = tmp_path / "zero_den.json"
+        path.write_text(json.dumps(data))
+        assert main(["verify", str(path), "--t", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
     def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--bogus"])

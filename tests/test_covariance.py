@@ -128,6 +128,27 @@ class TestCovariance:
             at400 = check_covariance(code, group, TOL, 400)
             assert at200.passed == at400.passed == expected
 
+    def test_slowly_converging_subspace_is_decided(self):
+        # A rational 2J = 15 subspace whose D P D^dagger - P under BD_8 made
+        # an SVD-based norm raise "no convergence"; its residual is O(1).
+        v = ["-2", "-3/7", "-2/5", "3/2", "7/8", "-7/5", "4", "7/5",
+             "7/4", "-1", "-4/7", "1/8", "1/3", "-3/2", "-7/6", "8/9"]
+        w = ["-512615504/114930491", "322122813/229860982", "323634057/229860982",
+             "1161544832/1034374419", "-597019251/459721964", "126492662/1034374419",
+             "299074418/574652455", "-270740517/229860982", "737413049/689582946",
+             "663136176/114930491", "314566593/229860982", "-1799217701/1379165892",
+             "-185783032/574652455", "606162662/574652455", "-176639621/229860982",
+             "-757496957/229860982"]
+        basis = []
+        for vec in (v, w):
+            xs = [Fraction(x) for x in vec]
+            scale = SqrtRational.sqrt(1 / sum(x * x for x in xs))
+            basis.append(tuple(SqrtRational.from_rational(x) * scale for x in xs))
+        code = CodeBasis(CodeKind.AE, 15, tuple(basis))
+        assert code.is_orthonormal()
+        report = check_covariance(code, binary_dihedral_group(4, BITS), TOL, BITS)
+        assert not report.passed and report.max_residual > mpmath.mpf("1e-3")
+
     def test_residuals_basis_independent(self):
         code = fixtures()["J7half"]
         group = binary_icosahedral_group(BITS)

@@ -12,14 +12,9 @@ from hypothesis import strategies as st
 from aecodes.exactnum import (
     RadicalSum,
     SqrtRational,
-    normalize,
-    radsum_add,
-    radsum_is_zero,
-    sqrt_mul,
     sqrt_rational_from_json,
     sqrt_rational_to_json,
     squarefree_decompose,
-    to_float,
 )
 
 
@@ -31,23 +26,6 @@ def brute_squarefree(n: int) -> bool:
             return False
         d += 1
     return True
-
-
-class TestNormalize:
-    def test_gcd_reduction(self):
-        assert normalize(2, 4) == Fraction(1, 2)
-
-    def test_sign_normalization(self):
-        q = normalize(-3, -6)
-        assert q == Fraction(1, 2) and q.denominator == 2
-
-    def test_zero(self):
-        q = normalize(0, 5)
-        assert q == 0 and q.denominator == 1
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            normalize(1, 0)
 
 
 class TestSquarefreeDecompose:
@@ -87,15 +65,15 @@ def _sq(sign, num, den):
 
 class TestSqrtRational:
     def test_mul_radicands(self):
-        assert sqrt_mul(_sq(1, 3, 10), _sq(1, 7, 10)) == _sq(1, 21, 100)
+        assert _sq(1, 3, 10) * _sq(1, 7, 10) == _sq(1, 21, 100)
 
     def test_mul_signs(self):
-        v = sqrt_mul(_sq(-1, 1, 2), _sq(1, 1, 2))
+        v = _sq(-1, 1, 2) * _sq(1, 1, 2)
         assert v == _sq(-1, 1, 4)
         assert v.as_rational() == Fraction(-1, 2)
 
     def test_absorbing_zero(self):
-        assert sqrt_mul(_sq(1, 5, 3), SqrtRational.zero()).is_zero()
+        assert (_sq(1, 5, 3) * SqrtRational.zero()).is_zero()
 
     def test_sign_radicand_consistency_enforced(self):
         with pytest.raises(ValueError):
@@ -141,13 +119,11 @@ class TestRadicalSum:
         s = RadicalSum.from_sqrt(SqrtRational.sqrt(2)) + RadicalSum.from_sqrt(
             -SqrtRational.sqrt(2)
         )
-        assert radsum_is_zero(s)
+        assert s.is_zero()
 
     def test_perfect_square_collapses(self):
         prod = SqrtRational.sqrt(Fraction(3, 10)) * SqrtRational.sqrt(Fraction(3, 10))
-        s = radsum_add(
-            RadicalSum.from_sqrt(prod), RadicalSum.from_rational(Fraction(-3, 10))
-        )
+        s = RadicalSum.from_sqrt(prod) + RadicalSum.from_rational(Fraction(-3, 10))
         assert s.is_zero()
 
     def test_distinct_kernels_nonzero(self):
@@ -173,7 +149,7 @@ class TestToFloat:
         # independent oracle: floor(sqrt(3/10 * 4^k)) / 2^k underestimates
         # sqrt(3/10) by < 2^-k
         bits = 200
-        val = to_float(RadicalSum.from_sqrt(SqrtRational.sqrt(Fraction(3, 10))), bits)
+        val = RadicalSum.from_sqrt(SqrtRational.sqrt(Fraction(3, 10))).to_mpf(bits)
         k = 220
         low = math.isqrt(3 * 4**k // 10)
         with mpmath.workprec(bits + 40):
@@ -181,15 +157,15 @@ class TestToFloat:
             assert abs(val - oracle) < mpmath.mpf(2) ** (-(bits - 5))
 
     def test_zero(self):
-        assert to_float(RadicalSum.zero(), 100) == 0
+        assert RadicalSum.zero().to_mpf(100) == 0
 
     def test_rational_collapse(self):
         half_root4 = SqrtRational.sqrt(4).scaled(Fraction(1, 2))
-        assert to_float(RadicalSum.from_sqrt(half_root4), 100) == 1
+        assert RadicalSum.from_sqrt(half_root4).to_mpf(100) == 1
 
     def test_precision_floor(self):
         with pytest.raises(ValueError):
-            to_float(RadicalSum.from_rational(1), 52)
+            RadicalSum.from_rational(1).to_mpf(52)
 
     def test_zero_test_matches_float_rendering(self):
         rng = random.Random(20260811)
@@ -202,10 +178,10 @@ class TestToFloat:
                 terms.append(SqrtRational.sqrt(radicand).scaled(coeff))
             s = RadicalSum.total(terms)
             # nonzero sums are detectably nonzero; exact negations vanish
-            assert radsum_is_zero(s) == (abs(to_float(s, 256)) < threshold)
+            assert s.is_zero() == (abs(s.to_mpf(256)) < threshold)
             cancelled = s - s
-            assert radsum_is_zero(cancelled)
-            assert abs(to_float(cancelled, 256)) < threshold
+            assert cancelled.is_zero()
+            assert abs(cancelled.to_mpf(256)) < threshold
 
 
 class TestSerialization:

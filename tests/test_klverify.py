@@ -7,6 +7,7 @@ computation that shares none of its machinery.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -21,8 +22,8 @@ from aecodes.codes import (
     construct_pi_gmde,
     fixtures,
 )
-from aecodes.errors import build_ae_error_set
-from aecodes.exactnum import SqrtRational
+from aecodes.errors import apply, build_ae_error_set
+from aecodes.exactnum import RadicalSum, SqrtRational
 from aecodes.klverify import (
     check_conditions,
     check_kl_correct,
@@ -276,3 +277,97 @@ class TestPermutationInvariantEquivalence:
         bent = perturb(pi, 1, pi.support(1)[0])
         assert not check_conditions(bent, 1, 2).all_pass
         assert qubit_kl_max_violation(bent) > 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Dense oracle for every matrix element the verifiers report
+# ---------------------------------------------------------------------------
+
+
+def dense_inner(u, v) -> RadicalSum:
+    return RadicalSum.total(x * y for x, y in zip(u, v))
+
+
+def oracle_kl(code: CodeBasis, eset, mode: str):
+    """Expected (violations, gram) from explicit operator images."""
+    violations, gram = [], {}
+    if mode == "correct":
+        blocks = [
+            ((a.label, b.label), a, b)
+            for _, ops in sorted(eset.by_sector().items())
+            for ai, a in enumerate(ops)
+            for b in ops[ai:]
+        ]
+    else:
+        blocks = [((op.label, ""), None, op) for op in eset.ops if op.delta_J == 0]
+        gram.update({(op.label,): RadicalSum.zero() for op in eset.ops if op.delta_J != 0})
+    for labels, op_a, op_b in blocks:
+        left = [v if op_a is None else apply(op_a, v) for v in code.basis]
+        right = [apply(op_b, v) for v in code.basis]
+        values = [[dense_inner(left[i], right[j]) for j in range(code.dim)] for i in range(code.dim)]
+        diag0 = values[0][0]
+        gram[labels if mode == "correct" else labels[:1]] = diag0
+        for i in range(code.dim):
+            for j in range(code.dim):
+                residual = values[i][j] - diag0 if i == j else values[i][j]
+                if not residual.is_zero():
+                    violations.append((i, j, *labels, residual))
+    return violations, gram
+
+
+def oracle_condition_sum(code: CodeBasis, t: int, i: int, k: int, a: int, b: int) -> RadicalSum:
+    """sum_j C(n-2t, j) v_i[j+a] v_k[j+b] / sqrt(C(n, j+a) C(n, j+b)), padded by zeros."""
+    n = code.two_J
+    vi = list(code.basis[i]) + [SqrtRational.zero()] * (2 * t + 1)
+    vk = list(code.basis[k]) + [SqrtRational.zero()] * (2 * t + 1)
+    terms = []
+    for j in range(n + 1):
+        weight_sq = Fraction(
+            math.comb(n - 2 * t, j) ** 2, math.comb(n, j + a) * math.comb(n, j + b) or 1
+        )
+        terms.append(vi[j + a] * vk[j + b] * SqrtRational.sqrt(weight_sq))
+    return RadicalSum.total(terms)
+
+
+def oracle_cases():
+    base = fixtures()
+    j7 = base["J7half"]
+    cases = [(code, t) for code in base.values() for t in (1, 2)]
+    cases.append((perturb(j7, 0, j7.support(0)[0]), 1))
+    cases.append((CodeBasis(j7.kind, j7.two_J, (j7.basis[0], j7.basis[0])), 1))
+    return cases
+
+
+class TestMatrixElementOracle:
+    """Every Gram entry and residual equals its dense recomputation exactly."""
+
+    @pytest.mark.parametrize("case", range(len(oracle_cases())))
+    def test_kl_reports_match_dense_products(self, case):
+        code, t = oracle_cases()[case]
+        eset = build_ae_error_set(code.two_J, t)
+        for mode, check in (("correct", check_kl_correct), ("detect", check_kl_detect)):
+            report = check(code, eset)
+            violations, gram = oracle_kl(code, eset, mode)
+            assert report.gram == gram
+            assert [
+                (v.i, v.j, v.op_a, v.op_b, v.residual) for v in report.violations
+            ] == violations
+            assert report.passed == (not violations)
+
+    @pytest.mark.parametrize("case", range(len(oracle_cases())))
+    def test_condition_residuals_match_binomial_formula(self, case):
+        code, t = oracle_cases()[case]
+        for t_prime in (t, 2 * t):
+            report = check_conditions(code, t, t_prime)
+            c3, c4 = [], []
+            for i, k in itertools.combinations(range(code.dim), 2):
+                for a in range(t_prime + 1):
+                    for b in range(t_prime + 1):
+                        s3 = oracle_condition_sum(code, t, i, k, a, b)
+                        s4 = oracle_condition_sum(code, t, i, i, a, b) - oracle_condition_sum(
+                            code, t, k, k, a, b
+                        )
+                        c3 += [] if s3.is_zero() else [(a, b, (i, k), s3)]
+                        c4 += [] if s4.is_zero() else [(a, b, (i, k), s4)]
+            assert [(f.a, f.b, f.pair, f.residual) for f in report.c3_failures] == c3
+            assert [(f.a, f.b, f.pair, f.residual) for f in report.c4_failures] == c4

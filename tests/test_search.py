@@ -84,6 +84,9 @@ class TestEnumerate:
         results = enumerate_and_search(9, 1, max_support_size=2, limit=1)
         assert len(results) == 1
 
+    def test_limit_zero_finds_nothing(self):
+        assert enumerate_and_search(9, 1, max_support_size=2, limit=0) == []
+
     def test_length_three_is_empty(self):
         assert enumerate_and_search(3, 1, max_support_size=2) == []
 
