@@ -74,7 +74,7 @@ class CodeBasis:
         return len(self.basis)
 
     def support(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j, c in enumerate(self.basis[i]) if not c.is_zero())
+        return tuple([j for j, c in enumerate(self.basis[i]) if c.num])
 
     def inner(self, i: int, k: int) -> RadicalSum:
         """Exact inner product of basis vectors i and k (real coefficients)."""
@@ -105,14 +105,22 @@ class CodeBasis:
 
     @staticmethod
     def from_dict(d: dict) -> "CodeBasis":
-        return CodeBasis(
-            kind=CodeKind(d["kind"]),
-            two_J=int(d["two_J"]),
-            basis=tuple(
-                tuple(sqrt_rational_from_json(c) for c in vec) for vec in d["basis"]
-            ),
-            label=d.get("label", ""),
-        )
+        if not isinstance(d, dict):
+            raise ValueError("a code file must hold a JSON object")
+        basis = d["basis"]
+        if not isinstance(basis, list) or not all(isinstance(v, list) for v in basis):
+            raise ValueError("basis must be a list of coefficient lists")
+        if not all(isinstance(c, dict) for vec in basis for c in vec):
+            raise ValueError("each basis coefficient must be a JSON object")
+        try:
+            return CodeBasis(
+                kind=CodeKind(d["kind"]),
+                two_J=int(d["two_J"]),
+                basis=tuple(tuple(sqrt_rational_from_json(c) for c in vec) for vec in basis),
+                label=d.get("label", ""),
+            )
+        except TypeError as exc:
+            raise ValueError(f"malformed code file: {exc}") from exc
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

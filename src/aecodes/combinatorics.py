@@ -13,17 +13,24 @@ used as oracles by the test suite and the ``identities`` CLI subcommand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .exactnum import RationalLike
 
 
 def binom(x: RationalLike, k: int) -> Fraction:
-    """Generalized binomial coefficient with rational upper argument."""
+    """Generalized binomial coefficient with rational upper argument.
+
+    A nonnegative integer ``x`` (an int or a Fraction with denominator 1)
+    goes through ``math.comb``; any other ``x`` through the falling
+    factorial.
+    """
     if k < 0:
         return Fraction(0)
+    if isinstance(x, (int, Fraction)) and x.denominator == 1 and x.numerator >= 0:
+        return Fraction(math.comb(x.numerator, k))
     if k == 0:
         return Fraction(1)
     x = Fraction(x)
@@ -32,15 +39,7 @@ def binom(x: RationalLike, k: int) -> Fraction:
         num *= x - i
         if num == 0:
             return Fraction(0)
-    return num / _factorial(k)
-
-
-@lru_cache(maxsize=None)
-def _factorial(k: int) -> int:
-    result = 1
-    for i in range(2, k + 1):
-        result *= i
-    return result
+    return num / math.factorial(k)
 
 
 def check_lemma_B1(n: int, k: int, r: int, a: int) -> bool:

@@ -7,6 +7,12 @@ kernels square-free positive integers.  Because square roots of distinct
 square-free integers are linearly independent over Q, equality with zero is
 decidable by inspecting the canonical form.
 
+A single signed root, ``SqrtRational``, keeps its coefficient as two plain
+ints (numerator, denominator) rather than a ``Fraction``; its public
+constructor checks that the kernel is square-free, while arithmetic uses a
+trusted private constructor.  ``RadicalSum.total`` accumulates int
+numerators over a common denominator and builds one ``Fraction`` per kernel.
+
 All values here are immutable and all operations are pure, so they can be
 shared freely between threads or tasks.
 """
@@ -142,7 +148,7 @@ def squarefree_decompose(r: Fraction) -> tuple[Fraction, Fraction]:
     The kernel is always an integer: p/q = (s/q)**2 * k where p*q = s**2 * k.
     """
     r = Fraction(r)
-    if r <= 0:
+    if r.numerator <= 0:
         raise ValueError("squarefree_decompose expects a positive rational")
     s, k = _squarefree_int(r.numerator * r.denominator)
     return Fraction(s, r.denominator), Fraction(k)
@@ -156,44 +162,58 @@ def squarefree_decompose(r: Fraction) -> tuple[Fraction, Fraction]:
 class SqrtRational:
     """A value sign * sqrt(radicand), radicand a nonnegative rational.
 
-    Canonical storage is ``coeff * sqrt(kernel)`` with ``kernel`` a
-    square-free positive integer, which makes products cheap (a single gcd)
-    and makes equality structural.
+    Canonical storage is ``(num / den) * sqrt(kernel)`` in plain ints:
+    ``num / den`` in lowest terms with ``den > 0``, and ``kernel`` a
+    square-free positive integer (1 when ``num == 0``).  This makes products
+    cheap (two gcds) and equality structural.
+
+    The public constructor ``SqrtRational(coeff, kernel)`` validates the
+    kernel and raises ValueError unless it is a positive square-free int.
+    Internal arithmetic builds results through the trusted ``_make``, whose
+    arguments already satisfy the invariants.
     """
 
-    __slots__ = ("coeff", "kernel")
+    __slots__ = ("num", "den", "kernel")
 
     def __init__(self, coeff: RationalLike, kernel: int):
+        if not (isinstance(kernel, int) and kernel > 0 and _squarefree_int(kernel)[0] == 1):
+            raise ValueError(f"kernel must be a positive square-free int, got {kernel!r}")
         coeff = Fraction(coeff)
-        if coeff == 0:
-            kernel = 1
-        self.coeff = coeff
-        self.kernel = kernel
+        self.num, self.den = coeff.numerator, coeff.denominator
+        self.kernel = kernel if self.num else 1
+
+    @staticmethod
+    def _make(num: int, den: int, kernel: int) -> "SqrtRational":
+        """Trusted constructor: the caller guarantees the storage invariants."""
+        s = object.__new__(SqrtRational)
+        s.num, s.den, s.kernel = num, den, kernel
+        return s
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def zero() -> "SqrtRational":
-        return SqrtRational(0, 1)
+        return SqrtRational._make(0, 1, 1)
 
     @staticmethod
     def one() -> "SqrtRational":
-        return SqrtRational(1, 1)
+        return SqrtRational._make(1, 1, 1)
 
     @staticmethod
     def from_rational(q: RationalLike) -> "SqrtRational":
-        return SqrtRational(Fraction(q), 1)
+        q = Fraction(q)
+        return SqrtRational._make(q.numerator, q.denominator, 1)
 
     @staticmethod
     def sqrt(q: RationalLike) -> "SqrtRational":
         """The nonnegative square root of a nonnegative rational."""
         q = Fraction(q)
-        if q < 0:
+        if q.numerator < 0:
             raise ValueError(f"square root of negative rational {q}")
-        if q == 0:
+        if not q.numerator:
             return SqrtRational.zero()
         scale, kernel = squarefree_decompose(q)
-        return SqrtRational(scale, int(kernel))
+        return SqrtRational._make(scale.numerator, scale.denominator, kernel.numerator)
 
     @staticmethod
     def of_sign_radicand(sign: int, radicand: RationalLike) -> "SqrtRational":
@@ -212,16 +232,21 @@ class SqrtRational:
     # -- views --------------------------------------------------------------
 
     @property
+    def coeff(self) -> Fraction:
+        """The rational factor num / den in front of sqrt(kernel)."""
+        return Fraction(self.num, self.den)
+
+    @property
     def sign(self) -> int:
-        return (self.coeff > 0) - (self.coeff < 0)
+        return (self.num > 0) - (self.num < 0)
 
     @property
     def radicand(self) -> Fraction:
         """The represented value squared (value == sign * sqrt(radicand))."""
-        return self.coeff * self.coeff * self.kernel
+        return Fraction(self.num * self.num * self.kernel, self.den * self.den)
 
     def is_zero(self) -> bool:
-        return self.coeff == 0
+        return self.num == 0
 
     def is_rational(self) -> bool:
         return self.kernel == 1
@@ -238,35 +263,42 @@ class SqrtRational:
             return NotImplemented
         # Product of coprime square-free parts stays square-free.
         g = math.gcd(self.kernel, other.kernel)
-        coeff = self.coeff * other.coeff * g
-        return SqrtRational(coeff, (self.kernel // g) * (other.kernel // g))
+        num, den = self.num * other.num * g, self.den * other.den
+        h = math.gcd(num, den)
+        kernel = (self.kernel // g) * (other.kernel // g) if num else 1
+        return SqrtRational._make(num // h, den // h, kernel)
 
     def __neg__(self) -> "SqrtRational":
-        return SqrtRational(-self.coeff, self.kernel)
+        return SqrtRational._make(-self.num, self.den, self.kernel)
 
     def scaled(self, q: RationalLike) -> "SqrtRational":
         """This value multiplied by a rational (possibly negative)."""
-        return SqrtRational(self.coeff * Fraction(q), self.kernel)
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        num, den = self.num * q.numerator, self.den * q.denominator
+        h = math.gcd(num, den)
+        return SqrtRational._make(num // h, den // h, self.kernel if num else 1)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, SqrtRational)
-            and self.coeff == other.coeff
+            and self.num == other.num
+            and self.den == other.den
             and self.kernel == other.kernel
         )
 
     def __hash__(self) -> int:
-        return hash((self.coeff, self.kernel))
+        return hash((self.num, self.den, self.kernel))
 
     def to_mpf(self, precision_bits: int = 200) -> mpmath.mpf:
         with mpmath.workprec(precision_bits + 10):
-            val = mpmath.mpf(self.coeff.numerator) / self.coeff.denominator
+            val = mpmath.mpf(self.num) / self.den
             return val * mpmath.sqrt(mpmath.mpf(self.kernel))
 
     def __repr__(self) -> str:
         if self.kernel == 1:
             return f"{self.coeff}"
-        if self.coeff == 1:
+        if self.num == self.den == 1:
             return f"sqrt({self.kernel})"
         return f"{self.coeff}*sqrt({self.kernel})"
 
@@ -287,7 +319,7 @@ class RadicalSum:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[int, Fraction] | None = None):
-        self._terms = {k: c for k, c in (terms or {}).items() if c != 0}
+        self._terms = {k: c for k, c in (terms or {}).items() if c}
 
     @staticmethod
     def zero() -> "RadicalSum":
@@ -303,12 +335,14 @@ class RadicalSum:
 
     @staticmethod
     def total(values: Iterable[SqrtRational]) -> "RadicalSum":
-        """Sum of signed square roots, accumulated in place."""
-        terms: dict[int, Fraction] = {}
+        """Sum of signed square roots; per kernel an int numerator over an lcm."""
+        acc: dict[int, tuple[int, int]] = {}
         for v in values:
-            if v.coeff:
-                terms[v.kernel] = terms.get(v.kernel, Fraction(0)) + v.coeff
-        return RadicalSum(terms)
+            if v.num:
+                num, den = acc.get(v.kernel, (0, 1))
+                g = math.gcd(den, v.den)
+                acc[v.kernel] = (num * (v.den // g) + v.num * (den // g), den // g * v.den)
+        return RadicalSum({k: Fraction(num, den) for k, (num, den) in acc.items()})
 
     def terms(self) -> list[tuple[int, Fraction]]:
         """Canonically ordered (kernel, coefficient) pairs."""
@@ -351,10 +385,13 @@ class RadicalSum:
         return RadicalSum(terms)
 
     def add_sqrt(self, s: SqrtRational) -> "RadicalSum":
-        if s.coeff == 0:
+        if not s.num:
             return self
         terms = dict(self._terms)
-        terms[s.kernel] = terms.get(s.kernel, Fraction(0)) + s.coeff
+        c = terms.get(s.kernel, 0)
+        terms[s.kernel] = Fraction(
+            c.numerator * s.den + s.num * c.denominator, c.denominator * s.den
+        )
         return RadicalSum(terms)
 
     def scaled(self, q: RationalLike) -> "RadicalSum":
@@ -392,7 +429,9 @@ class RadicalSum:
     def __repr__(self) -> str:
         if not self._terms:
             return "0"
-        return " + ".join(repr(SqrtRational(c, k)) for k, c in self.terms())
+        return " + ".join(
+            repr(SqrtRational._make(c.numerator, c.denominator, k)) for k, c in self.terms()
+        )
 
 
 # ---------------------------------------------------------------------------

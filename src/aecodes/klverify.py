@@ -131,7 +131,7 @@ def _element(u, v, support, shift: int, weight) -> RadicalSum:
     terms = []
     for x in support:
         y = x + shift
-        if not 0 <= y < len(u) or u[y].is_zero():
+        if not 0 <= y < len(u) or not u[y].num:
             continue
         w = weight(x)
         if w is not None:

@@ -94,6 +94,24 @@ class TestConstructVerify:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"kind": "AE", "two_J": 7, "label": "", "basis": 5},
+            [{"kind": "AE", "two_J": 7, "label": "", "basis": []}],
+            {"kind": "AE", "two_J": 7, "label": "", "basis": [7]},
+        ],
+        ids=["basis-not-list", "top-level-list", "vector-not-list"],
+    )
+    def test_malformed_schema_exits_two(self, tmp_path, capsys, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["verify", str(path), "--t", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
     def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--bogus"])

@@ -49,6 +49,34 @@ class TestBinom:
         assert binom(x, k) == binom(x - 1, k - 1) + binom(x - 1, k)
 
 
+def falling_factorial_binom(x: Fraction, k: int) -> Fraction:
+    """Reference: prod_{i<k} (x - i) / k! in Fraction, 0 for k < 0."""
+    if k < 0:
+        return Fraction(0)
+    num = Fraction(1)
+    for i in range(k):
+        num *= x - i
+    return num / math.factorial(k)
+
+
+class TestBinomOracle:
+    """binom against the falling-factorial product on every argument kind."""
+
+    def test_integer_upper_as_int_and_fraction(self):
+        for x in range(-12, 41):
+            for k in range(-2, 21):
+                expected = falling_factorial_binom(Fraction(x), k)
+                for arg in (x, Fraction(x)):
+                    got = binom(arg, k)
+                    assert got == expected and isinstance(got, Fraction)
+
+    def test_half_integer_upper(self):
+        for num in range(-25, 82, 2):
+            x = Fraction(num, 2)
+            for k in range(-2, 21):
+                assert binom(x, k) == falling_factorial_binom(x, k)
+
+
 class TestLemmaB1:
     def test_spot_instance(self):
         assert check_lemma_B1(5, 3, 2, 1)

@@ -1,5 +1,7 @@
 """Exact scalar arithmetic: canonical forms, zero test, float rendering."""
 
+import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -112,6 +114,80 @@ class TestSqrtRational:
         if a != 0:
             assert a * (1 / a) == 1
         assert a + (-a) == 0
+
+
+class TestKernelInvariant:
+    def test_non_squarefree_or_nonpositive_kernel_rejected(self):
+        for kernel in (4, 0, -3):
+            with pytest.raises(ValueError):
+                SqrtRational(1, kernel)
+
+    def test_public_constructor_roundtrips_through_radicand(self):
+        v = SqrtRational(Fraction(2, 3), 6)
+        assert v.radicand == Fraction(8, 3)
+        assert SqrtRational.of_sign_radicand(v.sign, v.radicand) == v
+
+
+def reference_root(sign: int, radicand: Fraction) -> tuple[int, Fraction]:
+    """(kernel, coefficient) of sign*sqrt(radicand), by trial division only.
+
+    p/q = (d/q)**2 * k where d**2 is the largest square dividing p*q.
+    """
+    if sign == 0:
+        return 1, Fraction(0)
+    m = radicand.numerator * radicand.denominator
+    d = max(e for e in range(1, math.isqrt(m) + 1) if m % (e * e) == 0)
+    return m // (d * d), sign * Fraction(d, radicand.denominator)
+
+
+_signed_radicands = st.tuples(
+    st.integers(min_value=-1, max_value=1),
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=1, max_value=30),
+).map(lambda t: (t[0], Fraction(t[1], t[2]) if t[0] else Fraction(0)))
+
+
+def canonical_view(v: SqrtRational) -> tuple[int, Fraction]:
+    """(sign, radicand) of v, after asserting its int storage is canonical."""
+    c = v.coeff
+    assert isinstance(c, Fraction) and math.gcd(c.numerator, c.denominator) == 1
+    assert (v.num, v.den) == (c.numerator, c.denominator) and v.den > 0
+    assert v.kernel == 1 if v.num == 0 else brute_squarefree(v.kernel)
+    return v.sign, v.radicand
+
+
+class TestAgainstFractionReference:
+    """Int-backed arithmetic against a Fraction-only (sign, radicand) model."""
+
+    @given(
+        pairs=st.lists(_signed_radicands, min_size=1, max_size=6),
+        q=st.fractions(min_value=-20, max_value=20, max_denominator=30),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_operations(self, pairs, q):
+        values = [SqrtRational.of_sign_radicand(s, r) for s, r in pairs]
+        qs = (q > 0) - (q < 0)
+        for v, (s, r) in zip(values, pairs):
+            assert canonical_view(v) == (s, r)
+            assert canonical_view(-v) == (-s, r)
+            assert canonical_view(v.scaled(q)) == (s * qs, r * q * q)
+            assert v.scaled(q) == v * SqrtRational.from_rational(q)
+            assert hash(v.scaled(q)) == hash(v * SqrtRational.from_rational(q))
+        for (x, (sx, rx)), (y, (sy, ry)) in itertools.product(zip(values, pairs), repeat=2):
+            assert canonical_view(x * y) == (sx * sy, rx * ry)
+            assert (x == y) == ((sx, rx) == (sy, ry))
+            if x == y:
+                assert hash(x) == hash(y)
+        signed = values + [-v for v in values[::2]]
+        signed += [x * y for x, y in zip(values, values[1:])]
+        expected: dict[int, Fraction] = {}
+        for v in signed:
+            kernel, coeff = reference_root(v.sign, v.radicand)
+            expected[kernel] = expected.get(kernel, Fraction(0)) + coeff
+        total = RadicalSum.total(signed)
+        assert total.terms() == sorted((k, c) for k, c in expected.items() if c)
+        assert functools.reduce(RadicalSum.add_sqrt, signed, RadicalSum.zero()) == total
+        assert all(isinstance(c, Fraction) for _, c in total.terms())
 
 
 class TestRadicalSum:

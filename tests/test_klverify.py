@@ -6,7 +6,9 @@ errors, so the condition verifier is validated in both directions against a
 computation that shares none of its machinery.
 """
 
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -14,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from aecodes.acceptance import family_sweep_params
 from aecodes.codes import (
     CodeBasis,
     CodeKind,
@@ -371,3 +374,44 @@ class TestMatrixElementOracle:
                         c4 += [] if s4.is_zero() else [(a, b, (i, k), s4)]
             assert [(f.a, f.b, f.pair, f.residual) for f in report.c3_failures] == c3
             assert [(f.a, f.b, f.pair, f.residual) for f in report.c4_failures] == c4
+
+
+# ---------------------------------------------------------------------------
+# Byte-level tripwire for rewrites of the exact core
+# ---------------------------------------------------------------------------
+
+# Digest of the reports of the Fraction-based exact core; any rewrite of the
+# core must reproduce it byte for byte.
+REPORT_DIGEST = "ddba16e646536c8b7eb78de737f8a63b62fd7d95e6aa6f0240d84308efb35def"
+
+
+def report_digest() -> str:
+    """SHA-256 over the sorted-key JSON of every report on a fixed slice.
+
+    The slice is every 50th family-sweep instance plus the criterion-12
+    perturbations of the four fixtures; each goes through the conditions at
+    t' = 2t and t' = t, direct correction and detection.
+    """
+    cases = [
+        (construct_ae_gmde(GmdeParams(g, m, delta, eps)), t)
+        for g, m, delta, eps, t in family_sweep_params()[::50]
+    ]
+    orders = {"J7half": 1, "J21half": 2, "J27half": 1, "J11half": 1}
+    for name, code in fixtures().items():
+        for vi in range(code.dim):
+            cases += [(perturb(code, vi, ci), orders[name]) for ci in code.support(vi)]
+    digest = hashlib.sha256()
+    for code, t in cases:
+        eset = build_ae_error_set(code.two_J, t)
+        for report in (
+            check_conditions(code, t, 2 * t),
+            check_conditions(code, t, t),
+            check_kl_correct(code, eset),
+            check_kl_detect(code, eset),
+        ):
+            digest.update(json.dumps(report.to_dict(), sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def test_reports_byte_identical():
+    assert report_digest() == REPORT_DIGEST
