@@ -10,6 +10,12 @@ bits) with tolerances around 1e-10: a truly covariant code has residual
 exactly zero, so any verdict that flips when the precision is doubled
 signals a bug rather than a borderline case.
 
+The residual of an element u is ||D P D^dagger - P||_2 for the codespace
+projector P = C C^dagger, but no dim x dim matrix is formed: for projectors
+of equal rank it equals ||(I - P) D C||_2, with C the dim x k orthonormal
+code basis, so one product D C yields both the residual and the logical
+action C^dagger D C.
+
 Generator conventions
 ---------------------
 * Binary dihedral: the bit-flip and phase-flip generators are lifted into
@@ -166,36 +172,29 @@ class CovarianceReport:
         }
 
 
-def code_columns(code: CodeBasis, precision_bits: int = 200) -> list[mpmath.matrix]:
-    """Orthonormal float columns spanning the codespace.
+def code_columns(code: CodeBasis, precision_bits: int = 200) -> mpmath.matrix:
+    """The orthonormal dim x k float matrix C whose columns span the codespace.
 
-    Column entries are ordered by decreasing projection m (matching the
-    Wigner matrix ordering), so the coefficient at index j lands in row
-    n - j.  Exact orthonormal bases pass through essentially unchanged;
-    other spanning sets are orthonormalized so the projector is genuine.
+    Rows are ordered by decreasing projection m (matching the Wigner matrix
+    ordering), so the coefficient at index j lands in row n - j.  Exact
+    orthonormal bases pass through essentially unchanged; other spanning
+    sets are orthonormalized by Gram-Schmidt so that C^dagger C = I.
     """
     n = code.two_J
     with workprec(precision_bits):
-        cols = []
-        for vec in code.basis:
+        c = mpmath.matrix(n + 1, len(code.basis))
+        for i, vec in enumerate(code.basis):
             col = mpmath.matrix(n + 1, 1)
-            for j, c in enumerate(vec):
-                col[n - j, 0] = c.to_mpf(precision_bits)
-            for prev in cols:
-                overlap = (prev.transpose_conj() * col)[0, 0]
-                col = col - prev * overlap
+            for j, x in enumerate(vec):
+                col[n - j, 0] = x.to_mpf(precision_bits)
+            for p in range(i):
+                prev = c.column(p)
+                col = col - prev * (prev.transpose_conj() * col)[0, 0]
             norm = mpmath.sqrt((col.transpose_conj() * col)[0, 0].real)
             if norm < mpmath.mpf(2) ** (-precision_bits // 2):
                 raise ValueError("basis vectors are numerically dependent")
-            cols.append(col / norm)
-        return cols
-
-
-def _projector(cols, dim: int) -> mpmath.matrix:
-    proj = mpmath.matrix(dim, dim)
-    for col in cols:
-        proj += col * col.transpose_conj()
-    return proj
+            c[:, i] = col / norm
+        return c
 
 
 def operator_norm(m: mpmath.matrix) -> mpmath.mpf:
@@ -205,12 +204,19 @@ def operator_norm(m: mpmath.matrix) -> mpmath.mpf:
 
 
 def covariance_residual(
-    proj: mpmath.matrix, two_J: int, u, precision_bits: int = 200
-) -> mpmath.mpf:
-    """Operator 2-norm of D P D^dagger - P for one group element."""
+    c: mpmath.matrix, two_J: int, u, precision_bits: int = 200
+) -> tuple[mpmath.mpf, mpmath.matrix]:
+    """The residual ||D P D^dagger - P||_2 of one element and its k x k action.
+
+    With D C formed once, the action is A = C^dagger D C and the leak out of
+    the codespace is L = D C - C A = (I - P) D C, whose 2-norm is the
+    residual: the square root of the largest eigenvalue of L^dagger L.
+    """
     with workprec(precision_bits):
-        d = wigner_D(HalfInt(two_J), u, precision_bits)
-        return operator_norm(d * proj * d.transpose_conj() - proj)
+        dc = wigner_D(HalfInt(two_J), u, precision_bits) * c
+        action = c.transpose_conj() * dc
+        leak = dc - c * action
+        return mpmath.sqrt(operator_norm(leak.transpose_conj() * leak)), action
 
 
 def check_covariance(
@@ -230,15 +236,14 @@ def check_covariance(
     if mpmath.mpf(tolerance) < mpmath.mpf(2) ** (20 - precision_bits):
         raise ValueError("tolerance is below the precision floor")
     with workprec(precision_bits):
-        cols = code_columns(code, precision_bits)
-        proj = _projector(cols, code.two_J + 1)
+        c = code_columns(code, precision_bits)
         if full_group:
             members = group_closure(group.generators, precision_bits)
             labeled = [(f"element{i}", u) for i, u in enumerate(members)]
         else:
             labeled = list(zip(group.labels, group.generators))
         residuals = {
-            label: covariance_residual(proj, code.two_J, u, precision_bits)
+            label: covariance_residual(c, code.two_J, u, precision_bits)[0]
             for label, u in labeled
         }
         worst = max(residuals.values())
@@ -264,17 +269,11 @@ def logical_action(
     re-checked and a violation is rejected.
     """
     with workprec(precision_bits):
-        cols = code_columns(code, precision_bits)
-        proj = _projector(cols, code.two_J + 1)
-        residual = covariance_residual(proj, code.two_J, u, precision_bits)
+        residual, action = covariance_residual(
+            code_columns(code, precision_bits), code.two_J, u, precision_bits
+        )
         if residual > mpmath.mpf(tolerance):
             raise ValueError(
                 f"element does not preserve the codespace (residual {mpmath.nstr(residual, 6)})"
             )
-        d = wigner_D(HalfInt(code.two_J), u, precision_bits)
-        k = len(cols)
-        action = mpmath.matrix(k, k)
-        for i in range(k):
-            for j in range(k):
-                action[i, j] = (cols[i].transpose_conj() * (d * cols[j]))[0, 0]
         return action

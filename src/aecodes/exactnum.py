@@ -28,25 +28,20 @@ import mpmath
 
 RationalLike = Union[Fraction, int]
 
-_TRIAL_PRIME_LIMIT = 1_000_000
-
-
 # ---------------------------------------------------------------------------
-# Integer factorization: trial division over a prime table, Pollard rho for
-# the (rare) large cofactors.  Every number met in practice is smooth, since
-# it arises from binomial coefficients and factorials.
+# Integer factorization: trial division by the primes below 1000, then
+# Miller-Rabin and Pollard rho for the cofactor.  Every number met in
+# practice is smooth, since it arises from binomial coefficients and
+# factorials.  Rho finds a prime factor p in about sqrt(p) steps, so the
+# step budget reaches factors up to about 10^12; a radicand from a file
+# whose cofactor splits only into larger primes raises ValueError instead
+# of running without end.
 # ---------------------------------------------------------------------------
 
-
-@lru_cache(maxsize=1)
-def _prime_table() -> tuple[int, ...]:
-    limit = _TRIAL_PRIME_LIMIT
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return tuple(i for i, flag in enumerate(sieve) if flag)
+_SMALL_PRIMES = tuple(
+    p for p in range(2, 1000) if all(p % q for q in range(2, math.isqrt(p) + 1))
+)
+_RHO_STEP_BUDGET = 1 << 23
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -75,16 +70,23 @@ def _is_probable_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n (Brent's cycle variant)."""
+    """A nontrivial factor of composite odd n (Brent's cycle variant).
+
+    Raises ValueError once _RHO_STEP_BUDGET polynomial steps are spent.
+    """
     if n % 2 == 0:
         return 2
-    seed = 1
+    seed = steps = 1
     while True:
         seed += 1
         y, c, m = seed, seed + 1, 128
         g = r = q = 1
         x = ys = y
         while g == 1:
+            if steps > _RHO_STEP_BUDGET:
+                raise ValueError(
+                    f"no factor of {n} found within {_RHO_STEP_BUDGET} Pollard rho steps"
+                )
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -96,6 +98,7 @@ def _pollard_rho(n: int) -> int:
                     q = q * abs(x - y) % n
                 g = math.gcd(q, n)
                 k += m
+            steps += 2 * r
             r *= 2
         if g == n:
             g = 1
@@ -111,7 +114,7 @@ def factorize(n: int) -> dict[int, int]:
     if n <= 0:
         raise ValueError("factorize expects a positive integer")
     factors: dict[int, int] = {}
-    for p in _prime_table():
+    for p in _SMALL_PRIMES:
         if p * p > n:
             break
         while n % p == 0:
@@ -382,16 +385,6 @@ class RadicalSum:
                 g = math.gcd(k1, k2)
                 k = (k1 // g) * (k2 // g)
                 terms[k] = terms.get(k, Fraction(0)) + c1 * c2 * g
-        return RadicalSum(terms)
-
-    def add_sqrt(self, s: SqrtRational) -> "RadicalSum":
-        if not s.num:
-            return self
-        terms = dict(self._terms)
-        c = terms.get(s.kernel, 0)
-        terms[s.kernel] = Fraction(
-            c.numerator * s.den + s.num * c.denominator, c.denominator * s.den
-        )
         return RadicalSum(terms)
 
     def scaled(self, q: RationalLike) -> "RadicalSum":

@@ -15,8 +15,7 @@ differ only in the weight:
   binom(n, x)).
 
 Operator pairs whose sector shifts differ act into different total-momentum
-sectors and are skipped as identically zero; a debug flag records them in
-the Gram data to make the structural vanishing visible in reports.
+sectors and are skipped as identically zero.
 
 Verification over (operator pair x basis pair) tuples is embarrassingly
 parallel in principle; the implementation is sequential and deterministic,
@@ -179,14 +178,11 @@ def _pair_weight(op_a: ErrorOp, op_b: ErrorOp, shift: int):
     return weight
 
 
-def check_kl_correct(
-    code: CodeBasis, eset: ErrorSet, include_cross_sector: bool = False
-) -> KLReport:
+def check_kl_correct(code: CodeBasis, eset: ErrorSet) -> KLReport:
     """<c_i| E_a^dagger E_b |c_j> = delta_ij g_ab for all operator pairs.
 
     Pairs with different sector shifts map into orthogonal total-momentum
-    sectors and vanish structurally; they are evaluated only when
-    ``include_cross_sector`` is set, and then contribute zero Gram entries.
+    sectors and vanish structurally.
     """
     _check_dims(code, eset)
     supports = [code.support(i) for i in range(code.dim)]
@@ -199,11 +195,6 @@ def check_kl_correct(
             gram[labels] = _check_block(
                 code, supports, shift, _pair_weight(op_a, op_b, shift), labels, violations
             )
-    if include_cross_sector:
-        # Different delta_J means disjoint target sectors, hence exact zeros.
-        for op_a, op_b in combinations(eset.ops, 2):
-            if op_a.delta_J != op_b.delta_J:
-                gram[(op_a.label, op_b.label)] = RadicalSum.zero()
     return KLReport("correct", not violations, tuple(violations), gram)
 
 

@@ -1,6 +1,10 @@
 """End-to-end CLI behavior: files, reports, manifests, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +97,25 @@ class TestConstructVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    def test_unfactorable_radicand_exits_two(self, tmp_path):
+        # Two 19-digit prime factors are beyond the Pollard rho budget; the
+        # subprocess timeout keeps a regression from hanging the suite.
+        data = fixtures()["J7half"].to_dict()
+        data["basis"][0][0]["radicand_num"] = str(1000000000000000003 * 2000000000000000057)
+        path = tmp_path / "hard.json"
+        path.write_text(json.dumps(data))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-m", "aecodes.cli", "verify", str(path), "--t", "1"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize(
         "data",

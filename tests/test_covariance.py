@@ -16,8 +16,8 @@ from aecodes.covariance import (
     covariance_residual,
     group_closure,
     logical_action,
-    _projector,
 )
+from aecodes.angular import HalfInt, wigner_D
 from aecodes.exactnum import SqrtRational
 
 BITS = 200
@@ -42,6 +42,34 @@ def random_subspace(n: int, seed: int) -> CodeBasis:
     )
 
 
+def slowly_converging_subspace() -> CodeBasis:
+    """A rational 2J = 15 subspace whose D P D^dagger - P under BD_8 made an
+    SVD-based norm raise "no convergence"; its residual is O(1)."""
+    v = ["-2", "-3/7", "-2/5", "3/2", "7/8", "-7/5", "4", "7/5",
+         "7/4", "-1", "-4/7", "1/8", "1/3", "-3/2", "-7/6", "8/9"]
+    w = ["-512615504/114930491", "322122813/229860982", "323634057/229860982",
+         "1161544832/1034374419", "-597019251/459721964", "126492662/1034374419",
+         "299074418/574652455", "-270740517/229860982", "737413049/689582946",
+         "663136176/114930491", "314566593/229860982", "-1799217701/1379165892",
+         "-185783032/574652455", "606162662/574652455", "-176639621/229860982",
+         "-757496957/229860982"]
+    basis = []
+    for vec in (v, w):
+        xs = [Fraction(x) for x in vec]
+        scale = SqrtRational.sqrt(1 / sum(x * x for x in xs))
+        basis.append(tuple(SqrtRational.from_rational(x) * scale for x in xs))
+    return CodeBasis(CodeKind.AE, 15, tuple(basis))
+
+
+def dense_residual(c: mpmath.matrix, two_J: int, u) -> mpmath.mpf:
+    """Oracle: the largest |eigenvalue| of D P D^dagger - P, P = C C^dagger built densely."""
+    with mpmath.workprec(BITS):
+        proj = c * c.transpose_conj()
+        d = wigner_D(HalfInt(two_J), u, BITS)
+        eigenvalues = mpmath.eigh(d * proj * d.transpose_conj() - proj, eigvals_only=True)
+        return max(abs(eigenvalues[i]) for i in range(eigenvalues.rows))
+
+
 class TestGroups:
     def test_octahedral_order(self):
         group = binary_octahedral_group(120)  # order re-validated at build
@@ -56,8 +84,6 @@ class TestGroups:
         assert len(group_closure(group.generators, 80)) == 32
 
     def test_generators_are_special_unitary(self):
-        from aecodes.angular import wigner_D, HalfInt
-
         for group in (
             binary_dihedral_group(4, BITS),
             binary_octahedral_group(BITS),
@@ -89,9 +115,8 @@ class TestCovariance:
 
     def test_identity_residual_is_zero(self):
         for code in (fixtures()["J7half"], random_subspace(7, seed=3)):
-            cols = code_columns(code, BITS)
-            proj = _projector(cols, code.two_J + 1)
-            residual = covariance_residual(proj, code.two_J, mpmath.eye(2), BITS)
+            c = code_columns(code, BITS)
+            residual, _ = covariance_residual(c, code.two_J, mpmath.eye(2), BITS)
             assert residual < mpmath.mpf(2) ** (10 - BITS)
 
     def test_full_group_mode(self):
@@ -129,22 +154,7 @@ class TestCovariance:
             assert at200.passed == at400.passed == expected
 
     def test_slowly_converging_subspace_is_decided(self):
-        # A rational 2J = 15 subspace whose D P D^dagger - P under BD_8 made
-        # an SVD-based norm raise "no convergence"; its residual is O(1).
-        v = ["-2", "-3/7", "-2/5", "3/2", "7/8", "-7/5", "4", "7/5",
-             "7/4", "-1", "-4/7", "1/8", "1/3", "-3/2", "-7/6", "8/9"]
-        w = ["-512615504/114930491", "322122813/229860982", "323634057/229860982",
-             "1161544832/1034374419", "-597019251/459721964", "126492662/1034374419",
-             "299074418/574652455", "-270740517/229860982", "737413049/689582946",
-             "663136176/114930491", "314566593/229860982", "-1799217701/1379165892",
-             "-185783032/574652455", "606162662/574652455", "-176639621/229860982",
-             "-757496957/229860982"]
-        basis = []
-        for vec in (v, w):
-            xs = [Fraction(x) for x in vec]
-            scale = SqrtRational.sqrt(1 / sum(x * x for x in xs))
-            basis.append(tuple(SqrtRational.from_rational(x) * scale for x in xs))
-        code = CodeBasis(CodeKind.AE, 15, tuple(basis))
+        code = slowly_converging_subspace()
         assert code.is_orthonormal()
         report = check_covariance(code, binary_dihedral_group(4, BITS), TOL, BITS)
         assert not report.passed and report.max_residual > mpmath.mpf("1e-3")
@@ -153,18 +163,47 @@ class TestCovariance:
         code = fixtures()["J7half"]
         group = binary_icosahedral_group(BITS)
         with mpmath.workprec(BITS):
-            cols = code_columns(code, BITS)
-            proj = _projector(cols, code.two_J + 1)
+            c = code_columns(code, BITS)
             rt = mpmath.sqrt(mpmath.mpf(1) / 2)
-            rotated = [
-                (cols[0] + cols[1]) * rt,
-                (cols[0] - cols[1]) * rt,
-            ]
-            proj_rot = _projector(rotated, code.two_J + 1)
+            rotated = c * mpmath.matrix([[rt, rt], [rt, -rt]])
             for u in group.generators:
-                r1 = covariance_residual(proj, code.two_J, u, BITS)
-                r2 = covariance_residual(proj_rot, code.two_J, u, BITS)
+                r1, _ = covariance_residual(c, code.two_J, u, BITS)
+                r2, _ = covariance_residual(rotated, code.two_J, u, BITS)
                 assert abs(r1 - r2) < mpmath.mpf("1e-20")
+
+
+class TestDenseOracle:
+    """The k-column residual against the dense dim x dim projector norm."""
+
+    @pytest.mark.parametrize(
+        "code, group",
+        [
+            (random_subspace(11, seed=7), binary_dihedral_group(4, BITS)),
+            (random_subspace(11, seed=8), binary_octahedral_group(BITS)),
+            (random_subspace(11, seed=9), binary_icosahedral_group(BITS)),
+            (slowly_converging_subspace(), binary_dihedral_group(4, BITS)),
+            (random_subspace(27, seed=1), binary_octahedral_group(BITS)),
+        ],
+        ids=["2J11-BD8", "2J11-2O", "2J11-2I", "2J15-BD8", "2J27-2O"],
+    )
+    def test_matches_dense_residual(self, code, group):
+        c = code_columns(code, BITS)
+        for u in group.generators:
+            residual, _ = covariance_residual(c, code.two_J, u, BITS)
+            assert abs(residual - dense_residual(c, code.two_J, u)) < mpmath.mpf("1e-50")
+
+    @pytest.mark.parametrize(
+        "name, group",
+        [("J11half", binary_dihedral_group(4, BITS)), ("J7half", binary_icosahedral_group(BITS))],
+        ids=["J11half-BD8", "J7half-2I"],
+    )
+    def test_covariant_fixtures_vanish_both_ways(self, name, group):
+        code = fixtures()[name]
+        c = code_columns(code, BITS)
+        for u in group.generators:
+            residual, _ = covariance_residual(c, code.two_J, u, BITS)
+            assert residual < mpmath.mpf("1e-40")
+            assert dense_residual(c, code.two_J, u) < mpmath.mpf("1e-40")
 
 
 class TestLogicalAction:

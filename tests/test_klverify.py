@@ -111,14 +111,6 @@ class TestDirectKL:
         with pytest.raises(ValueError):
             check_kl_correct(fixtures()["J7half"], build_ae_error_set(9, 1))
 
-    def test_cross_sector_debug_mode(self):
-        report = check_kl_correct(
-            fixtures()["J7half"], build_ae_error_set(7, 1), include_cross_sector=True
-        )
-        assert report.passed
-        cross = [k for k in report.gram if len(k) == 2]
-        assert len(cross) > 22  # includes the structurally zero pairs
-
     def test_gram_contains_identity_norm(self):
         report = check_kl_correct(fixtures()["J7half"], build_ae_error_set(7, 1))
         identity = "E[r=0,dJ=+0,dm=+0]"
