@@ -10,7 +10,7 @@ from .combinatorics import (
     check_lemma_B4,
     f_coeff,
 )
-from .angular import CGIndex, HalfInt, cg_transition, clebsch_gordan, wigner_D
+from .angular import HalfInt, cg_transition, clebsch_gordan_t, wigner_D
 from .codes import (
     CodeBasis,
     CodeKind,
@@ -55,10 +55,9 @@ __all__ = [
     "check_lemma_B1",
     "check_lemma_B4",
     "f_coeff",
-    "CGIndex",
     "HalfInt",
     "cg_transition",
-    "clebsch_gordan",
+    "clebsch_gordan_t",
     "wigner_D",
     "CodeBasis",
     "CodeKind",

@@ -12,7 +12,14 @@ the general routine.
 
 Wigner D matrices are float-only at a configurable binary precision: they
 feed covariance checks with 1e-10 scale tolerances, where exact cyclotomic
-arithmetic would add complexity without assurance.
+arithmetic would add complexity without assurance.  They are computed in
+the symmetric-power picture of the spin-J representation (Schwinger, "On
+Angular Momentum", 1952; Wigner, *Group Theory*, 1959, ch. 15): with
+N = 2J, the state |J, m> is the monomial x^(J+m) y^(J-m) / sqrt((J+m)!(J-m)!),
+and D(u) substitutes x -> u00 x + u10 y and y -> u01 x + u11 y.  Each
+column is then a product of powers of two linear forms, read off in the
+monomial basis and rescaled, straight from the entries of u: no Euler
+angles and no per-entry factorial sums.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 import mpmath
 
@@ -68,37 +75,9 @@ class HalfInt:
         return f"{self.twice_value}/2"
 
 
-@dataclass(frozen=True)
-class CGIndex:
-    """Index bundle of a Clebsch-Gordan coefficient C^{J,M}_{j1,m1;j2,m2}."""
-
-    j1: HalfInt
-    m1: HalfInt
-    j2: HalfInt
-    m2: HalfInt
-    J: HalfInt
-    M: HalfInt
-
-
-def clebsch_gordan(idx: CGIndex) -> SqrtRational:
-    """Exact Clebsch-Gordan coefficient; zero when selection rules fail."""
-    return _cg(
-        idx.j1.twice_value,
-        idx.m1.twice_value,
-        idx.j2.twice_value,
-        idx.m2.twice_value,
-        idx.J.twice_value,
-        idx.M.twice_value,
-    )
-
-
-def clebsch_gordan_t(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> SqrtRational:
-    """Clebsch-Gordan coefficient from doubled angular momentum labels."""
-    return _cg(tj1, tm1, tj2, tm2, tJ, tM)
-
-
 @lru_cache(maxsize=1 << 18)
-def _cg(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> SqrtRational:
+def clebsch_gordan_t(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> SqrtRational:
+    """Exact C^{J,M}_{j1,m1;j2,m2} from doubled labels; zero when selection rules fail."""
     if tm1 + tm2 != tM:
         return SqrtRational.zero()
     if min(tj1, tj2, tJ) < 0:
@@ -201,7 +180,7 @@ def cg_transition(n: int, t: int, r: int, a: int, q: int, j: int) -> SqrtRationa
 def cg_transition_general(n: int, t: int, r: int, a: int, q: int, j: int) -> SqrtRational:
     """The same coefficient through the general Racah routine (cross-check)."""
     _check_transition_indices(n, t, r, a, q)
-    return _cg(
+    return clebsch_gordan_t(
         n,
         2 * (j + a) - n,
         2 * r,
@@ -209,35 +188,6 @@ def cg_transition_general(n: int, t: int, r: int, a: int, q: int, j: int) -> Sqr
         n - 2 * t + 2 * q,
         2 * (j + t) - n,
     )
-
-
-def cg_binomial_reconstruction(n: int, t: int, r: int, a: int, q: int, j: int) -> SqrtRational:
-    """C_{r,a}^q(j) * sqrt(binom(n, j+a) * binom(nbar+q, j+q)), by double sum.
-
-    Expands the closed form with the inner binomial split by a Vandermonde
-    convolution; used to pin down the j-independent bridge terms.  (The
-    surviving bridge factor deliberately omits the index-dependent binomial
-    that the convolution replaces.)
-    """
-    _check_transition_indices(n, t, r, a, q)
-    nbar = n - 2 * t + q
-    total = Fraction(0)
-    for k in range(t - r, q + 1):
-        for kp in range(0, t - r + 1):
-            term = (
-                binom(q - (t - r), k - (t - r))
-                * binom(t + r - q, a - k)
-                * binom(t - r, kp)
-                * binom(nbar, j + k - kp)
-            )
-            total += -term if (k + t + r + a + q) % 2 else term
-    if total == 0:
-        return SqrtRational.zero()
-    pref = (binom(n, t + r - q) * binom(2 * r, r + t - q)) / (
-        binom(n + q + r - t + 1, r + t - q) * binom(2 * r, a + r - t)
-    )
-    sign = 1 if total > 0 else -1
-    return SqrtRational.of_sign_radicand(sign, pref * total * total)
 
 
 # ---------------------------------------------------------------------------
@@ -264,89 +214,35 @@ def _require_special_unitary(u: mpmath.matrix, tol: mpmath.mpf) -> None:
         raise ValueError("input is not a special unitary 2x2 matrix")
 
 
-def su2_euler_zyz(u, precision_bits: int = 200):
-    """ZYZ Euler angles (alpha, beta, gamma) of a 2x2 special unitary.
-
-    Convention: u = Rz(alpha) Ry(beta) Rz(gamma) with
-    Rz(p) = diag(e^{-ip/2}, e^{ip/2}) and Ry(b) the real rotation, so
-    u[0,0] = e^{-i(alpha+gamma)/2} cos(beta/2) and
-    u[0,1] = -e^{-i(alpha-gamma)/2} sin(beta/2).
-    """
-    with mpmath.workprec(precision_bits):
-        u = _as_mp_matrix(u)
-        _require_special_unitary(u, mpmath.mpf(2) ** -40)
-        a, b = u[0, 0], u[0, 1]
-        beta = 2 * mpmath.atan2(abs(b), abs(a))
-        tiny = mpmath.mpf(2) ** (-(precision_bits - 8))
-        if abs(b) <= tiny:
-            alpha = -2 * mpmath.arg(a)
-            gamma = mpmath.mpf(0)
-        elif abs(a) <= tiny:
-            alpha = 2 * mpmath.arg(u[1, 0])
-            gamma = mpmath.mpf(0)
-        else:
-            arg_a = mpmath.arg(a)
-            arg_b = mpmath.arg(b)
-            alpha = mpmath.pi - arg_a - arg_b
-            gamma = arg_b - arg_a - mpmath.pi
-        return alpha, beta, gamma
-
-
-def wigner_d_entry(J: HalfInt, m_row: HalfInt, m_col: HalfInt, beta, precision_bits: int = 200):
-    """Small Wigner d^J_{m_row, m_col}(beta) from the exact factorial formula."""
-    tj = J.twice_value
-    tm1 = m_row.twice_value  # row projection m'
-    tm2 = m_col.twice_value  # column projection m
-    with mpmath.workprec(precision_bits):
-        cos_hb = mpmath.cos(beta / 2)
-        sin_hb = mpmath.sin(beta / 2)
-        pref = mpmath.sqrt(
-            mpmath.mpf(
-                factorial((tj + tm1) // 2)
-                * factorial((tj - tm1) // 2)
-                * factorial((tj + tm2) // 2)
-                * factorial((tj - tm2) // 2)
-            )
-        )
-        smin = max(0, (tm2 - tm1) // 2)
-        smax = min((tj + tm2) // 2, (tj - tm1) // 2)
-        acc = mpmath.mpf(0)
-        for s in range(smin, smax + 1):
-            den = (
-                factorial((tj + tm2) // 2 - s)
-                * factorial(s)
-                * factorial((tm1 - tm2) // 2 + s)
-                * factorial((tj - tm1) // 2 - s)
-            )
-            sign = -1 if ((tm1 - tm2) // 2 + s) % 2 else 1
-            acc += (
-                mpmath.mpf(sign)
-                / den
-                * cos_hb ** (tj + (tm2 - tm1) // 2 - 2 * s)
-                * sin_hb ** ((tm1 - tm2) // 2 + 2 * s)
-            )
-        return pref * acc
+def _linear_form_powers(a, b, n: int) -> list[list]:
+    """Coefficients of (a x + b y)^p for p = 0..n, indexed by the power of x."""
+    powers = [[mpmath.mpc(1)]]
+    for _ in range(n):
+        prev = powers[-1]
+        powers.append([a * below + b * at for below, at in zip([0] + prev, prev + [0])])
+    return powers
 
 
 def wigner_D(J: HalfInt, u, precision_bits: int = 200) -> mpmath.matrix:
     """Spin-J irreducible representation matrix of a 2x2 special unitary.
 
     Rows and columns are ordered by decreasing projection m = J, J-1, ..., -J,
-    so at J = 1/2 the output equals the input.
+    so at J = 1/2 the output equals the input.  Column N - p is the image
+    (u00 x + u10 y)^p (u01 x + u11 y)^(N-p) of x^p y^(N-p); its coefficient
+    of x^a y^(N-a), times sqrt(binom(N, p) / binom(N, a)), is the entry in
+    row N - a.
     """
-    J = HalfInt.make(J)
-    tj = J.twice_value
-    dim = tj + 1
+    n = HalfInt.make(J).twice_value
     with mpmath.workprec(precision_bits):
-        alpha, beta, gamma = su2_euler_zyz(u, precision_bits)
-        out = mpmath.matrix(dim, dim)
-        for row in range(dim):
-            tm1 = tj - 2 * row
-            phase_row = mpmath.exp(-1j * alpha * mpmath.mpf(tm1) / 2)
-            for col in range(dim):
-                tm2 = tj - 2 * col
-                d = wigner_d_entry(J, HalfInt(tm1), HalfInt(tm2), beta, precision_bits)
-                out[row, col] = (
-                    phase_row * d * mpmath.exp(-1j * gamma * mpmath.mpf(tm2) / 2)
-                )
+        u = _as_mp_matrix(u)
+        _require_special_unitary(u, mpmath.mpf(2) ** -40)
+        xs = _linear_form_powers(u[0, 0], u[1, 0], n)
+        ys = _linear_form_powers(u[0, 1], u[1, 1], n)
+        norm = [mpmath.sqrt(comb(n, k)) for k in range(n + 1)]
+        out = mpmath.matrix(n + 1, n + 1)
+        for p in range(n + 1):
+            f, g = xs[p], ys[n - p]
+            for a in range(n + 1):
+                terms = range(max(0, a - n + p), min(p, a) + 1)
+                out[n - a, n - p] = mpmath.fdot((f[i], g[a - i]) for i in terms) * norm[p] / norm[a]
         return out

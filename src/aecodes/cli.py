@@ -8,7 +8,8 @@ identical inputs and parameters.
 
 The default working precision for decimal renderings and covariance checks
 is 200 bits, overridable with the AECODES_PRECISION_BITS environment
-variable.
+variable or, for ``covariance``, with ``--bits``.  Either must lie between
+53 and MAX_PRECISION_BITS (4096) bits; other values exit 2 before any work.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 import mpmath
 
 from . import __version__, acceptance
-from .angular import CGIndex, HalfInt, clebsch_gordan
+from .angular import HalfInt, clebsch_gordan_t
 from .codes import CodeBasis, GmdeParams, construct_ae_gmde, construct_pi_gmde, map_e, map_f, map_h
 from .covariance import (
     binary_dihedral_group,
@@ -41,15 +42,22 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+# Far above the 200-bit default and a 400-bit re-check; unbounded, a value
+# such as 100000000 makes a covariance run go on with no end in sight.
+MAX_PRECISION_BITS = 4096
 
-def default_precision_bits() -> int:
-    raw = os.environ.get("AECODES_PRECISION_BITS", "200")
-    try:
-        bits = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"AECODES_PRECISION_BITS must be an integer, got {raw!r}") from exc
-    if bits < 53:
-        raise ValueError("AECODES_PRECISION_BITS must be at least 53")
+
+def precision_bits(flag: int | None = None) -> int:
+    """Working precision: ``flag`` if given, else AECODES_PRECISION_BITS, else 200."""
+    source, bits = "--bits", flag
+    if flag is None:
+        source, raw = "AECODES_PRECISION_BITS", os.environ.get("AECODES_PRECISION_BITS", "200")
+        try:
+            bits = int(raw)
+        except ValueError as exc:
+            raise ValueError(f"{source} must be an integer, got {raw!r}") from exc
+    if not 53 <= bits <= MAX_PRECISION_BITS:
+        raise ValueError(f"{source} must be between 53 and {MAX_PRECISION_BITS}, got {bits}")
     return bits
 
 
@@ -166,16 +174,9 @@ def cmd_errors(args) -> int:
 
 
 def cmd_cg(args) -> int:
-    idx = CGIndex(
-        j1=_parse_halfint(args.j1),
-        m1=_parse_halfint(args.m1),
-        j2=_parse_halfint(args.j2),
-        m2=_parse_halfint(args.m2),
-        J=_parse_halfint(args.J),
-        M=_parse_halfint(args.M),
-    )
-    value = clebsch_gordan(idx)
-    bits = default_precision_bits()
+    bits = precision_bits()
+    labels = (args.j1, args.m1, args.j2, args.m2, args.J, args.M)
+    value = clebsch_gordan_t(*(_parse_halfint(x).twice_value for x in labels))
     with mpmath.workprec(bits):
         decimal = mpmath.nstr(value.to_mpf(bits), int(bits / 3.32) + 2)
     _emit(
@@ -261,8 +262,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_covariance(args) -> int:
+    bits = precision_bits(args.bits)
     code = CodeBasis.load(args.code_file)
-    bits = args.bits if args.bits else default_precision_bits()
     if args.group == "bd":
         group = binary_dihedral_group(args.b, bits)
     elif args.group == "2o":

@@ -30,12 +30,12 @@ RationalLike = Union[Fraction, int]
 
 # ---------------------------------------------------------------------------
 # Integer factorization: trial division by the primes below 1000, then
-# Miller-Rabin and Pollard rho for the cofactor.  Every number met in
-# practice is smooth, since it arises from binomial coefficients and
-# factorials.  Rho finds a prime factor p in about sqrt(p) steps, so the
-# step budget reaches factors up to about 10^12; a radicand from a file
-# whose cofactor splits only into larger primes raises ValueError instead
-# of running without end.
+# Miller-Rabin, a perfect-power test and Pollard rho for the cofactor.
+# Every number met in practice is smooth, since it arises from binomial
+# coefficients and factorials.  Rho finds a prime factor p in about sqrt(p)
+# steps, so the step budget reaches factors up to about 10^12; a radicand
+# from a file whose cofactor splits only into larger primes, and is not a
+# perfect power, raises ValueError instead of running without end.
 # ---------------------------------------------------------------------------
 
 _SMALL_PRIMES = tuple(
@@ -128,10 +128,40 @@ def factorize(n: int) -> dict[int, int]:
         if _is_probable_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
+        power = _perfect_power(m)
+        if power is not None:
+            stack.extend([power[0]] * power[1])
+            continue
         d = _pollard_rho(m)
         stack.append(d)
         stack.append(m // d)
     return factors
+
+
+def _perfect_power(m: int) -> tuple[int, int] | None:
+    """(root, k) with root**k == m for the least k >= 2, or None.
+
+    Rho needs about sqrt(p) steps to split p**k, past its budget for a large
+    prime p, while the exact root takes a few Newton steps per k.  The least
+    such k is prime, since r**(a*b) == (r**a)**b, so only prime k are tried.
+    """
+    for k in range(2, m.bit_length()):
+        if not _is_probable_prime(k):
+            continue
+        root = _integer_root(m, k)
+        if root**k == m:
+            return root, k
+    return None
+
+
+def _integer_root(m: int, k: int) -> int:
+    """floor(m ** (1/k)) for m >= 1, by Newton's method from above."""
+    x = 1 << -(-m.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + m // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 @lru_cache(maxsize=1 << 16)

@@ -2,19 +2,16 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import mpmath
 import pytest
 
 from aecodes.angular import (
-    CGIndex,
     HalfInt,
-    cg_binomial_reconstruction,
     cg_transition,
     cg_transition_general,
-    clebsch_gordan,
     clebsch_gordan_t,
-    su2_euler_zyz,
     wigner_D,
 )
 from aecodes.combinatorics import binom
@@ -24,7 +21,7 @@ H = HalfInt.make
 
 
 def cg(j1, m1, j2, m2, J, M):
-    return clebsch_gordan(CGIndex(H(j1), H(m1), H(j2), H(m2), H(J), H(M)))
+    return clebsch_gordan_t(*(H(x).twice_value for x in (j1, m1, j2, m2, J, M)))
 
 
 class TestHalfInt:
@@ -77,6 +74,34 @@ class TestClebschGordan:
                             c = clebsch_gordan_t(tj1, tm1, tj2, tm2, tJ, tm1 + tm2)
                             total = total + RadicalSum.from_rational(c.radicand)
                         assert total == RadicalSum.from_rational(1)
+
+
+def cg_binomial_reconstruction(n, t, r, a, q, j):
+    """C_{r,a}^q(j) * sqrt(binom(n, j+a) * binom(nbar+q, j+q)), by double sum.
+
+    Expands the closed form with the inner binomial split by a Vandermonde
+    convolution; used to pin down the j-independent bridge terms.  (The
+    surviving bridge factor deliberately omits the index-dependent binomial
+    that the convolution replaces.)
+    """
+    nbar = n - 2 * t + q
+    total = Fraction(0)
+    for k in range(t - r, q + 1):
+        for kp in range(0, t - r + 1):
+            term = (
+                binom(q - (t - r), k - (t - r))
+                * binom(t + r - q, a - k)
+                * binom(t - r, kp)
+                * binom(nbar, j + k - kp)
+            )
+            total += -term if (k + t + r + a + q) % 2 else term
+    if total == 0:
+        return SqrtRational.zero()
+    pref = (binom(n, t + r - q) * binom(2 * r, r + t - q)) / (
+        binom(n + q + r - t + 1, r + t - q) * binom(2 * r, a + r - t)
+    )
+    sign = 1 if total > 0 else -1
+    return SqrtRational.of_sign_radicand(sign, pref * total * total)
 
 
 class TestTransitionForm:
@@ -161,7 +186,7 @@ class TestWignerD:
     def test_homomorphism(self):
         rng = random.Random(11)
         bits = 200
-        for tj in (2, 5, 9, 15):
+        for tj in (2, 5, 9, 15, 27):
             with mpmath.workprec(bits):
                 u1, u2 = random_su2(rng, bits), random_su2(rng, bits)
                 d12 = wigner_D(HalfInt(tj), u1 * u2, bits)
@@ -192,24 +217,58 @@ class TestWignerD:
             # unitary but det = -1
             wigner_D(H(1), [[0, 1], [1, 0]], 100)
 
-    def test_euler_roundtrip(self):
+    def test_matches_euler_angle_formula(self):
+        """D(Rz(alpha) Ry(beta) Rz(gamma)) against e^{-im'alpha} d(beta) e^{-im gamma}."""
         rng = random.Random(3)
-        bits = 160
+        bits = 200
         with mpmath.workprec(bits):
-            u = random_su2(rng, bits)
-            alpha, beta, gamma = su2_euler_zyz(u, bits)
-            rz1 = mpmath.matrix(
-                [[mpmath.exp(-1j * alpha / 2), 0], [0, mpmath.exp(1j * alpha / 2)]]
-            )
-            ry = mpmath.matrix(
-                [
-                    [mpmath.cos(beta / 2), -mpmath.sin(beta / 2)],
-                    [mpmath.sin(beta / 2), mpmath.cos(beta / 2)],
-                ]
-            )
-            rz2 = mpmath.matrix(
-                [[mpmath.exp(-1j * gamma / 2), 0], [0, mpmath.exp(1j * gamma / 2)]]
-            )
-            rebuilt = rz1 * ry * rz2
-            err = max(abs(rebuilt[i, j] - u[i, j]) for i in range(2) for j in range(2))
-        assert err < mpmath.mpf(2) ** -140
+
+            def draw():
+                return mpmath.mpf(rng.random()) * 2 * mpmath.pi
+
+            zero = mpmath.mpf(0)
+            angles = [(zero, zero, zero), (draw(), zero, draw()), (draw(), mpmath.pi, draw())]
+            angles += [(draw(), draw(), draw()) for _ in range(2)]
+            for alpha, beta, gamma in angles:
+                u = rz(alpha) * ry(beta) * rz(gamma)
+                for tj in range(0, 13):
+                    d = wigner_D(HalfInt(tj), u, bits)
+                    err = max(
+                        abs(d[row, col] - euler_D_entry(tj, row, col, alpha, beta, gamma))
+                        for row in range(tj + 1)
+                        for col in range(tj + 1)
+                    )
+                    assert err < mpmath.mpf("1e-50"), (tj, alpha, beta, gamma)
+
+
+def rz(p):
+    return mpmath.matrix([[mpmath.exp(-1j * p / 2), 0], [0, mpmath.exp(1j * p / 2)]])
+
+
+def ry(b):
+    return mpmath.matrix(
+        [[mpmath.cos(b / 2), -mpmath.sin(b / 2)], [mpmath.sin(b / 2), mpmath.cos(b / 2)]]
+    )
+
+
+def euler_D_entry(tj, row, col, alpha, beta, gamma):
+    """Textbook D^J_{m'm}, with small d from Wigner's factorial sum.
+
+    Rows and columns count down from m = J, so m' = J - row and m = J - col.
+    """
+    tm_row, tm_col = tj - 2 * row, tj - 2 * col
+    jpr, jmr = (tj + tm_row) // 2, (tj - tm_row) // 2
+    jpc, jmc = (tj + tm_col) // 2, (tj - tm_col) // 2
+    shift = (tm_row - tm_col) // 2
+    cos_hb, sin_hb = mpmath.cos(beta / 2), mpmath.sin(beta / 2)
+    small_d = mpmath.mpf(0)
+    for s in range(max(0, -shift), min(jpc, jmr) + 1):
+        den = factorial(jpc - s) * factorial(s) * factorial(shift + s) * factorial(jmr - s)
+        small_d += (
+            (-1) ** (shift + s)
+            * cos_hb ** (tj - shift - 2 * s)
+            * sin_hb ** (shift + 2 * s)
+            / den
+        )
+    small_d *= mpmath.sqrt(factorial(jpr) * factorial(jmr) * factorial(jpc) * factorial(jmc))
+    return mpmath.exp(-1j * (tm_row * alpha + tm_col * gamma) / 2) * small_d

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from aecodes import cli
 from aecodes.cli import main
 from aecodes.codes import CodeBasis, fixtures
 
@@ -16,6 +17,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out) if out.strip() else None
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("work started before the precision was validated")
+
+
+def _assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 class TestConstructVerify:
@@ -230,6 +241,32 @@ class TestOtherCommands:
             capsys, "covariance", path, "--group", "bd", "--b", "4", "--bits", "200"
         )
         assert status == 1
+
+    def test_precision_bounds(self):
+        assert cli.precision_bits(53) == 53
+        assert cli.precision_bits(cli.MAX_PRECISION_BITS) == cli.MAX_PRECISION_BITS
+
+    @pytest.mark.parametrize("bits", ["0", "52", "4097", "100000000"])
+    def test_bits_out_of_range_exits_two(self, tmp_path, capsys, monkeypatch, bits):
+        path = str(tmp_path / "q7.json")
+        fixtures()["J7half"].save(path)
+        monkeypatch.setattr(cli, "check_covariance", _must_not_run)
+        status = main(["covariance", path, "--group", "2i", "--bits", bits])
+        assert status == 2
+        _assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("raw", ["52", "100000000", "many"])
+    def test_precision_env_out_of_range_exits_two(self, tmp_path, capsys, monkeypatch, raw):
+        path = str(tmp_path / "q7.json")
+        fixtures()["J7half"].save(path)
+        monkeypatch.setenv("AECODES_PRECISION_BITS", raw)
+        monkeypatch.setattr(cli, "check_covariance", _must_not_run)
+        monkeypatch.setattr(cli, "clebsch_gordan_t", _must_not_run)
+        assert main(["covariance", path, "--group", "2i"]) == 2
+        _assert_one_error_line(capsys)
+        cg_args = ["--j1", "1", "--m1", "0", "--j2", "1", "--m2", "0", "--J", "0", "--M", "0"]
+        assert main(["cg", *cg_args]) == 2
+        _assert_one_error_line(capsys)
 
     def test_identities_pass(self, capsys):
         status, report = run(capsys, "identities")

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from aecodes.exactnum import (
     RadicalSum,
     SqrtRational,
+    factorize,
     sqrt_rational_from_json,
     sqrt_rational_to_json,
     squarefree_decompose,
@@ -58,6 +59,17 @@ class TestSquarefreeDecompose:
         scale, kernel = squarefree_decompose(r)
         assert scale * scale * kernel == r
         assert kernel.denominator == 1 and brute_squarefree(kernel.numerator)
+
+
+class TestFactorize:
+    @pytest.mark.parametrize("power", [2, 3, 6])
+    def test_power_of_large_prime(self, power):
+        # 10**18 + 3 is prime, far past the Pollard rho budget; the power is
+        # split by its exact integer root instead.
+        p = 10**18 + 3
+        assert factorize(p**power) == {p: power}
+        assert factorize(6 * p**power) == {2: 1, 3: 1, p: power}
+        assert squarefree_decompose(Fraction(p**power)) == (p ** (power // 2), p ** (power % 2))
 
 
 def _sq(sign, num, den):
