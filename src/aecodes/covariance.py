@@ -40,14 +40,6 @@ from .angular import HalfInt, wigner_D
 from .codes import CodeBasis, CodeKind
 
 
-def _mat2(rows) -> mpmath.matrix:
-    m = mpmath.matrix(2, 2)
-    for i in range(2):
-        for j in range(2):
-            m[i, j] = mpmath.mpc(rows[i][j])
-    return m
-
-
 @dataclass(frozen=True)
 class GroupSpec:
     family: str  # "2O" | "2I" | "BD"
@@ -67,19 +59,19 @@ def binary_dihedral_group(b: int, precision_bits: int = 200) -> GroupSpec:
     if b <= 0:
         raise ValueError("b must be positive")
     with workprec(precision_bits):
-        ix = _mat2([[0, mpc(0, 1)], [mpc(0, 1), 0]])
-        iz = _mat2([[mpc(0, 1), 0], [0, mpc(0, -1)]])
+        ix = mpmath.matrix([[0, mpc(0, 1)], [mpc(0, 1), 0]])
+        iz = mpmath.matrix([[mpc(0, 1), 0], [0, mpc(0, -1)]])
         phase = mpmath.exp(mpc(0, -1) * mpmath.pi / (2 * b))
-        rot = _mat2([[phase, 0], [0, mpmath.conj(phase)]])
+        rot = mpmath.matrix([[phase, 0], [0, mpmath.conj(phase)]])
     return GroupSpec("BD", b, (ix, iz, rot), ("iX", "iZ", f"Rz(pi/{b})"))
 
 
 def binary_octahedral_group(precision_bits: int = 200) -> GroupSpec:
     with workprec(precision_bits):
         phase = mpmath.exp(mpc(0, -1) * mpmath.pi / 4)
-        r4 = _mat2([[phase, 0], [0, mpmath.conj(phase)]])
+        r4 = mpmath.matrix([[phase, 0], [0, mpmath.conj(phase)]])
         half = mpmath.mpf(1) / 2
-        r3 = _mat2(
+        r3 = mpmath.matrix(
             [
                 [half * (1 - 1j), half * (-1 - 1j)],
                 [half * (1 - 1j), half * (1 + 1j)],
@@ -93,13 +85,13 @@ def binary_octahedral_group(precision_bits: int = 200) -> GroupSpec:
 def binary_icosahedral_group(precision_bits: int = 200) -> GroupSpec:
     with workprec(precision_bits):
         phase = mpmath.exp(mpc(0, -1) * mpmath.pi / 5)
-        r5 = _mat2([[phase, 0], [0, mpmath.conj(phase)]])
+        r5 = mpmath.matrix([[phase, 0], [0, mpmath.conj(phase)]])
         phi = (1 + mpmath.sqrt(5)) / 2
         ct = phi / mpmath.sqrt(phi + 2)
         st = 1 / mpmath.sqrt(phi + 2)
         azim = mpmath.exp(mpc(0, 1) * mpmath.pi / 5)
         # pi rotation about (st*cos(pi/5), st*sin(pi/5), ct): -i (n . sigma)
-        r2 = _mat2(
+        r2 = mpmath.matrix(
             [
                 [mpc(0, -1) * ct, mpc(0, -1) * st * mpmath.conj(azim)],
                 [mpc(0, -1) * st * azim, mpc(0, 1) * ct],
@@ -233,8 +225,12 @@ def check_covariance(
     """
     if code.kind is CodeKind.PI:
         raise ValueError("covariance applies to AE or SPIN codes, not PI")
-    if mpmath.mpf(tolerance) < mpmath.mpf(2) ** (20 - precision_bits):
-        raise ValueError("tolerance is below the precision floor")
+    # A NaN fails both comparisons; a tolerance of 1 or more passes every
+    # code, since the residual of projectors of equal rank is at most 1.
+    if not mpmath.mpf(2) ** (20 - precision_bits) <= mpmath.mpf(tolerance) < 1:
+        raise ValueError(
+            f"tolerance {tolerance} must lie in [2^{20 - precision_bits}, 1)"
+        )
     with workprec(precision_bits):
         c = code_columns(code, precision_bits)
         if full_group:

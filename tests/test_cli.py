@@ -242,6 +242,13 @@ class TestOtherCommands:
         )
         assert status == 1
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_malformed_tolerance_exits_two(self, tmp_path, capsys, tol):
+        path = str(tmp_path / "q7.json")
+        fixtures()["J7half"].save(path)
+        assert main(["covariance", path, "--group", "2i", "--tol", tol]) == 2
+        _assert_one_error_line(capsys)
+
     def test_precision_bounds(self):
         assert cli.precision_bits(53) == 53
         assert cli.precision_bits(cli.MAX_PRECISION_BITS) == cli.MAX_PRECISION_BITS

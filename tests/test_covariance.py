@@ -144,6 +144,11 @@ class TestCovariance:
                 fixtures()["J11half"], binary_dihedral_group(4, BITS), 1e-40, 100
             )
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 1.0])
+    def test_tolerance_out_of_range_rejected(self, tol):
+        with pytest.raises(ValueError):
+            check_covariance(fixtures()["J7half"], binary_dihedral_group(4, BITS), tol, BITS)
+
     def test_verdicts_stable_under_precision_doubling(self):
         code_good = fixtures()["J11half"]
         code_bad = random_subspace(11, seed=7)

@@ -1,10 +1,13 @@
 """Error operator sets: counts, amplitudes, application, sector structure."""
 
+import hashlib
+import json
+
 import pytest
 
 from aecodes.angular import cg_transition
 from aecodes.codes import fixtures
-from aecodes.errors import apply, build_ae_error_set, build_spin_error_set
+from aecodes.errors import apply, build_ae_error_set, build_spin_error_set, op_to_json
 from aecodes.exactnum import SqrtRational
 
 
@@ -110,3 +113,24 @@ class TestSectorOrthogonality:
                     for b in ops:
                         if a.delta_J != b.delta_J:
                             assert a.target_two_J != b.target_two_J
+
+
+# SHA-256 of the sorted-key JSON of every operator, taken from the
+# factorial-sum Clebsch-Gordan routine; any rewrite of the amplitudes must
+# reproduce these bytes.
+OPERATOR_DIGESTS = {
+    (21, 2, "ae"): "3cd676c89d3934a65c1e4e7d524252d1d0929c6e08f9ea7121174c941a89db6f",
+    (21, 2, "spin"): "727a7f55ea7d2d259805dea7ee883b035069322c663374b5b5c4d54e3515d5ad",
+    (27, 2, "ae"): "1ecc36f6c66ba360baf8add1b7136bff49af5dcacfc565af59389d3db73f99b4",
+    (27, 2, "spin"): "ad382c0434c756c1950d1ee40833c6241828f383e9c28c48427b6c0f2897f491",
+    (120, 3, "ae"): "55f27dc133731556c1247152ff4b48c8b0b069f6bc0b8d4144909f8f7af00df3",
+    (120, 3, "spin"): "936dd3bada3a2dd9230da8bbd52721a55d3d93b2278ef1ed628877c3ca881ec4",
+}
+
+
+@pytest.mark.parametrize("two_J, t, kind", sorted(OPERATOR_DIGESTS))
+def test_operator_bytes_pinned(two_J, t, kind):
+    build = build_ae_error_set if kind == "ae" else build_spin_error_set
+    ops = [op_to_json(op) for op in build(two_J, t).ops]
+    digest = hashlib.sha256(json.dumps(ops, sort_keys=True).encode()).hexdigest()
+    assert digest == OPERATOR_DIGESTS[two_J, t, kind]
