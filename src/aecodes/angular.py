@@ -9,9 +9,11 @@ is a plain int of ``math.comb`` products, and the coefficient is its sign
 times the square root of its square times a ratio of binomials.  That whole
 squared value goes to the square-free split in ``SqrtRational``.
 
-``cg_transition`` implements the specialized closed form for the coupling
-pattern used by transition error operators; the test suite sweeps it against
-the general routine.
+It serves the ``cg`` command and is the independent oracle for the error
+operators, which ``errors`` builds from small ints without calling it.
+``cg_transition`` implements the paper's specialized closed form for the
+coupling pattern of transition error operators; criterion 9 and the test
+suite sweep it against both the general routine and the operator builder.
 
 Wigner D matrices are float-only at a configurable binary precision: they
 feed covariance checks with 1e-10 scale tolerances, where exact cyclotomic

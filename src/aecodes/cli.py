@@ -10,6 +10,8 @@ The default working precision for decimal renderings and covariance checks
 is 200 bits, overridable with the AECODES_PRECISION_BITS environment
 variable or, for ``covariance``, with ``--bits``.  Either must lie between
 53 and MAX_PRECISION_BITS (4096) bits; other values exit 2 before any work.
+Likewise ``errors --two-j`` must lie between 0 and MAX_TWO_J (512), and the
+order ``--t`` of ``errors`` and ``verify`` between 0 and MAX_T (6).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import mpmath
@@ -46,6 +49,17 @@ EXIT_USAGE = 2
 # such as 100000000 makes a covariance run go on with no end in sight.
 MAX_PRECISION_BITS = 4096
 
+# At 2J = 512 and t = 6, `errors` writes 455 operators of up to 513 entries
+# (about 50 MB of JSON); unbounded, a large --two-j or --t runs for hours.
+MAX_TWO_J = 512
+MAX_T = 6
+
+
+def _bounded(name: str, value: int, low: int, high: int) -> int:
+    if not low <= value <= high:
+        raise ValueError(f"{name} must be between {low} and {high}, got {value}")
+    return value
+
 
 def precision_bits(flag: int | None = None) -> int:
     """Working precision: ``flag`` if given, else AECODES_PRECISION_BITS, else 200."""
@@ -56,9 +70,7 @@ def precision_bits(flag: int | None = None) -> int:
             bits = int(raw)
         except ValueError as exc:
             raise ValueError(f"{source} must be an integer, got {raw!r}") from exc
-    if not 53 <= bits <= MAX_PRECISION_BITS:
-        raise ValueError(f"{source} must be between 53 and {MAX_PRECISION_BITS}, got {bits}")
-    return bits
+    return _bounded(source, bits, 53, MAX_PRECISION_BITS)
 
 
 def _digest(path: str) -> str:
@@ -79,9 +91,25 @@ def make_manifest(command: str, inputs: list[str], parameters: dict, verdicts: d
     }
 
 
-def _emit(report: dict) -> None:
-    json.dump(report, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+def _to_json(v, indent: str = "\n") -> str:
+    """``json.dumps(v, indent=2, sort_keys=True)``, whose indented encoder is pure Python."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if type(v) is int:
+        return int.__repr__(v)
+    if not isinstance(v, (dict, list, tuple)) or not v:
+        return json.dumps(v)
+    inner = indent + "  "
+    if isinstance(v, dict):
+        items = (
+            f"{encode_basestring_ascii(k)}: {_to_json(x, inner)}" for k, x in sorted(v.items())
+        )
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    return "[" + inner + ("," + inner).join(_to_json(x, inner) for x in v) + indent + "]"
+
+
+def _emit(report: dict, out=None) -> None:
+    (out or sys.stdout).write(_to_json(report) + "\n")
 
 
 def _parse_halfint(text: str) -> HalfInt:
@@ -123,6 +151,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _bounded("--t", args.t, 0, MAX_T)
     code = CodeBasis.load(args.code_file)
     params = {
         "file": str(args.code_file),
@@ -155,7 +184,7 @@ def cmd_verify(args) -> int:
 
 def cmd_errors(args) -> int:
     build = build_spin_error_set if args.spin else build_ae_error_set
-    eset = build(args.two_j, args.t)
+    eset = build(_bounded("--two-j", args.two_j, 0, MAX_TWO_J), _bounded("--t", args.t, 0, MAX_T))
     _emit(
         {
             "t": eset.t,
@@ -255,8 +284,7 @@ def cmd_search(args) -> int:
     }
     if out_dir is not None:
         with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            _emit(report, fh)
     _emit(report)
     return EXIT_PASS
 

@@ -6,6 +6,14 @@ coupling rank r.  Each operator therefore has at most one source index per
 target index and is stored as a sparse map from the source index
 j = m + J to its amplitude.
 
+Amplitudes are built per operator from small ints: with the operator
+fixed, Racah's sum depends on j only through binomials that change by
+small-int ratios from one j to the next (the j-structure of Johansson &
+Forssén's exact 3j symbols, SIAM J. Sci. Comput. 38 (2016) A376), and the
+square-free kernel is folded from the cached splits of ints below
+2J + 2r + 2, so no radicand is factorized.  ``angular.clebsch_gordan_t``
+serves the ``cg`` command and is the tests' independent oracle.
+
 Proportionality constants are fixed to 1: correctability depends only on
 the span of the error set, and the diagonal comparisons in verification pair
 an operator with itself or with another fixed operator on both logical
@@ -16,9 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb, gcd, prod
 
-from .angular import clebsch_gordan_t
-from .exactnum import SqrtRational
+from .exactnum import SqrtRational, _squarefree_int
 
 
 @dataclass(frozen=True)
@@ -64,21 +72,62 @@ class ErrorSet:
         return sectors
 
 
-def _build_op(two_J: int, r: int, delta_J: int, delta_m: int) -> ErrorOp:
+def _squarefree_fold(factors, s: int = 1, k: int = 1) -> tuple[int, int]:
+    """(s', k') with s'^2 k' = s^2 k prod(factors), k and k' square-free."""
+    for x in factors:
+        sx, kx = _squarefree_int(x)
+        g = gcd(k, kx)
+        s, k = s * sx * g, (k // g) * (kx // g)
+    return s, k
+
+
+def _build_op(n: int, r: int, delta_J: int, delta_m: int) -> ErrorOp:
+    """Amplitudes C^{n2/2, m + delta_m}_{n/2, m; r, delta_m}, n2 = n + 2 delta_J.
+
+    Racah's binomial form (as in ``clebsch_gordan_t``) with p = n - j,
+    p2 = p + delta_J - delta_m: the square is S(p)^2 / C(n, p)^2 times a
+    constant times C(n, p) / C(n2, p2) = (n!/n2!) (p2!/p!) ((n2-p2)!/(n-p)!),
+    with S(p) = sum_z w_z C(b, p - z).  range(x + 1, y + 1) lists the ints
+    of y!/x! (empty unless y > x).
+    """
+    n2, a, b, c, q = n + 2 * delta_J, r - delta_J, n - r + delta_J, r + delta_J, r + delta_m
+    w = [(-1) ** z * comb(a, z) * comb(c, q - z) for z in range(min(a, q) + 1)]
+    ups = (*range(n2 + 1, n + 1), comb(2 * r, a), *range(n - a + 1, n + 1))
+    downs = (*range(n + 1, n2 + 1), comb(2 * r, r - delta_m), *range(n + c - a + 2, n + c + 2))
+    s0, k0 = _squarefree_fold(ups + downs)
+    den0 = prod(downs)
     entries: dict[int, SqrtRational] = {}
-    for j in range(two_J + 1):
-        tm = 2 * j - two_J
-        amp = clebsch_gordan_t(
-            two_J,
-            tm,
-            2 * r,
-            2 * delta_m,
-            two_J + 2 * delta_J,
-            tm + 2 * delta_m,
-        )
-        if not amp.is_zero():
-            entries[j] = amp
-    return ErrorOp(r, delta_J, delta_m, two_J, entries)
+    window = [0] * a + [1]  # C(b, p - z) for z = 0..a, at p = n
+    cnp = 1  # C(n, p)
+    for j in range(n + 1):
+        p, p2 = n - j, n - j + delta_J - delta_m
+        if j:
+            cnp = cnp * (p + 1) // j
+            window = window[1:] + [window[-1] * (p + 1 - a) // (b - p + a)]
+        total = sum(x * y for x, y in zip(w, window))
+        if not (0 <= p2 <= n2 and total):
+            continue
+        ups = (*range(p + 1, p2 + 1), *range(j + 1, n2 - p2 + 1))
+        downs = (*range(p2 + 1, p + 1), *range(n2 - p2 + 1, j + 1))
+        s, k = _squarefree_fold(ups + downs, s0, k0)
+        num, den = total * s, cnp * den0 * prod(downs)
+        h = gcd(num, den)
+        entries[j] = SqrtRational._make(num // h, den // h, k)
+    return ErrorOp(r, delta_J, delta_m, n, entries)
+
+
+def _build_set(two_J: int, t: int, spin: bool) -> ErrorSet:
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    if two_J < 2 * t:
+        raise ValueError(f"two_J={two_J} too small for order t={t} (need two_J >= 2t)")
+    ops = [
+        _build_op(two_J, r, dJ, dm)
+        for r in range(t + 1)
+        for dJ in ((0,) if spin else range(-r, r + 1))
+        for dm in range(-r, r + 1)
+    ]
+    return ErrorSet(t, tuple(ops))
 
 
 @lru_cache(maxsize=256)
@@ -87,32 +136,13 @@ def build_ae_error_set(two_J: int, t: int) -> ErrorSet:
 
     The operator count is sum_{r=0}^{t} (2r+1)^2.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if two_J < 2 * t:
-        raise ValueError(f"two_J={two_J} too small for order t={t} (need two_J >= 2t)")
-    ops = [
-        _build_op(two_J, r, dJ, dm)
-        for r in range(t + 1)
-        for dJ in range(-r, r + 1)
-        for dm in range(-r, r + 1)
-    ]
-    return ErrorSet(t, tuple(ops))
+    return _build_set(two_J, t, spin=False)
 
 
 @lru_cache(maxsize=256)
 def build_spin_error_set(two_J: int, t: int) -> ErrorSet:
     """Rotation operators: the delta_J = 0 slice, sum_{r=0}^{t} (2r+1) of them."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if two_J < 2 * t:
-        raise ValueError(f"two_J={two_J} too small for order t={t} (need two_J >= 2t)")
-    ops = [
-        _build_op(two_J, r, 0, dm)
-        for r in range(t + 1)
-        for dm in range(-r, r + 1)
-    ]
-    return ErrorSet(t, tuple(ops))
+    return _build_set(two_J, t, spin=True)
 
 
 def apply(op: ErrorOp, v) -> list[SqrtRational]:

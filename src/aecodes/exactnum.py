@@ -463,11 +463,13 @@ class RadicalSum:
 
 
 def sqrt_rational_to_json(s: SqrtRational) -> dict:
-    r = s.radicand
+    # num and den are coprime, so gcd(num**2 * kernel, den**2) = gcd(kernel, den**2).
+    den2 = s.den * s.den
+    g = math.gcd(s.kernel, den2)
     return {
         "sign": s.sign,
-        "radicand_num": str(r.numerator),
-        "radicand_den": str(r.denominator),
+        "radicand_num": str(s.num * s.num * (s.kernel // g)),
+        "radicand_den": str(den2 // g),
     }
 
 

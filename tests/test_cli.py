@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: files, reports, manifests, exit codes."""
 
+import io
 import json
 import os
 import subprocess
@@ -7,10 +8,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aecodes import cli
 from aecodes.cli import main
 from aecodes.codes import CodeBasis, fixtures
+from aecodes.errors import ErrorSet
 
 
 def run(capsys, *argv):
@@ -20,7 +24,7 @@ def run(capsys, *argv):
 
 
 def _must_not_run(*args, **kwargs):
-    raise AssertionError("work started before the precision was validated")
+    raise AssertionError("work started before the input was validated")
 
 
 def _assert_one_error_line(capsys):
@@ -275,7 +279,64 @@ class TestOtherCommands:
         assert main(["cg", *cg_args]) == 2
         _assert_one_error_line(capsys)
 
+    def test_order_bounds_admit_limits(self, capsys, monkeypatch):
+        assert cli.MAX_TWO_J >= 243 and cli.MAX_T >= 4
+        for name in ("build_ae_error_set", "build_spin_error_set"):
+            monkeypatch.setattr(cli, name, lambda two_j, t: ErrorSet(t, ()))
+        for spin in ([], ["--spin"]):
+            argv = ["errors", "--two-j", str(cli.MAX_TWO_J), "--t", str(cli.MAX_T), *spin]
+            status, report = run(capsys, *argv)
+            assert status == 0 and report["t"] == cli.MAX_T
+
+    @pytest.mark.parametrize(
+        "two_j, t",
+        [(cli.MAX_TWO_J + 1, 1), (10**9, 1), (-1, 0), (9, cli.MAX_T + 1), (9, -1)],
+    )
+    def test_errors_out_of_range_exits_two(self, capsys, monkeypatch, two_j, t):
+        monkeypatch.setattr(cli, "build_ae_error_set", _must_not_run)
+        monkeypatch.setattr(cli, "build_spin_error_set", _must_not_run)
+        for spin in ([], ["--spin"]):
+            assert main(["errors", f"--two-j={two_j}", f"--t={t}", *spin]) == 2
+            _assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("t", [cli.MAX_T + 1, 10**9, -1])
+    def test_verify_order_out_of_range_exits_two(self, tmp_path, capsys, monkeypatch, t):
+        path = str(tmp_path / "q7.json")
+        fixtures()["J7half"].save(path)
+        for name in ("build_ae_error_set", "check_conditions", "cross_validate"):
+            monkeypatch.setattr(cli, name, _must_not_run)
+        for mode in ("correct", "detect", "conditions", "cross"):
+            assert main(["verify", path, f"--t={t}", "--mode", mode]) == 2
+            _assert_one_error_line(capsys)
+
     def test_identities_pass(self, capsys):
         status, report = run(capsys, "identities")
         assert status == 0
         assert report["report"]["all_passed"] is True
+
+
+# Leaves of every JSON type, with the awkward cases named explicitly.
+_JSON_LEAVES = st.one_of(
+    st.text(),
+    st.text(st.characters(max_codepoint=0x1F)),
+    st.text(st.characters(min_codepoint=0x80)),
+    st.integers(),
+    st.integers(min_value=-(10**1000), max_value=10**1000),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.sampled_from([-0.0, 1e-300, float("nan"), float("inf")]),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_JSON_VALUES, st.just({}), st.just([]), st.just({"a": [], "b": {}})))
+def test_emit_matches_indented_json_dumps(value):
+    buf = io.StringIO()
+    cli._emit(value, buf)
+    assert buf.getvalue() == json.dumps(value, indent=2, sort_keys=True) + "\n"

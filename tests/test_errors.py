@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from aecodes.angular import cg_transition
+from aecodes.angular import cg_transition, clebsch_gordan_t
 from aecodes.codes import fixtures
 from aecodes.errors import apply, build_ae_error_set, build_spin_error_set, op_to_json
 from aecodes.exactnum import SqrtRational
@@ -60,6 +60,20 @@ class TestAmplitudes:
                     for j_src in range(two_J + 1):
                         amp = op.entries.get(j_src, SqrtRational.zero())
                         assert amp == cg_transition(two_J, t, op.r, a, q, j_src - a)
+
+    @pytest.mark.parametrize("build", [build_ae_error_set, build_spin_error_set])
+    def test_matches_general_clebsch_gordan(self, build):
+        # The general Racah routine is independent of the operator builder.
+        for two_J in range(41):
+            for t in range(min(3, two_J // 2) + 1):
+                for op in build(two_J, t).ops:
+                    for j in range(two_J + 1):
+                        tm = 2 * j - two_J
+                        expected = clebsch_gordan_t(
+                            two_J, tm, 2 * op.r, 2 * op.delta_m,
+                            op.target_two_J, tm + 2 * op.delta_m,
+                        )
+                        assert op.entries.get(j, SqrtRational.zero()) == expected, (op, j)
 
     def test_out_of_range_targets_absent(self):
         eset = build_ae_error_set(7, 1)
@@ -116,8 +130,9 @@ class TestSectorOrthogonality:
 
 
 # SHA-256 of the sorted-key JSON of every operator, taken from the
-# factorial-sum Clebsch-Gordan routine; any rewrite of the amplitudes must
-# reproduce these bytes.
+# factorial-sum Clebsch-Gordan routine (the last three from the binomial-sum
+# routine, when the operators still called it); any rewrite of the
+# amplitudes must reproduce these bytes.
 OPERATOR_DIGESTS = {
     (21, 2, "ae"): "3cd676c89d3934a65c1e4e7d524252d1d0929c6e08f9ea7121174c941a89db6f",
     (21, 2, "spin"): "727a7f55ea7d2d259805dea7ee883b035069322c663374b5b5c4d54e3515d5ad",
@@ -125,6 +140,9 @@ OPERATOR_DIGESTS = {
     (27, 2, "spin"): "ad382c0434c756c1950d1ee40833c6241828f383e9c28c48427b6c0f2897f491",
     (120, 3, "ae"): "55f27dc133731556c1247152ff4b48c8b0b069f6bc0b8d4144909f8f7af00df3",
     (120, 3, "spin"): "936dd3bada3a2dd9230da8bbd52721a55d3d93b2278ef1ed628877c3ca881ec4",
+    (86, 4, "ae"): "145bda86fc3e523b65f16fd7252a36aa5fc530101121f00bdfb8d5baeb7da1f9",
+    (240, 2, "ae"): "bd8766edbc3ada156be4407cfc7f19f19c210ef77ff1e7fc7ee6ad9af7f0a4fe",
+    (240, 2, "spin"): "fb5f8751d2bf4a4ee3c433220881b97a049bef0c6552548e040b4fd665a33cb5",
 }
 
 
