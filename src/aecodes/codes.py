@@ -28,6 +28,7 @@ from .exactnum import (
     sqrt_rational_from_json,
     sqrt_rational_to_json,
 )
+from .jsonfmt import int_field, to_json
 
 
 class CodeKind(str, enum.Enum):
@@ -64,10 +65,6 @@ class CodeBasis:
                 raise ValueError(
                     f"basis vectors must have length {self.two_J + 1}, got {len(vec)}"
                 )
-
-    @property
-    def n(self) -> int:
-        return self.two_J
 
     @property
     def dim(self) -> int:
@@ -115,7 +112,7 @@ class CodeBasis:
         try:
             return CodeBasis(
                 kind=CodeKind(d["kind"]),
-                two_J=int(d["two_J"]),
+                two_J=int_field(d, "two_J"),
                 basis=tuple(tuple(sqrt_rational_from_json(c) for c in vec) for vec in basis),
                 label=d.get("label", ""),
             )
@@ -124,8 +121,7 @@ class CodeBasis:
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(to_json(self.to_dict()) + "\n")
 
     @staticmethod
     def load(path) -> "CodeBasis":

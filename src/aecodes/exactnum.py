@@ -26,6 +26,8 @@ from typing import Iterable, Union
 
 import mpmath
 
+from .jsonfmt import int_field
+
 RationalLike = Union[Fraction, int]
 
 # ---------------------------------------------------------------------------
@@ -474,11 +476,11 @@ def sqrt_rational_to_json(s: SqrtRational) -> dict:
 
 
 def sqrt_rational_from_json(d: dict) -> SqrtRational:
-    den = int(d["radicand_den"])
+    den = int_field(d, "radicand_den")
     if den == 0:
         raise ValueError("radicand_den must be nonzero")
-    radicand = Fraction(int(d["radicand_num"]), den)
-    return SqrtRational.of_sign_radicand(int(d["sign"]), radicand)
+    radicand = Fraction(int_field(d, "radicand_num"), den)
+    return SqrtRational.of_sign_radicand(int_field(d, "sign"), radicand)
 
 
 def radical_sum_to_json(v: RadicalSum, precision_bits: int = 200) -> dict:

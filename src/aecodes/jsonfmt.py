@@ -1,0 +1,31 @@
+"""JSON text as every report and code file is written, and strict integer fields."""
+
+from __future__ import annotations
+
+import json
+from json.encoder import encode_basestring_ascii
+
+
+def to_json(v, indent: str = "\n") -> str:
+    """``json.dumps(v, indent=2, sort_keys=True)``, whose indented encoder is pure Python."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if type(v) is int:
+        return int.__repr__(v)
+    if not isinstance(v, (dict, list, tuple)) or not v:
+        return json.dumps(v)
+    inner = indent + "  "
+    if isinstance(v, dict):
+        items = (
+            f"{encode_basestring_ascii(k)}: {to_json(x, inner)}" for k, x in sorted(v.items())
+        )
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    return "[" + inner + ("," + inner).join(to_json(x, inner) for x in v) + indent + "]"
+
+
+def int_field(d: dict, key: str) -> int:
+    """``d[key]`` as a JSON int or a decimal-integer string; a float or bool is an error."""
+    value = d[key]
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"{key} must be an integer or a decimal-integer string, got {value!r}")
+    return int(value)

@@ -4,11 +4,12 @@ With both supports pairwise separated by at least 2t+1 the off-diagonal
 verification sums vanish term by term, and the remaining diagonal family
 reduces to matching the first 2t+1 power moments of the two squared
 coefficient distributions.  That system is linear in the squared
-coefficients, so it is solved exactly over Q with nonnegativity by
-enumerating basic solutions of the equality system and keeping feasible
-vertices; the lexicographically smallest vertex (variable order: support0
-ascending, then support1 ascending) is returned, which makes underdetermined
-instances deterministic.
+coefficients and has integer entries, so it is solved exactly by
+fraction-free (Bareiss) elimination on ints: the basic solutions of the
+equality system are enumerated and the feasible vertices kept, with a
+Fraction built only for a feasible vertex.  The lexicographically smallest
+vertex (variable order: support0 ascending, then support1 ascending) is
+returned, which makes underdetermined instances deterministic.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from .codes import CodeBasis, CodeKind, vector_from_entries
 from .errors import build_ae_error_set
@@ -74,72 +76,64 @@ class SearchResult:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra over Q
+# Fraction-free elimination over Z
 # ---------------------------------------------------------------------------
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+def _reduce(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss); returns (rows, pivots).
+
+    The returned rows are the nonzero ones, and each pivot column is zero
+    except in its own row, where every pivot holds the same nonzero d.
+    Every entry stays a minor of the input, so each division is exact.
+    """
     rows = [row[:] for row in rows]
     pivots: list[int] = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((k for k in range(r, len(rows)) if rows[k][col] != 0), None)
-        if pivot is None:
+    prev = 1
+    for col in range(len(rows[0])):
+        r = len(pivots)
+        k = next((k for k in range(r, len(rows)) if rows[k][col]), None)
+        if k is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][col] != 0:
-                factor = rows[k][col]
-                rows[k] = [v - factor * p for v, p in zip(rows[k], rows[r])]
+        rows[r], rows[k] = rows[k], rows[r]
+        top = rows[r]
+        p = top[col]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[col]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
         pivots.append(col)
-        r += 1
-        if r == len(rows):
+        if len(pivots) == len(rows):
             break
-    return rows[:r], pivots
+    return rows[: len(pivots)], pivots
 
 
-def _solve_square(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
-    """Solve a square system exactly; None when singular."""
-    size = len(a)
-    aug = [row[:] + [bv] for row, bv in zip(a, b)]
-    reduced, pivots = _rref(aug)
-    if len(pivots) != size or any(p >= size for p in pivots):
-        return None
-    sol = [Fraction(0)] * size
-    for row, p in zip(reduced, pivots):
-        sol[p] = row[-1]
-    return sol
-
-
-def _lex_min_vertex(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
+def _lex_min_vertex(a: list[list[int]], b: list[int]) -> list[Fraction] | None:
     """Lexicographically smallest vertex of {x : Ax = b, x >= 0}, or None.
 
     The polytope here is bounded (the normalization rows cap every
     variable), so feasibility is equivalent to the existence of a basic
     feasible solution; systems are tiny, so enumerating column bases is
-    exact and fast.
+    exact and fast.  A basis solves d*x_i = rhs_i, so x_i >= 0 is the sign
+    test rhs_i*d >= 0, and a Fraction is built only for a feasible vertex.
     """
     nvars = len(a[0])
-    aug = [row[:] + [bv] for row, bv in zip(a, b)]
-    reduced, pivots = _rref(aug)
-    if any(p == nvars for p in pivots):
+    reduced, pivots = _reduce([row + [bv] for row, bv in zip(a, b)])
+    if nvars in pivots:
         return None  # inconsistent
-    rows = [row[:nvars] for row in reduced]
-    rhs = [row[nvars] for row in reduced]
-    rank = len(rows)
+    rank = len(pivots)
     best: list[Fraction] | None = None
     for cols in combinations(range(nvars), rank):
-        sub = [[row[c] for c in cols] for row in rows]
-        sol = _solve_square(sub, rhs)
-        if sol is None or any(v < 0 for v in sol):
+        sub, sub_pivots = _reduce([[row[c] for c in cols] + [row[nvars]] for row in reduced])
+        if sub_pivots != list(range(rank)):
+            continue
+        d = sub[0][0]
+        if any(row[rank] * d < 0 for row in sub):
             continue
         full = [Fraction(0)] * nvars
-        for c, v in zip(cols, sol):
-            full[c] = v
+        for c, row in zip(cols, sub):
+            full[c] = Fraction(row[rank], d)
         if best is None or full < best:
             best = full
     return best
@@ -154,18 +148,9 @@ def solve_staggered(spec: SearchSpec) -> SearchResult:
     """
     s0, s1 = spec.support0, spec.support1
     k0, k1 = len(s0), len(s1)
-    nvars = k0 + k1
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    rows.append([Fraction(1)] * k0 + [Fraction(0)] * k1)
-    rhs.append(Fraction(1))
-    rows.append([Fraction(0)] * k0 + [Fraction(1)] * k1)
-    rhs.append(Fraction(1))
-    for power in range(2 * spec.t + 1):
-        rows.append(
-            [Fraction(j**power) for j in s0] + [Fraction(-(j**power)) for j in s1]
-        )
-        rhs.append(Fraction(0))
+    rows = [[1] * k0 + [0] * k1, [0] * k0 + [1] * k1]
+    rows += [[j**p for j in s0] + [-(j**p) for j in s1] for p in range(2 * spec.t + 1)]
+    rhs = [1, 1] + [0] * (2 * spec.t + 1)
     vertex = _lex_min_vertex(rows, rhs)
     if vertex is None:
         return SearchResult(spec, False, {}, {}, None)
@@ -186,15 +171,23 @@ def solve_staggered(spec: SearchSpec) -> SearchResult:
 
 
 def _admissible_supports(n: int, t: int, max_size: int):
-    """All strictly increasing supports with internal spacing >= 2t+1."""
+    """All strictly increasing supports with internal spacing >= 2t+1.
+
+    Adding 2t*i to the i-th entry maps the size-k subsets of
+    range(n + 1 - 2t(k-1)) one to one onto these supports.
+    """
     out = []
-    gap = 2 * t + 1
     for size in range(1, max_size + 1):
-        for combo in combinations(range(n + 1), size):
-            if all(y - x >= gap for x, y in zip(combo, combo[1:])):
-                out.append(combo)
+        for combo in combinations(range(n + 1 - 2 * t * (size - 1)), size):
+            out.append(tuple(j + 2 * t * i for i, j in enumerate(combo)))
     out.sort()
     return out
+
+
+def support_pair_count(n: int, t: int, max_size: int) -> int:
+    """Number of support pairs that `enumerate_and_search` tries."""
+    count = sum(comb(max(n + 1 - 2 * t * (k - 1), 0), k) for k in range(1, max_size + 1))
+    return count * count
 
 
 def enumerate_and_search(

@@ -15,6 +15,7 @@ from aecodes import cli
 from aecodes.cli import main
 from aecodes.codes import CodeBasis, fixtures
 from aecodes.errors import ErrorSet
+from aecodes.search import support_pair_count
 
 
 def run(capsys, *argv):
@@ -25,6 +26,14 @@ def run(capsys, *argv):
 
 def _must_not_run(*args, **kwargs):
     raise AssertionError("work started before the input was validated")
+
+
+def _j7half_with(**fields):
+    """The J7half code file with a top-level or first-coefficient field replaced."""
+    data = fixtures()["J7half"].to_dict()
+    for key, value in fields.items():
+        (data if key in data else data["basis"][0][0])[key] = value
+    return data
 
 
 def _assert_one_error_line(capsys):
@@ -138,8 +147,22 @@ class TestConstructVerify:
             {"kind": "AE", "two_J": 7, "label": "", "basis": 5},
             [{"kind": "AE", "two_J": 7, "label": "", "basis": []}],
             {"kind": "AE", "two_J": 7, "label": "", "basis": [7]},
+            _j7half_with(radicand_num=3.9),
+            _j7half_with(radicand_den=10.0),
+            _j7half_with(sign=True),
+            _j7half_with(two_J=7.9),
+            _j7half_with(two_J=True),
         ],
-        ids=["basis-not-list", "top-level-list", "vector-not-list"],
+        ids=[
+            "basis-not-list",
+            "top-level-list",
+            "vector-not-list",
+            "float-radicand-num",
+            "float-radicand-den",
+            "bool-sign",
+            "float-two-j",
+            "bool-two-j",
+        ],
     )
     def test_malformed_schema_exits_two(self, tmp_path, capsys, data):
         path = tmp_path / "bad.json"
@@ -230,6 +253,14 @@ class TestOtherCommands:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["found"] == 1
 
+    def test_search_without_results_writes_summary(self, tmp_path, capsys):
+        out_dir = tmp_path / "none"
+        status, report = run(
+            capsys, "search", "--n", "14", "--t", "2", "--out", str(out_dir)
+        )
+        assert status == 0 and report["found"] == 0
+        assert json.loads((out_dir / "summary.json").read_text()) == report
+
     def test_covariance_cli(self, tmp_path, capsys):
         path = str(tmp_path / "q11.json")
         fixtures()["J11half"].save(path)
@@ -308,6 +339,50 @@ class TestOtherCommands:
         for mode in ("correct", "detect", "conditions", "cross"):
             assert main(["verify", path, f"--t={t}", "--mode", mode]) == 2
             _assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--max-size", "0"],
+            ["--max-size", "-3"],
+            ["--max-size", "12"],
+            ["--limit", "-1"],
+            ["--t", "7"],
+            ["--t", "-1"],
+            ["--n", "2"],
+            ["--n", str(cli.MAX_TWO_J + 1)],
+            ["--n", "40", "--max-size", "2"],
+            ["--n", "19", "--max-size", "3"],
+        ],
+        ids=[
+            "size-zero",
+            "size-negative",
+            "size-over-n-plus-one",
+            "limit-negative",
+            "t-over-max",
+            "t-negative",
+            "n-under-2t-plus-one",
+            "n-over-max",
+            "pairs-40-1-2",
+            "pairs-19-1-3",
+        ],
+    )
+    def test_search_out_of_range_exits_two(self, capsys, monkeypatch, flags):
+        monkeypatch.setattr(cli, "enumerate_and_search", _must_not_run)
+        argv = {"--n": "10", "--t": "1", "--max-size": "2"}
+        argv.update(zip(flags[::2], flags[1::2]))
+        assert main(["search", *(f"{k}={v}" for k, v in argv.items())]) == 2
+        _assert_one_error_line(capsys)
+
+    def test_search_bound_admits_limit(self, capsys, monkeypatch):
+        # the largest t = 1, size-2 search under the pair limit runs; one more index does not
+        n = max(n for n in range(3, 100) if support_pair_count(n, 1, 2) <= cli.MAX_SEARCH_PAIRS)
+        monkeypatch.setattr(cli, "enumerate_and_search", lambda *args, **kwargs: [])
+        status, report = run(capsys, "search", "--n", str(n), "--t", "1", "--limit", "0")
+        assert status == 0 and report["found"] == 0
+        monkeypatch.setattr(cli, "enumerate_and_search", _must_not_run)
+        assert main(["search", "--n", str(n + 1), "--t", "1"]) == 2
+        _assert_one_error_line(capsys)
 
     def test_identities_pass(self, capsys):
         status, report = run(capsys, "identities")

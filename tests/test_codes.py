@@ -1,5 +1,6 @@
 """Constructions, relabeling maps, fixtures, and the code file format."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -174,6 +175,12 @@ class TestFileFormat:
             code.save(path)
             loaded = CodeBasis.load(path)
             assert loaded == code
+
+    def test_file_is_indented_sorted_json(self, tmp_path):
+        code = fixtures()["J21half"].with_kind(CodeKind.AE, label="J21half \u00bd")
+        path = tmp_path / "q.json"
+        code.save(path)
+        assert path.read_text() == json.dumps(code.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def test_dict_shape(self):
         d = fixtures()["J7half"].to_dict()

@@ -1,9 +1,13 @@
 """Staggered-support search: exact solving, enumeration, determinism."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from aecodes import search
 from aecodes.errors import build_ae_error_set
 from aecodes.klverify import check_kl_correct, cross_validate
 from aecodes.search import SearchSpec, enumerate_and_search, solve_staggered
@@ -110,3 +114,145 @@ class TestEnumerate:
     def test_every_result_cross_validates(self):
         for r in enumerate_and_search(9, 1, max_support_size=2):
             assert cross_validate(r.code, 1)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the elimination over Q that the integer one replaced
+# ---------------------------------------------------------------------------
+
+
+def _rref(rows):
+    """Reduced row echelon form over Q; returns (nonzero rows, pivot columns)."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    r = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        pivot = next((k for k in range(r, len(rows)) if rows[k][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [v * inv for v in rows[r]]
+        for k in range(len(rows)):
+            if k != r and rows[k][col] != 0:
+                factor = rows[k][col]
+                rows[k] = [v - factor * p for v, p in zip(rows[k], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def _solve_square(a, b):
+    size = len(a)
+    reduced, pivots = _rref([row[:] + [bv] for row, bv in zip(a, b)])
+    if len(pivots) != size or any(p >= size for p in pivots):
+        return None
+    sol = [Fraction(0)] * size
+    for row, p in zip(reduced, pivots):
+        sol[p] = row[-1]
+    return sol
+
+
+def _oracle_vertex(a, b):
+    nvars = len(a[0])
+    reduced, pivots = _rref([row[:] + [bv] for row, bv in zip(a, b)])
+    if any(p == nvars for p in pivots):
+        return None
+    rows = [row[:nvars] for row in reduced]
+    rhs = [row[nvars] for row in reduced]
+    best = None
+    for cols in combinations(range(nvars), len(rows)):
+        sol = _solve_square([[row[c] for c in cols] for row in rows], rhs)
+        if sol is None or any(v < 0 for v in sol):
+            continue
+        full = [Fraction(0)] * nvars
+        for c, v in zip(cols, sol):
+            full[c] = v
+        if best is None or full < best:
+            best = full
+    return best
+
+
+def _moment_system(spec):
+    s0, s1 = spec.support0, spec.support1
+    rows = [[1] * len(s0) + [0] * len(s1), [0] * len(s0) + [1] * len(s1)]
+    rows += [[j**p for j in s0] + [-(j**p) for j in s1] for p in range(2 * spec.t + 1)]
+    return rows, [1, 1] + [0] * (2 * spec.t + 1)
+
+
+def _assert_same_vertex(spec):
+    a, b = _moment_system(spec)
+    vertex = search._lex_min_vertex(a, b)
+    assert vertex == _oracle_vertex(a, b)
+    result = solve_staggered(spec)
+    assert result.feasible == (vertex is not None)
+    if vertex is not None:
+        assert list(result.x.values()) + list(result.y.values()) == vertex
+
+
+@st.composite
+def _staggered_specs(draw):
+    t = draw(st.integers(0, 3))
+    gaps = draw(st.lists(st.integers(0, 6), min_size=1, max_size=7))
+    points = [draw(st.integers(0, 5))]
+    for extra in gaps:
+        points.append(points[-1] + 2 * t + 1 + extra)
+    side = draw(st.lists(st.booleans(), min_size=len(points), max_size=len(points)))
+    side[0], side[-1] = True, False  # both supports nonempty
+    s0 = tuple(j for j, first in zip(points, side) if first)
+    s1 = tuple(j for j, first in zip(points, side) if not first)
+    return SearchSpec(points[-1] + draw(st.integers(0, 5)), t, s0, s1)
+
+
+class TestIntegerElimination:
+    @pytest.mark.parametrize("n, t, size", [(9, 1, 2), (13, 1, 3), (14, 2, 2), (19, 2, 3)])
+    def test_vertex_matches_rational_oracle_on_enumeration(self, n, t, size):
+        supports = search._admissible_supports(n, t, size)
+        for s0 in supports:
+            for s1 in supports:
+                try:
+                    spec = SearchSpec(n, t, s0, s1)
+                except ValueError:
+                    continue
+                _assert_same_vertex(spec)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_staggered_specs())
+    def test_vertex_matches_rational_oracle_on_random_specs(self, spec):
+        _assert_same_vertex(spec)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda width: st.lists(
+                st.lists(st.integers(-4, 4), min_size=width, max_size=width),
+                min_size=1,
+                max_size=5,
+            )
+        )
+    )
+    def test_reduce_is_rref_times_common_pivot(self, rows):
+        reduced, pivots = search._reduce(rows)
+        expected, expected_pivots = _rref(rows)
+        assert pivots == expected_pivots
+        if pivots:
+            d = reduced[0][pivots[0]]
+            assert all(row[p] == d for row, p in zip(reduced, pivots))
+            assert [[Fraction(v, d) for v in row] for row in reduced] == expected
+        else:
+            assert reduced == []
+
+    def test_admissible_supports_match_spacing_filter(self):
+        for n, t, size in [(9, 1, 2), (13, 1, 3), (17, 2, 3), (6, 0, 3), (4, 2, 2)]:
+            spaced = [
+                c
+                for k in range(1, size + 1)
+                for c in combinations(range(n + 1), k)
+                if all(y - x > 2 * t for x, y in zip(c, c[1:]))
+            ]
+            supports = search._admissible_supports(n, t, size)
+            assert supports == sorted(spaced)
+            assert search.support_pair_count(n, t, size) == len(supports) ** 2
