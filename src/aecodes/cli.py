@@ -1,10 +1,12 @@
 """Command-line front end: construction, verification, search, and reports.
 
 All reports are emitted to stdout as JSON; diagnostics go to stderr.  Exit
-status is 0 for a pass, 1 for a verification failure, and 2 for unusable
-input.  Each report carries a manifest (command, input digests, parameters,
-verdict summary, tool version) that is byte-for-byte reproducible for
-identical inputs and parameters.
+status is 0 for a pass, 1 for a verification failure, 2 for unusable input,
+and 3 when ``search`` finds a staggered solution that fails direct KL
+verification, which would falsify the staggering argument.  Each report
+carries a manifest (command, input digests, parameters, verdict summary,
+tool version) that is byte-for-byte reproducible for identical inputs and
+parameters.
 
 The default working precision for decimal renderings and covariance checks
 is 200 bits, overridable with the AECODES_PRECISION_BITS environment
@@ -38,15 +40,16 @@ from .covariance import (
     binary_octahedral_group,
     check_covariance,
 )
-from .errors import build_ae_error_set, build_spin_error_set, op_to_json
+from .errors import build_ae_error_set, build_spin_error_set, write_operators_json
 from .exactnum import sqrt_rational_to_json
 from .jsonfmt import to_json
 from .klverify import check_conditions, check_kl_correct, check_kl_detect, cross_validate
-from .search import enumerate_and_search, support_pair_count
+from .search import StaggeringFailure, enumerate_and_search, support_pair_count
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_FALSIFIED = 3
 
 # Far above the 200-bit default and a 400-bit re-check; unbounded, a value
 # such as 100000000 makes a covariance run go on with no end in sight.
@@ -176,20 +179,17 @@ def cmd_verify(args) -> int:
 def cmd_errors(args) -> int:
     build = build_spin_error_set if args.spin else build_ae_error_set
     eset = build(_bounded("--two-j", args.two_j, 0, MAX_TWO_J), _bounded("--t", args.t, 0, MAX_T))
-    _emit(
-        {
-            "t": eset.t,
-            "two_J": args.two_j,
-            "count": len(eset.ops),
-            "operators": [op_to_json(op) for op in eset.ops],
-            "manifest": make_manifest(
-                "errors",
-                [],
-                {"two_j": args.two_j, "t": args.t, "spin": bool(args.spin)},
-                {"count": len(eset.ops)},
-            ),
-        }
+    count = len(eset.ops)
+    manifest = make_manifest(
+        "errors", [], {"two_j": args.two_j, "t": args.t, "spin": bool(args.spin)}, {"count": count}
     )
+    # The report as _emit writes it, keys in sorted order, with the operators
+    # array written one operator at a time rather than held as a second copy.
+    write = sys.stdout.write
+    write('{\n  "count": ' + str(count) + ',\n  "manifest": ' + to_json(manifest, "\n  "))
+    write(',\n  "operators": ')
+    write_operators_json(eset.ops, write)
+    write(f',\n  "t": {eset.t},\n  "two_J": {args.two_j}\n}}\n')
     return EXIT_PASS
 
 
@@ -243,13 +243,17 @@ def cmd_search(args) -> int:
     pairs = support_pair_count(args.n, args.t, args.max_size)
     if pairs > MAX_SEARCH_PAIRS:
         raise ValueError(f"search would try {pairs} support pairs, more than {MAX_SEARCH_PAIRS}")
-    results = enumerate_and_search(
-        args.n,
-        args.t,
-        max_support_size=args.max_size,
-        limit=args.limit,
-        require_counter_symmetric=args.counter_symmetric,
-    )
+    try:
+        results = enumerate_and_search(
+            args.n,
+            args.t,
+            max_support_size=args.max_size,
+            limit=args.limit,
+            require_counter_symmetric=args.counter_symmetric,
+        )
+    except StaggeringFailure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FALSIFIED
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -164,20 +164,35 @@ def apply(op: ErrorOp, v) -> list[SqrtRational]:
     return out
 
 
-def op_to_json(op: ErrorOp) -> dict:
-    from .exactnum import sqrt_rational_to_json
+# An operator and an amplitude as ``jsonfmt.to_json`` writes them in the errors report.
+_OP = """{{
+      "delta_J": {},
+      "delta_m": {},
+      "entries": {},
+      "r": {},
+      "source_two_J": {}
+    }}"""
+_ENTRY = """{{
+          "amplitude": {{
+            "radicand_den": "{}",
+            "radicand_num": "{}",
+            "sign": {}
+          }},
+          "j": {},
+          "two_m": {}
+        }}"""
 
-    return {
-        "r": op.r,
-        "delta_J": op.delta_J,
-        "delta_m": op.delta_m,
-        "source_two_J": op.source_two_J,
-        "entries": [
-            {
-                "j": j,
-                "two_m": 2 * j - op.source_two_J,
-                "amplitude": sqrt_rational_to_json(amp),
-            }
-            for j, amp in sorted(op.entries.items())
-        ],
-    }
+
+def write_operators_json(ops, write) -> None:
+    """The report's operators array at indent 2, one ``write`` per operator."""
+    sep = "["
+    for op in ops:
+        n, items = op.source_two_J, []
+        for j, amp in sorted(op.entries.items()):
+            num, den2, k = amp.num, amp.den * amp.den, amp.kernel
+            g = gcd(k, den2)  # num and den are coprime, as in sqrt_rational_to_json
+            items.append(_ENTRY.format(den2 // g, num * num * (k // g), amp.sign, j, 2 * j - n))
+        entries = "[\n        " + ",\n        ".join(items) + "\n      ]" if items else "[]"
+        write(sep + "\n    " + _OP.format(op.delta_J, op.delta_m, entries, op.r, n))
+        sep = ","
+    write("\n  ]" if ops else "[]")

@@ -25,6 +25,16 @@ from .exactnum import SqrtRational
 from .klverify import check_kl_correct
 
 
+class StaggeringFailure(RuntimeError):
+    """A staggered solution failed direct KL verification, against the staggering argument."""
+
+
+def _staggered(support0: tuple[int, ...], support1: tuple[int, ...], t: int) -> bool:
+    """Whether all indices of both supports are pairwise at least 2t+1 apart."""
+    merged = sorted(support0 + support1)
+    return all(y - x > 2 * t for x, y in zip(merged, merged[1:]))
+
+
 @dataclass(frozen=True)
 class SearchSpec:
     n: int
@@ -43,14 +53,10 @@ class SearchSpec:
                 raise ValueError("supports must be strictly increasing")
             if supp[0] < 0 or supp[-1] > self.n:
                 raise ValueError("supports must lie in [0, n]")
-        merged = sorted(self.support0 + self.support1)
-        for x, y in zip(merged, merged[1:]):
-            if y - x < 2 * self.t + 1:
-                raise ValueError(
-                    f"staggering violated: indices {x} and {y} closer than {2 * self.t + 1}"
-                )
+        if not _staggered(self.support0, self.support1, self.t):
+            raise ValueError(f"staggering violated: two indices closer than {2 * self.t + 1}")
         if self.require_counter_symmetric:
-            occupied = set(merged)
+            occupied = set(self.support0 + self.support1)
             if {self.n - j for j in occupied} != occupied:
                 raise ValueError("occupied indices are not symmetric about n/2")
 
@@ -201,7 +207,7 @@ def enumerate_and_search(
 
     Every feasible result is re-verified against the full error set at order
     t before being returned; a failure would falsify the staggering argument
-    and raises.
+    and raises StaggeringFailure.
     """
     if n < 2 * t + 1:
         raise ValueError("need n >= 2t + 1")
@@ -212,17 +218,17 @@ def enumerate_and_search(
         for s1 in supports:
             if limit is not None and len(results) >= limit:
                 return results
+            if not _staggered(s0, s1, t):
+                continue
             try:
                 spec = SearchSpec(n, t, s0, s1, require_counter_symmetric)
             except ValueError:
-                continue  # pair violates staggering or symmetry
+                continue  # pair violates counter-symmetry
             result = solve_staggered(spec)
             if not result.feasible:
                 continue
             report = check_kl_correct(result.code, eset)
             if not report.passed:
-                raise AssertionError(
-                    f"staggered solution fails direct verification: {spec}"
-                )
+                raise StaggeringFailure(f"staggered solution fails direct verification: {spec}")
             results.append(result)
     return results

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aecodes import cli
+from aecodes import cli, search
 from aecodes.cli import main
 from aecodes.codes import CodeBasis, fixtures
 from aecodes.errors import ErrorSet
@@ -260,6 +260,15 @@ class TestOtherCommands:
         )
         assert status == 0 and report["found"] == 0
         assert json.loads((out_dir / "summary.json").read_text()) == report
+
+    def test_search_falsified_staggering_exits_three(self, tmp_path, capsys, monkeypatch):
+        failing = type("Report", (), {"passed": False})()
+        monkeypatch.setattr(search, "check_kl_correct", lambda code, eset: failing)
+        out_dir = tmp_path / "found"
+        status = main(["search", "--n", "9", "--t", "1", "--out", str(out_dir)])
+        assert status == cli.EXIT_FALSIFIED == 3
+        _assert_one_error_line(capsys)
+        assert not out_dir.exists()
 
     def test_covariance_cli(self, tmp_path, capsys):
         path = str(tmp_path / "q11.json")

@@ -6,9 +6,17 @@ import json
 import pytest
 
 from aecodes.angular import cg_transition, clebsch_gordan_t
+from aecodes.cli import main
 from aecodes.codes import fixtures
-from aecodes.errors import apply, build_ae_error_set, build_spin_error_set, op_to_json
+from aecodes.errors import (
+    ErrorOp,
+    apply,
+    build_ae_error_set,
+    build_spin_error_set,
+    write_operators_json,
+)
 from aecodes.exactnum import SqrtRational
+from aecodes.jsonfmt import to_json
 
 
 class TestCounts:
@@ -129,10 +137,16 @@ class TestSectorOrthogonality:
                             assert a.target_two_J != b.target_two_J
 
 
-# SHA-256 of the sorted-key JSON of every operator, taken from the
+def _errors_stdout(capsys, two_J, t, kind):
+    argv = ["errors", "--two-j", str(two_J), "--t", str(t)] + (["--spin"] if kind == "spin" else [])
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+# SHA-256 of the sorted-key JSON of the report's operators, taken from the
 # factorial-sum Clebsch-Gordan routine (the last three from the binomial-sum
 # routine, when the operators still called it); any rewrite of the
-# amplitudes must reproduce these bytes.
+# amplitudes or of the report writer must reproduce these bytes.
 OPERATOR_DIGESTS = {
     (21, 2, "ae"): "3cd676c89d3934a65c1e4e7d524252d1d0929c6e08f9ea7121174c941a89db6f",
     (21, 2, "spin"): "727a7f55ea7d2d259805dea7ee883b035069322c663374b5b5c4d54e3515d5ad",
@@ -147,8 +161,26 @@ OPERATOR_DIGESTS = {
 
 
 @pytest.mark.parametrize("two_J, t, kind", sorted(OPERATOR_DIGESTS))
-def test_operator_bytes_pinned(two_J, t, kind):
-    build = build_ae_error_set if kind == "ae" else build_spin_error_set
-    ops = [op_to_json(op) for op in build(two_J, t).ops]
+def test_operator_bytes_pinned(capsys, two_J, t, kind):
+    ops = json.loads(_errors_stdout(capsys, two_J, t, kind))["operators"]
     digest = hashlib.sha256(json.dumps(ops, sort_keys=True).encode()).hexdigest()
     assert digest == OPERATOR_DIGESTS[two_J, t, kind]
+
+
+@pytest.mark.parametrize("kind", ["ae", "spin"])
+def test_report_text_is_sorted_indented_json(capsys, kind):
+    # The operators array is written from a fixed template; its text must be
+    # what json.dumps writes, from 2J = 0 up.
+    for two_J in range(13):
+        for t in range(min(3, two_J // 2) + 1):
+            out = _errors_stdout(capsys, two_J, t, kind)
+            assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", (two_J, t)
+
+
+def test_empty_arrays_written_as_to_json_writes_them():
+    # No operator of an error set is empty, but the writer must not depend on it.
+    empty = ErrorOp(1, -1, 0, 2, {})
+    for ops in ([], [empty], [empty, build_ae_error_set(2, 1).ops[0]]):
+        parts: list[str] = []
+        write_operators_json(ops, parts.append)
+        assert "".join(parts) == to_json(json.loads("".join(parts)), "\n  ")

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from aecodes.exactnum import (
     RadicalSum,
     SqrtRational,
+    _is_probable_prime,
     factorize,
     sqrt_rational_from_json,
     sqrt_rational_to_json,
@@ -70,6 +71,33 @@ class TestFactorize:
         assert factorize(p**power) == {p: power}
         assert factorize(6 * p**power) == {2: 1, 3: 1, p: power}
         assert squarefree_decompose(Fraction(p**power)) == (p ** (power // 2), p ** (power % 2))
+
+
+# The least strong pseudoprimes to all prime bases up to 37 and up to 41
+# (Sorenson & Webster, Math. Comp. 86 (2017) 985), with their factors.
+PSI_12 = (318665857834031151167461, 399165290221, 798330580441)
+PSI_13 = (3317044064679887385961981, 1287836182261, 2575672364521)
+
+
+class TestPrimality:
+    def test_psi12_is_composite(self):
+        psi, p, q = PSI_12
+        assert psi == p * q and _is_probable_prime(p) and _is_probable_prime(q)
+        assert not _is_probable_prime(psi)
+
+    def test_psi13_is_the_documented_bound(self):
+        # Composite, yet it passes every witness: the test is exact only below it.
+        psi, p, q = PSI_13
+        assert psi == p * q and _is_probable_prime(p) and _is_probable_prime(q)
+        assert _is_probable_prime(psi)
+
+    def test_witnesses_are_prime(self):
+        assert all(_is_probable_prime(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41))
+
+    def test_kernel_of_p_squared_q_is_squarefree(self):
+        # p * p * q = psi_12 * p: taking psi_12 for a prime left the kernel p * q * p.
+        _, p, q = PSI_12
+        assert squarefree_decompose(Fraction(p * p * q)) == (p, q)
 
 
 def _sq(sign, num, den):
