@@ -15,9 +15,9 @@ operators, which ``errors`` builds from small ints without calling it.
 coupling pattern of transition error operators; criterion 9 and the test
 suite sweep it against both the general routine and the operator builder.
 
-Wigner D matrices are float-only at a configurable binary precision: they
-feed covariance checks with 1e-10 scale tolerances, where exact cyclotomic
-arithmetic would add complexity without assurance.  They are computed in
+Wigner D matrices are float-only at a configurable binary precision.  They
+are the dense oracle for the covariance checks, which form D(u)·C by the same
+substitution without the matrix (see ``covariance``).  They are computed in
 the symmetric-power picture of the spin-J representation (Schwinger, "On
 Angular Momentum", 1952; Wigner, *Group Theory*, 1959, ch. 15): with
 N = 2J, the state |J, m> is the monomial x^(J+m) y^(J-m) / sqrt((J+m)!(J-m)!),

@@ -12,8 +12,11 @@ The default working precision for decimal renderings and covariance checks
 is 200 bits, overridable with the AECODES_PRECISION_BITS environment
 variable or, for ``covariance``, with ``--bits``.  Either must lie between
 53 and MAX_PRECISION_BITS (4096) bits; other values exit 2 before any work.
-Likewise ``errors --two-j`` must lie between 0 and MAX_TWO_J (512), and the
-order ``--t`` of ``errors``, ``verify`` and ``search`` between 0 and MAX_T (6).
+Likewise ``errors --two-j`` must lie between 0 and MAX_TWO_J (512), and so
+must the ``two_J`` of a code file given to ``verify``, ``map`` or
+``covariance``, the n = 2gm + delta + 1 of ``construct``, and twice the
+absolute value of each ``cg`` label; the order ``--t`` of ``errors``,
+``verify`` and ``search`` must lie between 0 and MAX_T (6).
 ``search`` also needs 2t+1 <= ``--n`` <= MAX_TWO_J, 1 <= ``--max-size`` <= n+1
 and ``--limit`` >= 0, and it tries at most MAX_SEARCH_PAIRS (200,000) pairs
 of supports; the number of supports of size k is C(n+1-2t(k-1), k).
@@ -107,7 +110,15 @@ def _emit(report: dict, out=None) -> None:
 
 
 def _parse_halfint(text: str) -> HalfInt:
-    return HalfInt.make(Fraction(text))
+    value = HalfInt.make(Fraction(text))
+    _bounded(f"twice |{text}|", abs(value.twice_value), 0, MAX_TWO_J)
+    return value
+
+
+def _load_code(path) -> CodeBasis:
+    code = CodeBasis.load(path)
+    _bounded("two_J", code.two_J, 1, MAX_TWO_J)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +128,7 @@ def _parse_halfint(text: str) -> HalfInt:
 
 def cmd_construct(args) -> int:
     params = GmdeParams(args.g, args.m, args.delta, args.epsilon)
+    _bounded("n = 2gm + delta + 1", params.n, 1, MAX_TWO_J)
     build = construct_ae_gmde if args.kind == "ae" else construct_pi_gmde
     code = build(params)
     if args.label:
@@ -146,7 +158,7 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     _bounded("--t", args.t, 0, MAX_T)
-    code = CodeBasis.load(args.code_file)
+    code = _load_code(args.code_file)
     params = {
         "file": str(args.code_file),
         "t": args.t,
@@ -215,7 +227,7 @@ def cmd_cg(args) -> int:
 
 
 def cmd_map(args) -> int:
-    code = CodeBasis.load(args.code_file)
+    code = _load_code(args.code_file)
     mapper = {"e": map_e, "h": map_h, "f": map_f}[args.via]
     mapped = mapper(code)
     mapped.save(args.out)
@@ -295,7 +307,7 @@ def cmd_search(args) -> int:
 
 def cmd_covariance(args) -> int:
     bits = precision_bits(args.bits)
-    code = CodeBasis.load(args.code_file)
+    code = _load_code(args.code_file)
     if args.group == "bd":
         group = binary_dihedral_group(args.b, bits)
     elif args.group == "2o":

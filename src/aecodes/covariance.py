@@ -5,16 +5,21 @@ representation of every group element preserves the codespace.  Checking the
 generators suffices, since conjugation by a product factors; a full-group
 mode re-checks every element of the closure for the suspicious.
 
-Verification is floating-point at a configurable precision (default 200
-bits) with tolerances around 1e-10: a truly covariant code has residual
-exactly zero, so any verdict that flips when the precision is doubled
-signals a bug rather than a borderline case.
-
 The residual of an element u is ||D P D^dagger - P||_2 for the codespace
-projector P = C C^dagger, but no dim x dim matrix is formed: for projectors
-of equal rank it equals ||(I - P) D C||_2, with C the dim x k orthonormal
-code basis, so one product D C yields both the residual and the logical
-action C^dagger D C.
+projector P = C C^dagger.  For projectors of equal rank it equals
+||(I - P) D C||_2, with C the dim x k orthonormal code basis, so one product
+D C yields both the residual and the logical action C^dagger D C.
+
+No dense D is formed: column c is the polynomial sum_p sqrt(C(N,p)) c_p
+x^p y^(N-p), N = 2J, and D(u) substitutes x -> u00 x + u10 y and
+y -> u01 x + u11 y by Horner in O((k+1) N^2) per element (``angular.wigner_D``
+is the dense oracle), on Python ints in fixed point: Gaussian integers
+(re, im) scaled by 2^S.  Coefficients grow to about 2^N, so S = bits + N + 32
+keeps D C and the leak L well below 2^-bits; only L^dagger L goes to mpmath.
+
+Verdicts stay floating-point (default 200 bits), with tolerances around 1e-10:
+a covariant code shows about 2^-bits, as its generators are rounded to that
+precision, and a verdict that flips when the precision is doubled is a bug.
 
 Generator conventions
 ---------------------
@@ -32,11 +37,14 @@ Generator conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from math import comb, isqrt
+from operator import mul
 
 import mpmath
 from mpmath import mpc, workprec
 
-from .angular import HalfInt, wigner_D
+from .angular import _as_mp_matrix, _require_special_unitary
 from .codes import CodeBasis, CodeKind
 
 
@@ -164,29 +172,66 @@ class CovarianceReport:
         }
 
 
-def code_columns(code: CodeBasis, precision_bits: int = 200) -> mpmath.matrix:
-    """The orthonormal dim x k float matrix C whose columns span the codespace.
+def fixed_point_bits(two_J: int, precision_bits: int) -> int:
+    """The scale S of the fixed-point kernel: the precision plus N + 32 guard bits."""
+    return precision_bits + two_J + 32
 
-    Rows are ordered by decreasing projection m (matching the Wigner matrix
-    ordering), so the coefficient at index j lands in row n - j.  Exact
-    orthonormal bases pass through essentially unchanged; other spanning
-    sets are orthonormalized by Gram-Schmidt so that C^dagger C = I.
+
+def _dot(a, b) -> int:
+    return sum(map(mul, a, b))
+
+
+def code_columns(code: CodeBasis, precision_bits: int = 200) -> list[list[int]]:
+    """The k orthonormal code columns C, as ints at scale 2^``fixed_point_bits``.
+
+    Entry j is the coefficient at index j = m + J, as in the code file, from
+    an integer square root; Gram-Schmidt on ints makes C^T C = I.
     """
-    n = code.two_J
-    with workprec(precision_bits):
-        c = mpmath.matrix(n + 1, len(code.basis))
-        for i, vec in enumerate(code.basis):
-            col = mpmath.matrix(n + 1, 1)
-            for j, x in enumerate(vec):
-                col[n - j, 0] = x.to_mpf(precision_bits)
-            for p in range(i):
-                prev = c.column(p)
-                col = col - prev * (prev.transpose_conj() * col)[0, 0]
-            norm = mpmath.sqrt((col.transpose_conj() * col)[0, 0].real)
-            if norm < mpmath.mpf(2) ** (-precision_bits // 2):
-                raise ValueError("basis vectors are numerically dependent")
-            c[:, i] = col / norm
-        return c
+    scale = fixed_point_bits(code.two_J, precision_bits)
+    cols: list[list[int]] = []
+    for vec in code.basis:
+        col = [x.sign * isqrt((x.num**2 * x.kernel << 2 * scale) // x.den**2) for x in vec]
+        for prev in cols:
+            overlap = _dot(prev, col) >> scale
+            col = [x - (p * overlap >> scale) for p, x in zip(prev, col)]
+        norm = isqrt(_dot(col, col))
+        if norm < 1 << (scale - precision_bits // 2):
+            raise ValueError("basis vectors are numerically dependent")
+        cols.append([(x << scale) // norm for x in col])
+    return cols
+
+
+def _times_form(poly, form, scale, w, add):
+    """Coefficients, by the power of x, of poly * (f0 x + f1 y) + w * add."""
+    (xr, xi), (yr, yi) = form
+    return [
+        ((xr * a - xi * b + yr * c - yi * d + w * e) >> scale,
+         (xr * b + xi * a + yr * d + yi * c + w * f) >> scale)
+        for (a, b), (c, d), (e, f) in zip([(0, 0)] + poly, poly + [(0, 0)], add)
+    ]
+
+
+def rotate_columns(c: list[list[int]], two_J: int, u, precision_bits: int = 200) -> list:
+    """D(u) C as columns of Gaussian fixed-point pairs (re, im), with no D formed."""
+    n, scale = two_J, fixed_point_bits(two_J, precision_bits)
+    with workprec(scale):  # at 53 bits, the entries of u would cap the accuracy
+        u = _as_mp_matrix(u)
+        _require_special_unitary(u, mpmath.mpf(2) ** -40)
+        fixed = [(int(mpmath.ldexp(z.real, scale)), int(mpmath.ldexp(z.imag, scale))) for z in u]
+    l1, l2 = fixed[::2], fixed[1::2]  # u00 x + u10 y and u01 x + u11 y
+    powers = [[(1 << scale, 0)]]  # (u01 x + u11 y)^m for m = 0..n
+    for _ in range(n):
+        powers.append(_times_form(powers[-1], l2, scale, 0, repeat((0, 0))))
+    roots = [isqrt(comb(n, p) << 2 * scale) for p in range(n + 1)]
+    inverse_roots = [isqrt((1 << 2 * scale) // comb(n, p)) for p in range(n + 1)]
+    out = []
+    for col in c:
+        w = [x * r >> scale for x, r in zip(col, roots)]
+        poly = [(w[n], 0)]
+        for p in range(n - 1, -1, -1):
+            poly = _times_form(poly, l1, scale, w[p], powers[n - p])
+        out.append([(a * r >> scale, b * r >> scale) for (a, b), r in zip(poly, inverse_roots)])
+    return out
 
 
 def operator_norm(m: mpmath.matrix) -> mpmath.mpf:
@@ -196,19 +241,31 @@ def operator_norm(m: mpmath.matrix) -> mpmath.mpf:
 
 
 def covariance_residual(
-    c: mpmath.matrix, two_J: int, u, precision_bits: int = 200
+    c: list[list[int]], two_J: int, u, precision_bits: int = 200
 ) -> tuple[mpmath.mpf, mpmath.matrix]:
     """The residual ||D P D^dagger - P||_2 of one element and its k x k action.
 
-    With D C formed once, the action is A = C^dagger D C and the leak out of
-    the codespace is L = D C - C A = (I - P) D C, whose 2-norm is the
+    With D C formed once, the action is A = C^T D C (C is real) and the leak
+    out of the codespace is L = D C - C A = (I - P) D C, whose 2-norm is the
     residual: the square root of the largest eigenvalue of L^dagger L.
     """
+    scale = fixed_point_bits(two_J, precision_bits)
+    dc = [tuple(zip(*col)) for col in rotate_columns(c, two_J, u, precision_bits)]  # (re, im)
+    action = [[(_dot(ci, re) >> scale, _dot(ci, im) >> scale) for re, im in dc] for ci in c]
+    leak = []
+    for j, (re, im) in enumerate(dc):
+        for ci, row in zip(c, action):
+            re = [x - (v * row[j][0] >> scale) for x, v in zip(re, ci)]
+            im = [x - (v * row[j][1] >> scale) for x, v in zip(im, ci)]
+        leak.append((re, im))
     with workprec(precision_bits):
-        dc = wigner_D(HalfInt(two_J), u, precision_bits) * c
-        action = c.transpose_conj() * dc
-        leak = dc - c * action
-        return mpmath.sqrt(operator_norm(leak.transpose_conj() * leak)), action
+        gram = mpmath.matrix([
+            [mpc(_dot(ri, rj) + _dot(ii, ij), _dot(ri, ij) - _dot(ii, rj)) / (1 << 2 * scale)
+             for rj, ij in leak]
+            for ri, ii in leak
+        ])
+        action = mpmath.matrix([[mpc(a, b) / (1 << scale) for a, b in row] for row in action])
+        return mpmath.sqrt(operator_norm(gram)), action
 
 
 def check_covariance(
@@ -228,48 +285,31 @@ def check_covariance(
     # A NaN fails both comparisons; a tolerance of 1 or more passes every
     # code, since the residual of projectors of equal rank is at most 1.
     if not mpmath.mpf(2) ** (20 - precision_bits) <= mpmath.mpf(tolerance) < 1:
-        raise ValueError(
-            f"tolerance {tolerance} must lie in [2^{20 - precision_bits}, 1)"
-        )
-    with workprec(precision_bits):
-        c = code_columns(code, precision_bits)
-        if full_group:
-            members = group_closure(group.generators, precision_bits)
-            labeled = [(f"element{i}", u) for i, u in enumerate(members)]
-        else:
-            labeled = list(zip(group.labels, group.generators))
-        residuals = {
-            label: covariance_residual(c, code.two_J, u, precision_bits)[0]
-            for label, u in labeled
-        }
-        worst = max(residuals.values())
-    return CovarianceReport(
-        group=group.name,
-        tolerance=tolerance,
-        precision_bits=precision_bits,
-        per_generator=residuals,
-        max_residual=worst,
-        passed=bool(worst <= mpmath.mpf(tolerance)),
-    )
+        raise ValueError(f"tolerance {tolerance} must lie in [2^{20 - precision_bits}, 1)")
+    c = code_columns(code, precision_bits)
+    members = group_closure(group.generators, precision_bits) if full_group else group.generators
+    labels = [f"element{i}" for i in range(len(members))] if full_group else group.labels
+    residuals = {
+        label: covariance_residual(c, code.two_J, u, precision_bits)[0]
+        for label, u in zip(labels, members)
+    }
+    worst = max(residuals.values())
+    passed = bool(worst <= mpmath.mpf(tolerance))
+    return CovarianceReport(group.name, tolerance, precision_bits, residuals, worst, passed)
 
 
 def logical_action(
-    code: CodeBasis,
-    u,
-    precision_bits: int = 200,
-    tolerance: float = 1e-10,
+    code: CodeBasis, u, precision_bits: int = 200, tolerance: float = 1e-10
 ) -> mpmath.matrix:
     """The k x k matrix <c_i| D(u) |c_j> induced on the codespace.
 
     Only meaningful when u preserves the codespace; the residual is
     re-checked and a violation is rejected.
     """
-    with workprec(precision_bits):
-        residual, action = covariance_residual(
-            code_columns(code, precision_bits), code.two_J, u, precision_bits
+    c = code_columns(code, precision_bits)
+    residual, action = covariance_residual(c, code.two_J, u, precision_bits)
+    if residual > mpmath.mpf(tolerance):
+        raise ValueError(
+            f"element does not preserve the codespace (residual {mpmath.nstr(residual, 6)})"
         )
-        if residual > mpmath.mpf(tolerance):
-            raise ValueError(
-                f"element does not preserve the codespace (residual {mpmath.nstr(residual, 6)})"
-            )
-        return action
+    return action

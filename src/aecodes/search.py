@@ -35,6 +35,12 @@ def _staggered(support0: tuple[int, ...], support1: tuple[int, ...], t: int) -> 
     return all(y - x > 2 * t for x, y in zip(merged, merged[1:]))
 
 
+def _counter_symmetric(support0: tuple[int, ...], support1: tuple[int, ...], n: int) -> bool:
+    """Whether the occupied indices of both supports are symmetric about n/2."""
+    occupied = set(support0 + support1)
+    return {n - j for j in occupied} == occupied
+
+
 @dataclass(frozen=True)
 class SearchSpec:
     n: int
@@ -55,10 +61,10 @@ class SearchSpec:
                 raise ValueError("supports must lie in [0, n]")
         if not _staggered(self.support0, self.support1, self.t):
             raise ValueError(f"staggering violated: two indices closer than {2 * self.t + 1}")
-        if self.require_counter_symmetric:
-            occupied = set(self.support0 + self.support1)
-            if {self.n - j for j in occupied} != occupied:
-                raise ValueError("occupied indices are not symmetric about n/2")
+        if self.require_counter_symmetric and not _counter_symmetric(
+            self.support0, self.support1, self.n
+        ):
+            raise ValueError("occupied indices are not symmetric about n/2")
 
 
 @dataclass(frozen=True)
@@ -220,10 +226,9 @@ def enumerate_and_search(
                 return results
             if not _staggered(s0, s1, t):
                 continue
-            try:
-                spec = SearchSpec(n, t, s0, s1, require_counter_symmetric)
-            except ValueError:
-                continue  # pair violates counter-symmetry
+            if require_counter_symmetric and not _counter_symmetric(s0, s1, n):
+                continue
+            spec = SearchSpec(n, t, s0, s1, require_counter_symmetric)
             result = solve_staggered(spec)
             if not result.feasible:
                 continue

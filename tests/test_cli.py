@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from aecodes import cli, search
 from aecodes.cli import main
-from aecodes.codes import CodeBasis, fixtures
+from aecodes.codes import CodeBasis, CodeKind, fixtures
 from aecodes.errors import ErrorSet
+from aecodes.exactnum import SqrtRational
 from aecodes.search import support_pair_count
 
 
@@ -348,6 +349,84 @@ class TestOtherCommands:
         for mode in ("correct", "detect", "conditions", "cross"):
             assert main(["verify", path, f"--t={t}", "--mode", mode]) == 2
             _assert_one_error_line(capsys)
+
+    @staticmethod
+    def _code_file(tmp_path, two_j: int, kind: str) -> str:
+        """A one-vector code file of spin two_j / 2: |j = 0>."""
+        vec = [SqrtRational.one()] + [SqrtRational.zero()] * two_j
+        path = str(tmp_path / f"{kind}{two_j}.json")
+        CodeBasis(CodeKind(kind), two_j, (tuple(vec),)).save(path)
+        return path
+
+    def test_loaded_spin_out_of_range_exits_two(self, tmp_path, capsys, monkeypatch):
+        path = self._code_file(tmp_path, cli.MAX_TWO_J + 1, "PI")
+        for name in (
+            "build_ae_error_set", "check_kl_correct", "check_kl_detect", "check_conditions",
+            "cross_validate", "map_e", "map_h", "map_f", "check_covariance",
+            "binary_dihedral_group", "binary_octahedral_group", "binary_icosahedral_group",
+        ):
+            monkeypatch.setattr(cli, name, _must_not_run)
+        out = str(tmp_path / "out.json")
+        for argv in (
+            *(["verify", path, "--t", "1", "--mode", mode] for mode in ("correct", "detect")),
+            *(["verify", path, "--t", "1", "--mode", mode] for mode in ("conditions", "cross")),
+            *(["map", path, "--via", via, "--out", out] for via in ("e", "h", "f")),
+            *(["covariance", path, "--group", group] for group in ("bd", "2o", "2i")),
+        ):
+            assert main(argv) == 2
+            _assert_one_error_line(capsys)
+        assert not os.path.exists(out)
+
+    def test_loaded_spin_bound_admits_limit(self, tmp_path, capsys):
+        ae = self._code_file(tmp_path, cli.MAX_TWO_J, "AE")
+        pi = self._code_file(tmp_path, cli.MAX_TWO_J, "PI")
+        status, report = run(capsys, "verify", ae, "--t", "0")
+        assert status == 0 and report["report"]["pass"]
+        status, report = run(capsys, "map", pi, "--via", "e", "--out", str(tmp_path / "out.json"))
+        assert status == 0 and report["kind_out"] == "AE"
+        # iX maps |j = 0> to |j = 2J>, so the check runs and the code fails it
+        status, report = run(capsys, "covariance", ae, "--group", "bd")
+        assert status == 1 and report["report"]["per_generator"]["iX"].startswith("1.0")
+
+    @pytest.mark.parametrize("position", range(6))
+    @pytest.mark.parametrize("value", [str(cli.MAX_TWO_J // 2 + 1), "-2000", "2001/2"])
+    def test_cg_label_out_of_range_exits_two(self, capsys, monkeypatch, position, value):
+        monkeypatch.setattr(cli, "clebsch_gordan_t", _must_not_run)
+        labels = ["1", "0", "1", "0", "1", "0"]
+        labels[position] = value
+        names = ("j1", "m1", "j2", "m2", "J", "M")
+        assert main(["cg", *(f"--{k}={v}" for k, v in zip(names, labels))]) == 2
+        _assert_one_error_line(capsys)
+
+    def test_cg_bound_admits_limit(self, capsys):
+        j = str(cli.MAX_TWO_J // 2)
+        argv = ["--j1", j, "--m1=-1", "--j2", j, "--m2", "1", "--J", j, "--M", "0"]
+        status, report = run(capsys, "cg", *argv)
+        assert status == 0 and report["manifest"]["verdicts"]["sign"] != 0
+
+    @pytest.mark.parametrize(
+        "g, m, delta", [(1, cli.MAX_TWO_J // 2, 0), (100000, 100000, 4), (0, 0, cli.MAX_TWO_J)]
+    )
+    def test_construct_length_out_of_range_exits_two(
+        self, tmp_path, capsys, monkeypatch, g, m, delta
+    ):
+        monkeypatch.setattr(cli, "construct_ae_gmde", _must_not_run)
+        monkeypatch.setattr(cli, "construct_pi_gmde", _must_not_run)
+        out = str(tmp_path / "q.json")
+        for kind in ("ae", "pi"):
+            argv = ["construct", f"--g={g}", f"--m={m}", f"--delta={delta}", "--epsilon=1"]
+            assert main([*argv, "--kind", kind, "--out", out]) == 2
+            _assert_one_error_line(capsys)
+        assert not os.path.exists(out)
+
+    def test_construct_bound_admits_limit(self, tmp_path, capsys):
+        # n = 2gm + delta + 1 = MAX_TWO_J
+        g = (cli.MAX_TWO_J - 2) // 2
+        status, report = run(
+            capsys, "construct", "--g", str(g), "--m", "1", "--delta", "1",
+            "--epsilon", "1", "--out", str(tmp_path / "q.json"),
+        )
+        assert status == 0 and report["code"]["two_J"] == cli.MAX_TWO_J
 
     @pytest.mark.parametrize(
         "flags",

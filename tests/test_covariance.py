@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 import pytest
@@ -14,8 +15,10 @@ from aecodes.covariance import (
     check_covariance,
     code_columns,
     covariance_residual,
+    fixed_point_bits,
     group_closure,
     logical_action,
+    rotate_columns,
 )
 from aecodes.angular import HalfInt, wigner_D
 from aecodes.exactnum import SqrtRational
@@ -61,8 +64,29 @@ def slowly_converging_subspace() -> CodeBasis:
     return CodeBasis(CodeKind.AE, 15, tuple(basis))
 
 
-def dense_residual(c: mpmath.matrix, two_J: int, u) -> mpmath.mpf:
+def octahedral_control() -> CodeBasis:
+    """A spin-7/2 code covariant under 2O (index j = m + J):
+    sqrt(5/12)|0> + sqrt(7/12)|4> and sqrt(7/12)|3> + sqrt(5/12)|7>."""
+    a, b = SqrtRational.sqrt(Fraction(5, 12)), SqrtRational.sqrt(Fraction(7, 12))
+    v0, v1 = [SqrtRational.zero()] * 8, [SqrtRational.zero()] * 8
+    v0[0], v0[4], v1[3], v1[7] = a, b, b, a
+    return CodeBasis(CodeKind.SPIN, 7, (tuple(v0), tuple(v1)))
+
+
+def as_matrix(cols, two_J: int, bits: int = BITS) -> mpmath.matrix:
+    """Fixed-point code columns as the dim x k matrix in wigner_D's row order (m = J first)."""
+    scale = fixed_point_bits(two_J, bits)
+    with mpmath.workprec(scale):
+        m = mpmath.matrix(two_J + 1, len(cols))
+        for i, col in enumerate(cols):
+            for j, x in enumerate(col):
+                m[two_J - j, i] = mpmath.ldexp(x, -scale)
+    return m
+
+
+def dense_residual(cols, two_J: int, u) -> mpmath.mpf:
     """Oracle: the largest |eigenvalue| of D P D^dagger - P, P = C C^dagger built densely."""
+    c = as_matrix(cols, two_J)
     with mpmath.workprec(BITS):
         proj = c * c.transpose_conj()
         d = wigner_D(HalfInt(two_J), u, BITS)
@@ -106,6 +130,19 @@ class TestCovariance:
             fixtures()["J7half"], binary_icosahedral_group(BITS), TOL, BITS
         )
         assert report.passed
+
+    @pytest.mark.parametrize("full_group", [False, True])
+    def test_octahedral_control_is_2o_covariant(self, full_group):
+        report = check_covariance(
+            octahedral_control(), binary_octahedral_group(BITS), TOL, BITS, full_group
+        )
+        assert report.passed and report.max_residual < mpmath.mpf("1e-40")
+        assert len(report.per_generator) == (48 if full_group else 2)
+
+    def test_octahedral_control_fails_bd8_and_2i(self):
+        for group in (binary_dihedral_group(4, BITS), binary_icosahedral_group(BITS)):
+            report = check_covariance(octahedral_control(), group, TOL, BITS)
+            assert not report.passed and report.max_residual > mpmath.mpf("1e-3")
 
     def test_random_subspace_fails(self):
         report = check_covariance(
@@ -158,6 +195,23 @@ class TestCovariance:
             at400 = check_covariance(code, group, TOL, 400)
             assert at200.passed == at400.passed == expected
 
+    def test_non_orthonormal_spanning_set_is_orthonormalized(self):
+        # random_subspace draws these two vectors and orthonormalizes them exactly
+        rng = random.Random(8)
+        v, w = ([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(12)] for _ in "vw")
+        raw = CodeBasis(
+            CodeKind.AE, 11, tuple(tuple(map(SqrtRational.from_rational, vec)) for vec in (v, w))
+        )
+        exact = code_columns(random_subspace(11, seed=8), BITS)
+        for u in binary_octahedral_group(BITS).generators:
+            r_raw, _ = covariance_residual(code_columns(raw, BITS), 11, u, BITS)
+            r_exact, _ = covariance_residual(exact, 11, u, BITS)
+            assert abs(r_raw - r_exact) < mpmath.mpf("1e-50")
+        double = tuple(SqrtRational.from_rational(2 * x) for x in v)
+        twice = CodeBasis(CodeKind.AE, 11, (raw.basis[0], double))
+        with pytest.raises(ValueError, match="dependent"):
+            code_columns(twice, BITS)
+
     def test_slowly_converging_subspace_is_decided(self):
         code = slowly_converging_subspace()
         assert code.is_orthonormal()
@@ -167,14 +221,57 @@ class TestCovariance:
     def test_residuals_basis_independent(self):
         code = fixtures()["J7half"]
         group = binary_icosahedral_group(BITS)
+        c = code_columns(code, BITS)
+        scale = fixed_point_bits(code.two_J, BITS)
+        rt = isqrt(1 << (2 * scale - 1))  # sqrt(1/2) at the same scale
+        rotated = [
+            [rt * (x + y) >> scale for x, y in zip(*c)],
+            [rt * (x - y) >> scale for x, y in zip(*c)],
+        ]
         with mpmath.workprec(BITS):
-            c = code_columns(code, BITS)
-            rt = mpmath.sqrt(mpmath.mpf(1) / 2)
-            rotated = c * mpmath.matrix([[rt, rt], [rt, -rt]])
             for u in group.generators:
                 r1, _ = covariance_residual(c, code.two_J, u, BITS)
                 r2, _ = covariance_residual(rotated, code.two_J, u, BITS)
                 assert abs(r1 - r2) < mpmath.mpf("1e-20")
+
+
+def random_su2(rng: random.Random, bits: int) -> mpmath.matrix:
+    """A random special unitary from a normalized Gaussian quaternion."""
+    with mpmath.workprec(bits):
+        q = [mpmath.mpf(rng.gauss(0, 1)) for _ in range(4)]
+        norm = mpmath.sqrt(sum(x * x for x in q))
+        a, b = mpmath.mpc(q[0], q[3]) / norm, mpmath.mpc(q[2], q[1]) / norm
+        return mpmath.matrix([[a, -mpmath.conj(b)], [b, mpmath.conj(a)]])
+
+
+class TestKernelOracle:
+    """The substitution kernel D(u) C against the dense wigner_D(u) * C."""
+
+    @pytest.mark.parametrize("bits", [200, 400])
+    @pytest.mark.parametrize("two_J", [0, 1, 2, 7, 27, 55])
+    def test_matches_dense_product(self, two_J, bits):
+        rng = random.Random(1000 * two_J + bits)
+        scale = fixed_point_bits(two_J, bits)
+        cols = [[rng.randrange(-1 << scale, 1 << scale) for _ in range(two_J + 1)] for _ in "ab"]
+        elements = [mpmath.eye(2), random_su2(rng, bits), random_su2(rng, bits)]
+        for group in (
+            binary_dihedral_group(4, bits),
+            binary_octahedral_group(bits),
+            binary_icosahedral_group(bits),
+        ):
+            elements += group.generators
+        # The oracle runs at extra precision so that its own rounding stays out
+        # of the bound.  The guard bits hold the kernel well inside the
+        # 2^(20 - bits) that the verdicts need: below 2^-bits.
+        with mpmath.workprec(bits + 64):
+            c = as_matrix(cols, two_J, bits)
+            bound = mpmath.mpf(2) ** -bits
+            for u in elements:
+                want = wigner_D(HalfInt(two_J), u, bits + 64) * c
+                for i, col in enumerate(rotate_columns(cols, two_J, u, bits)):
+                    for j, (re, im) in enumerate(col):
+                        got = mpmath.mpc(mpmath.ldexp(re, -scale), mpmath.ldexp(im, -scale))
+                        assert abs(got - want[two_J - j, i]) < bound
 
 
 class TestDenseOracle:

@@ -1,5 +1,7 @@
 """Staggered-support search: exact solving, enumeration, determinism."""
 
+import hashlib
+import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -106,6 +108,22 @@ class TestEnumerate:
         assert any(
             r.spec.support0 == (0, 6) and r.spec.support1 == (3, 9) for r in results
         )
+
+    def test_counter_symmetric_pairs_filtered_before_specs(self, monkeypatch):
+        # (12, 1, 2) has 824 staggered pairs, of which 52 are symmetric about n/2
+        built = []
+
+        def spec(*args):
+            built.append(SearchSpec(*args))
+            return built[-1]
+
+        monkeypatch.setattr(search, "SearchSpec", spec)
+        results = enumerate_and_search(12, 1, max_support_size=2, require_counter_symmetric=True)
+        assert len(built) == 52
+        digest = hashlib.sha256(
+            json.dumps([r.to_dict() for r in results], sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == "05cd8eccc1a26bbf2e00cb8402482053cc5fa5805879ad0ee7ae32ab260d8787"
 
     def test_too_short_system_rejected(self):
         with pytest.raises(ValueError):
