@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: files, reports, manifests, exit codes."""
 
+import hashlib
 import io
 import json
 import os
@@ -261,6 +262,26 @@ class TestOtherCommands:
         )
         assert status == 0 and report["found"] == 0
         assert json.loads((out_dir / "summary.json").read_text()) == report
+
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            (["--n", "9", "--t", "1"], "82a75073e5b93d4dbf077b1542d28af2bbe8d5a051d675740fa2da42becc93f9"),
+            (
+                ["--n", "12", "--t", "1", "--counter-symmetric"],
+                "01f464910a47dcb46832bcb6dc29f321f2bfe002c59eedadde7631acb9653b1d",
+            ),
+            (
+                ["--n", "13", "--t", "2", "--max-size", "3"],
+                "7a74b9004bb868edc10db393246987283420c18f486aa32fc3abba29f467727e",
+            ),
+        ],
+        ids=["9-1-2", "12-1-2-counter-symmetric", "13-2-3"],
+    )
+    def test_search_stdout_pinned(self, capsys, flags, digest):
+        assert main(["search", *flags]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_search_falsified_staggering_exits_three(self, tmp_path, capsys, monkeypatch):
         failing = type("Report", (), {"passed": False})()

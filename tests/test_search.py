@@ -125,6 +125,18 @@ class TestEnumerate:
         ).hexdigest()
         assert digest == "05cd8eccc1a26bbf2e00cb8402482053cc5fa5805879ad0ee7ae32ab260d8787"
 
+    @pytest.mark.parametrize(
+        "n, t, size, digest",
+        [
+            (9, 1, 2, "9d64103be23cb6975365aff46f5bfcd187c6f6e06adda4b5789ce8118cbedb55"),
+            (15, 1, 3, "0964d359e2987854798627d12ea5aab3ceca1930224163a715a4d7fe2d4a2acb"),
+        ],
+    )
+    def test_pinned_results(self, n, t, size, digest):
+        results = enumerate_and_search(n, t, max_support_size=size)
+        payload = json.dumps([r.to_dict() for r in results], sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
     def test_too_short_system_rejected(self):
         with pytest.raises(ValueError):
             enumerate_and_search(2, 1)
