@@ -8,18 +8,24 @@ carries a manifest (command, input digests, parameters, verdict summary,
 tool version) that is byte-for-byte reproducible for identical inputs and
 parameters.
 
-The default working precision for decimal renderings and covariance checks
-is 200 bits, overridable with the AECODES_PRECISION_BITS environment
-variable or, for ``covariance``, with ``--bits``.  Either must lie between
-53 and MAX_PRECISION_BITS (4096) bits; other values exit 2 before any work.
+The AECODES_PRECISION_BITS environment variable (default 200) sets the
+precision of ``cg``'s decimal and the default precision of ``covariance``,
+which ``--bits`` overrides.  Either must lie between 53 and
+MAX_PRECISION_BITS (4096) bits; other values exit 2 before any work.  The
+decimals of ``verify`` and of every other report are rendered at a fixed
+200 bits, so a report stays reproducible from a manifest that records no
+precision.
 Likewise ``errors --two-j`` must lie between 0 and MAX_TWO_J (512), and so
 must the ``two_J`` of a code file given to ``verify``, ``map`` or
 ``covariance``, the n = 2gm + delta + 1 of ``construct``, and twice the
 absolute value of each ``cg`` label; the order ``--t`` of ``errors``,
 ``verify`` and ``search`` must lie between 0 and MAX_T (6).
 ``search`` also needs 2t+1 <= ``--n`` <= MAX_TWO_J, 1 <= ``--max-size`` <= n+1
-and ``--limit`` >= 0, and it tries at most MAX_SEARCH_PAIRS (200,000) pairs
-of supports; the number of supports of size k is C(n+1-2t(k-1), k).
+and ``--limit`` >= 0, and it solves at most MAX_SEARCH_PAIRS (100,000)
+staggered support pairs: each merged support of size s, of which there are
+C(n+1-2t(s-1), s), splits into two nonempty supports of at most
+``--max-size`` indices.  The slowest search admitted, (n, t, max-size) =
+(21, 1, 3), solves 89,276 pairs in about 80 s.
 """
 
 from __future__ import annotations
@@ -63,10 +69,11 @@ MAX_PRECISION_BITS = 4096
 MAX_TWO_J = 512
 MAX_T = 6
 
-# `search` tries every pair of admissible supports.  Near this limit (28, 0, 2)
-# tries 189,225 pairs, keeps nearly all of them and writes 61 MB in 80 s, and
-# (30, 1, 2) tries 190,969 pairs in 70 s (2-core machine, Python 3.11).
-MAX_SEARCH_PAIRS = 200_000
+# `search` solves every staggered support pair.  At the largest n admitted
+# for t <= 2 and max-size 2-4, the slowest run is (21, 1, 3): 89,276 pairs,
+# 36,596 codes and 15 MB in 81 s; (10, 0, 4) keeps all 77,330 pairs and
+# writes 34 MB in 49 s (2-core machine, Python 3.11).
+MAX_SEARCH_PAIRS = 100_000
 
 
 def _bounded(name: str, value: int, low: int, high: int) -> int:
@@ -254,7 +261,7 @@ def cmd_search(args) -> int:
         raise ValueError(f"--limit must be nonnegative, got {args.limit}")
     pairs = support_pair_count(args.n, args.t, args.max_size)
     if pairs > MAX_SEARCH_PAIRS:
-        raise ValueError(f"search would try {pairs} support pairs, more than {MAX_SEARCH_PAIRS}")
+        raise ValueError(f"search would solve {pairs} support pairs, more than {MAX_SEARCH_PAIRS}")
     try:
         results = enumerate_and_search(
             args.n,

@@ -289,14 +289,6 @@ class SqrtRational:
     def is_zero(self) -> bool:
         return self.num == 0
 
-    def is_rational(self) -> bool:
-        return self.kernel == 1
-
-    def as_rational(self) -> Fraction:
-        if self.kernel != 1:
-            raise ValueError(f"{self} is irrational")
-        return self.coeff
-
     # -- arithmetic ----------------------------------------------------------
 
     def __mul__(self, other: "SqrtRational") -> "SqrtRational":
@@ -371,10 +363,6 @@ class RadicalSum:
         return RadicalSum({1: Fraction(q)})
 
     @staticmethod
-    def from_sqrt(s: SqrtRational) -> "RadicalSum":
-        return RadicalSum({s.kernel: s.coeff})
-
-    @staticmethod
     def total(values: Iterable[SqrtRational]) -> "RadicalSum":
         """Sum of signed square roots; per kernel an int numerator over an lcm."""
         acc: dict[int, tuple[int, int]] = {}
@@ -392,14 +380,6 @@ class RadicalSum:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_rational(self) -> bool:
-        return set(self._terms) <= {1}
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is irrational")
-        return self._terms.get(1, Fraction(0))
-
     def __add__(self, other: "RadicalSum") -> "RadicalSum":
         if not isinstance(other, RadicalSum):
             return NotImplemented
@@ -413,21 +393,6 @@ class RadicalSum:
 
     def __neg__(self) -> "RadicalSum":
         return RadicalSum({k: -c for k, c in self._terms.items()})
-
-    def __mul__(self, other: "RadicalSum") -> "RadicalSum":
-        if not isinstance(other, RadicalSum):
-            return NotImplemented
-        terms: dict[int, Fraction] = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
-                g = math.gcd(k1, k2)
-                k = (k1 // g) * (k2 // g)
-                terms[k] = terms.get(k, Fraction(0)) + c1 * c2 * g
-        return RadicalSum(terms)
-
-    def scaled(self, q: RationalLike) -> "RadicalSum":
-        q = Fraction(q)
-        return RadicalSum({k: c * q for k, c in self._terms.items()})
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RadicalSum) and self._terms == other._terms

@@ -29,25 +29,12 @@ class StaggeringFailure(RuntimeError):
     """A staggered solution failed direct KL verification, against the staggering argument."""
 
 
-def _staggered(support0: tuple[int, ...], support1: tuple[int, ...], t: int) -> bool:
-    """Whether all indices of both supports are pairwise at least 2t+1 apart."""
-    merged = sorted(support0 + support1)
-    return all(y - x > 2 * t for x, y in zip(merged, merged[1:]))
-
-
-def _counter_symmetric(support0: tuple[int, ...], support1: tuple[int, ...], n: int) -> bool:
-    """Whether the occupied indices of both supports are symmetric about n/2."""
-    occupied = set(support0 + support1)
-    return {n - j for j in occupied} == occupied
-
-
 @dataclass(frozen=True)
 class SearchSpec:
     n: int
     t: int
     support0: tuple[int, ...]
     support1: tuple[int, ...]
-    require_counter_symmetric: bool = False
 
     def __post_init__(self):
         if self.n <= 0 or self.t < 0:
@@ -59,12 +46,9 @@ class SearchSpec:
                 raise ValueError("supports must be strictly increasing")
             if supp[0] < 0 or supp[-1] > self.n:
                 raise ValueError("supports must lie in [0, n]")
-        if not _staggered(self.support0, self.support1, self.t):
+        merged = sorted(self.support0 + self.support1)
+        if any(y - x <= 2 * self.t for x, y in zip(merged, merged[1:])):
             raise ValueError(f"staggering violated: two indices closer than {2 * self.t + 1}")
-        if self.require_counter_symmetric and not _counter_symmetric(
-            self.support0, self.support1, self.n
-        ):
-            raise ValueError("occupied indices are not symmetric about n/2")
 
 
 @dataclass(frozen=True)
@@ -182,24 +166,45 @@ def solve_staggered(spec: SearchSpec) -> SearchResult:
     return SearchResult(spec, True, x, y, code)
 
 
-def _admissible_supports(n: int, t: int, max_size: int):
-    """All strictly increasing supports with internal spacing >= 2t+1.
+def _staggered_pairs(n: int, t: int, max_size: int, counter_symmetric: bool = False):
+    """Every staggered support pair, in lexicographic (support0, support1) order.
 
-    Adding 2t*i to the i-th entry maps the size-k subsets of
-    range(n + 1 - 2t(k-1)) one to one onto these supports.
+    A pair is a merged support with spacing >= 2t+1, split into two nonempty
+    parts of at most max_size indices each.  Adding 2t*i to the i-th entry
+    maps the size-s subsets of range(n + 1 - 2t(s-1)) one to one onto the
+    merged supports of size s.  With ``counter_symmetric`` only merged
+    supports symmetric about n/2 are split.
     """
-    out = []
-    for size in range(1, max_size + 1):
+    pairs = []
+    for size in range(2, 2 * max_size + 1):
         for combo in combinations(range(n + 1 - 2 * t * (size - 1)), size):
-            out.append(tuple(j + 2 * t * i for i, j in enumerate(combo)))
-    out.sort()
-    return out
+            merged = tuple(j + 2 * t * i for i, j in enumerate(combo))
+            if counter_symmetric and any(x + y != n for x, y in zip(merged, reversed(merged))):
+                continue
+            for k in range(max(1, size - max_size), min(size - 1, max_size) + 1):
+                for s0 in combinations(merged, k):
+                    pairs.append((s0, tuple(j for j in merged if j not in s0)))
+    pairs.sort()
+    return pairs
 
 
 def support_pair_count(n: int, t: int, max_size: int) -> int:
-    """Number of support pairs that `enumerate_and_search` tries."""
-    count = sum(comb(max(n + 1 - 2 * t * (k - 1), 0), k) for k in range(1, max_size + 1))
-    return count * count
+    """Number of staggered pairs, which `enumerate_and_search` solves with no limit or filter.
+
+    A merged support of size s splits C(s, k) ways, k in [lo, s - lo] with
+    lo = max(1, s - max_size): 2^s less twice the tail sum over k < lo, a sum
+    that Pascal's rule carries from s - 1 to s.
+    """
+    total, tail = 0, 1
+    for size in range(2, 2 * max_size + 1):
+        merged = comb(max(n + 1 - 2 * t * (size - 1), 0), size)
+        if not merged:
+            break  # no larger merged support fits either
+        lo = size - max_size
+        if lo > 1:
+            tail = 2 * tail - comb(size - 1, lo - 2) + comb(size, lo - 1)
+        total += merged * (2**size - 2 * tail)
+    return total
 
 
 def enumerate_and_search(
@@ -217,23 +222,17 @@ def enumerate_and_search(
     """
     if n < 2 * t + 1:
         raise ValueError("need n >= 2t + 1")
-    supports = _admissible_supports(n, t, max_support_size)
     results: list[SearchResult] = []
     eset = build_ae_error_set(n, t)
-    for s0 in supports:
-        for s1 in supports:
-            if limit is not None and len(results) >= limit:
-                return results
-            if not _staggered(s0, s1, t):
-                continue
-            if require_counter_symmetric and not _counter_symmetric(s0, s1, n):
-                continue
-            spec = SearchSpec(n, t, s0, s1, require_counter_symmetric)
-            result = solve_staggered(spec)
-            if not result.feasible:
-                continue
-            report = check_kl_correct(result.code, eset)
-            if not report.passed:
-                raise StaggeringFailure(f"staggered solution fails direct verification: {spec}")
-            results.append(result)
+    for s0, s1 in _staggered_pairs(n, t, max_support_size, require_counter_symmetric):
+        if limit is not None and len(results) >= limit:
+            break
+        spec = SearchSpec(n, t, s0, s1)
+        result = solve_staggered(spec)
+        if not result.feasible:
+            continue
+        report = check_kl_correct(result.code, eset)
+        if not report.passed:
+            raise StaggeringFailure(f"staggered solution fails direct verification: {spec}")
+        results.append(result)
     return results

@@ -266,7 +266,10 @@ class TestOtherCommands:
     @pytest.mark.parametrize(
         "flags, digest",
         [
-            (["--n", "9", "--t", "1"], "82a75073e5b93d4dbf077b1542d28af2bbe8d5a051d675740fa2da42becc93f9"),
+            (
+                ["--n", "9", "--t", "1"],
+                "82a75073e5b93d4dbf077b1542d28af2bbe8d5a051d675740fa2da42becc93f9",
+            ),
             (
                 ["--n", "12", "--t", "1", "--counter-symmetric"],
                 "01f464910a47dcb46832bcb6dc29f321f2bfe002c59eedadde7631acb9653b1d",
@@ -340,6 +343,18 @@ class TestOtherCommands:
         cg_args = ["--j1", "1", "--m1", "0", "--j2", "1", "--m2", "0", "--J", "0", "--M", "0"]
         assert main(["cg", *cg_args]) == 2
         _assert_one_error_line(capsys)
+
+    def test_verify_stdout_ignores_precision_env(self, tmp_path, capsys, monkeypatch):
+        # verify renders its decimals at a fixed 200 bits, as its manifest records no precision
+        path = str(tmp_path / "q7.json")
+        fixtures()["J7half"].save(path)
+        monkeypatch.delenv("AECODES_PRECISION_BITS", raising=False)
+        assert main(["verify", path, "--t", "1"]) == 0
+        unset = capsys.readouterr().out
+        assert '"decimal"' in unset
+        monkeypatch.setenv("AECODES_PRECISION_BITS", "64")
+        assert main(["verify", path, "--t", "1"]) == 0
+        assert capsys.readouterr().out == unset
 
     def test_order_bounds_admit_limits(self, capsys, monkeypatch):
         assert cli.MAX_TWO_J >= 243 and cli.MAX_T >= 4
@@ -461,7 +476,8 @@ class TestOtherCommands:
             ["--n", "2"],
             ["--n", str(cli.MAX_TWO_J + 1)],
             ["--n", "40", "--max-size", "2"],
-            ["--n", "19", "--max-size", "3"],
+            ["--n", "22", "--max-size", "3"],
+            ["--n", "512", "--t", "0", "--max-size", "513"],
         ],
         ids=[
             "size-zero",
@@ -473,7 +489,8 @@ class TestOtherCommands:
             "n-under-2t-plus-one",
             "n-over-max",
             "pairs-40-1-2",
-            "pairs-19-1-3",
+            "pairs-22-1-3",
+            "pairs-512-0-513",
         ],
     )
     def test_search_out_of_range_exits_two(self, capsys, monkeypatch, flags):
@@ -488,6 +505,9 @@ class TestOtherCommands:
         n = max(n for n in range(3, 100) if support_pair_count(n, 1, 2) <= cli.MAX_SEARCH_PAIRS)
         monkeypatch.setattr(cli, "enumerate_and_search", lambda *args, **kwargs: [])
         status, report = run(capsys, "search", "--n", str(n), "--t", "1", "--limit", "0")
+        assert status == 0 and report["found"] == 0
+        # 37,720 staggered pairs, though 537,289 ordered pairs of spaced supports
+        status, report = run(capsys, "search", "--n", "19", "--t", "1", "--max-size", "3")
         assert status == 0 and report["found"] == 0
         monkeypatch.setattr(cli, "enumerate_and_search", _must_not_run)
         assert main(["search", "--n", str(n + 1), "--t", "1"]) == 2

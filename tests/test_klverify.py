@@ -114,7 +114,7 @@ class TestDirectKL:
     def test_gram_contains_identity_norm(self):
         report = check_kl_correct(fixtures()["J7half"], build_ae_error_set(7, 1))
         identity = "E[r=0,dJ=+0,dm=+0]"
-        assert report.gram[(identity, identity)].as_rational() == 1
+        assert report.gram[(identity, identity)] == RadicalSum.from_rational(1)
 
 
 class TestConditions:

@@ -3,7 +3,8 @@
 import hashlib
 import json
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -31,11 +32,6 @@ class TestSearchSpec:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             SearchSpec(9, 1, (0, 6), (3, 10))
-
-    def test_counter_symmetry_filter(self):
-        SearchSpec(9, 1, (0, 6), (3, 9), require_counter_symmetric=True)
-        with pytest.raises(ValueError):
-            SearchSpec(9, 1, (0, 4), (8,), require_counter_symmetric=True)
 
 
 class TestSolveStaggered:
@@ -240,14 +236,8 @@ def _staggered_specs(draw):
 class TestIntegerElimination:
     @pytest.mark.parametrize("n, t, size", [(9, 1, 2), (13, 1, 3), (14, 2, 2), (19, 2, 3)])
     def test_vertex_matches_rational_oracle_on_enumeration(self, n, t, size):
-        supports = search._admissible_supports(n, t, size)
-        for s0 in supports:
-            for s1 in supports:
-                try:
-                    spec = SearchSpec(n, t, s0, s1)
-                except ValueError:
-                    continue
-                _assert_same_vertex(spec)
+        for s0, s1 in search._staggered_pairs(n, t, size):
+            _assert_same_vertex(SearchSpec(n, t, s0, s1))
 
     @settings(max_examples=300, deadline=None)
     @given(_staggered_specs())
@@ -275,14 +265,52 @@ class TestIntegerElimination:
         else:
             assert reduced == []
 
-    def test_admissible_supports_match_spacing_filter(self):
-        for n, t, size in [(9, 1, 2), (13, 1, 3), (17, 2, 3), (6, 0, 3), (4, 2, 2)]:
-            spaced = [
-                c
-                for k in range(1, size + 1)
-                for c in combinations(range(n + 1), k)
-                if all(y - x > 2 * t for x, y in zip(c, c[1:]))
-            ]
-            supports = search._admissible_supports(n, t, size)
-            assert supports == sorted(spaced)
-            assert search.support_pair_count(n, t, size) == len(supports) ** 2
+
+# ---------------------------------------------------------------------------
+# Oracle: the filter over all ordered pairs of spaced supports that the
+# direct generation of staggered pairs replaced
+# ---------------------------------------------------------------------------
+
+
+def _brute_force_pairs(n, t, size):
+    """(all staggered pairs, the counter-symmetric ones), by filtering every ordered pair."""
+    supports = [
+        c
+        for k in range(1, size + 1)
+        for c in combinations(range(n + 1), k)
+        if all(y - x > 2 * t for x, y in zip(c, c[1:]))
+    ]
+    supports.sort()
+    pairs = []
+    for s0 in supports:
+        for s1 in supports:
+            merged = sorted(s0 + s1)
+            if all(y - x > 2 * t for x, y in zip(merged, merged[1:])):
+                pairs.append((s0, s1))
+    symmetric = [p for p in pairs if {n - j for j in p[0] + p[1]} == set(p[0] + p[1])]
+    return pairs, symmetric
+
+
+def test_staggered_pairs_match_brute_force_filter():
+    # every n <= 20, t <= 2 and max_size <= 3, except the size-3 cases whose
+    # brute force takes seconds (t = 0 above n = 12, t = 1 above n = 16)
+    for t, size in product(range(3), range(1, 4)):
+        top = (12, 16, 20)[t] if size == 3 else 20
+        for n in range(2 * t + 1, top + 1):
+            pairs, symmetric = _brute_force_pairs(n, t, size)
+            assert search._staggered_pairs(n, t, size) == pairs
+            assert search._staggered_pairs(n, t, size, counter_symmetric=True) == symmetric
+            assert search.support_pair_count(n, t, size) == len(pairs)
+
+
+def test_support_pair_count_matches_direct_sum():
+    # the sum over merged supports of size s of the C(s, k) splits, term by term
+    for n in range(1, 70):
+        for t in range(4):
+            for size in range(1, 14):
+                direct = sum(
+                    comb(max(n + 1 - 2 * t * (s - 1), 0), s)
+                    * sum(comb(s, k) for k in range(max(1, s - size), min(s - 1, size) + 1))
+                    for s in range(2, 2 * size + 1)
+                )
+                assert search.support_pair_count(n, t, size) == direct
