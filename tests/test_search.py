@@ -126,6 +126,9 @@ class TestEnumerate:
         [
             (9, 1, 2, "9d64103be23cb6975365aff46f5bfcd187c6f6e06adda4b5789ce8118cbedb55"),
             (15, 1, 3, "0964d359e2987854798627d12ea5aab3ceca1930224163a715a4d7fe2d4a2acb"),
+            (8, 0, 3, "bb13fd3ce878ef8ede4368671a8dac84d0f944c2834685573ca98af540c14e5a"),
+            (16, 1, 4, "47b5d61656191bea14d410c9c561f9862781d4766f663a75e23c9fe5dc091e6a"),
+            (27, 2, 3, "7ea331a10f94c51167763861a042c8f9487e29e8300f76f6f2bed2eae573b15b"),
         ],
     )
     def test_pinned_results(self, n, t, size, digest):
