@@ -87,14 +87,10 @@ def _family_sweep(n_max: int = SWEEP_N_MAX):
 def _search_codes() -> list:
     """Codes produced by the search component during this run."""
     results = list(enumerate_and_search(9, 1, max_support_size=2))
-    # A couple of direct higher-order staggered instances.
-    for spec in (
-        SearchSpec(25, 2, (0, 10, 20), (5, 15, 25)),
-        SearchSpec(13, 2, (0, 13), (6,)),
-    ):
-        res = solve_staggered(spec)
-        if res.feasible:
-            results.append(res)
+    # A direct higher-order staggered instance.
+    res = solve_staggered(SearchSpec(25, 2, (0, 10, 20), (5, 15, 25)))
+    if res.feasible:
+        results.append(res)
     return results
 
 

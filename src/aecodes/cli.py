@@ -22,10 +22,10 @@ absolute value of each ``cg`` label; the order ``--t`` of ``errors``,
 ``verify`` and ``search`` must lie between 0 and MAX_T (6).
 ``search`` also needs 2t+1 <= ``--n`` <= MAX_TWO_J, 1 <= ``--max-size`` <= n+1
 and ``--limit`` >= 0, and it solves at most MAX_SEARCH_PAIRS (100,000)
-staggered support pairs: each merged support of size s, of which there are
-C(n+1-2t(s-1), s), splits into two nonempty supports of at most
-``--max-size`` indices.  The slowest search admitted, (n, t, max-size) =
-(21, 1, 3), solves 89,276 pairs in about 80 s.
+staggered support pairs: each merged support of size s >= 2t+2, of which
+there are C(n+1-2t(s-1), s), splits into two nonempty supports of at most
+``--max-size`` indices.  The slowest searches admitted, (n, t, max-size) =
+(21, 1, 3) with 84,000 pairs and (24, 0, 2) with 90,300, take 80-105 s.
 """
 
 from __future__ import annotations
@@ -69,10 +69,12 @@ MAX_PRECISION_BITS = 4096
 MAX_TWO_J = 512
 MAX_T = 6
 
-# `search` solves every staggered support pair.  At the largest n admitted
-# for t <= 2 and max-size 2-4, the slowest run is (21, 1, 3): 89,276 pairs,
-# 36,596 codes and 15 MB in 81 s; (10, 0, 4) keeps all 77,330 pairs and
-# writes 34 MB in 49 s (2-core machine, Python 3.11).
+# `search` solves every staggered support pair that can carry a vertex.  At
+# the largest n admitted for t <= 2 and max-size 2-4, the slowest runs are
+# (21, 1, 3), with 84,000 pairs, 36,596 codes and a 22 MB report, and
+# (24, 0, 2), with 90,300 pairs and codes and a 49 MB report; each takes
+# 80-105 s end to end (2-core machine, Python 3.11).  At t = 2 and max-size 2
+# no pair has the 2t+2 indices a vertex needs, so every n is admitted.
 MAX_SEARCH_PAIRS = 100_000
 
 

@@ -4,12 +4,13 @@ With both supports pairwise separated by at least 2t+1 the off-diagonal
 verification sums vanish term by term, and the remaining diagonal family
 reduces to matching the first 2t+1 power moments of the two squared
 coefficient distributions.  That system is linear in the squared
-coefficients and has integer entries, so it is solved exactly by
-fraction-free (Bareiss) elimination on ints: the basic solutions of the
-equality system are enumerated and the feasible vertices kept, with a
-Fraction built only for a feasible vertex.  The lexicographically smallest
-vertex (variable order: support0 ascending, then support1 ascending) is
-returned, which makes underdetermined instances deterministic.
+coefficients and its moment rows are a Vandermonde matrix, so its vertices
+have a closed form (Karlin & Studden, Tchebycheff Systems, 1966): each sits
+on 2t+2 indices whose sides alternate, weighted by the divided-difference
+functional.  A pair is feasible exactly when its merged support, read in
+ascending order, changes side at least 2t+1 times.  The lexicographically
+smallest vertex (variable order: support0 ascending, then support1
+ascending) is returned, which makes underdetermined instances deterministic.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 from .codes import CodeBasis, CodeKind, vector_from_entries
 from .errors import build_ae_error_set
@@ -71,67 +72,26 @@ class SearchResult:
         }
 
 
-# ---------------------------------------------------------------------------
-# Fraction-free elimination over Z
-# ---------------------------------------------------------------------------
+def _lex_min_vertex(s0: tuple[int, ...], s1: tuple[int, ...], t: int) -> list | None:
+    """Lexicographically smallest vertex of the moment polytope, or None.
 
-
-def _reduce(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss); returns (rows, pivots).
-
-    The returned rows are the nonzero ones, and each pivot column is zero
-    except in its own row, where every pivot holds the same nonzero d.
-    Every entry stays a minor of the input, so each division is exact.
+    Let z carry the side-0 weights and minus the side-1 weights.  On 2t+1 or
+    fewer indices the Vandermonde rows of orders 0..2t have full column rank,
+    so z = 0; on 2t+2 their kernel is the divided difference, whose weight
+    1/prod |j - i| at j alternates in sign.  So a vertex sits on 2t+2 indices
+    whose sides alternate in ascending order, with those weights scaled so
+    each side sums to 1.  Zero entries stay int 0 while candidates compare.
     """
-    rows = [row[:] for row in rows]
-    pivots: list[int] = []
-    prev = 1
-    for col in range(len(rows[0])):
-        r = len(pivots)
-        k = next((k for k in range(r, len(rows)) if rows[k][col]), None)
-        if k is None:
+    side = dict.fromkeys(s0, 0) | dict.fromkeys(s1, 1)
+    best = None
+    for sub in combinations(sorted(side), 2 * t + 2):
+        if any(side[a] == side[b] for a, b in zip(sub, sub[1:])):
             continue
-        rows[r], rows[k] = rows[k], rows[r]
-        top = rows[r]
-        p = top[col]
-        for i, row in enumerate(rows):
-            if i != r:
-                f = row[col]
-                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
-        prev = p
-        pivots.append(col)
-        if len(pivots) == len(rows):
-            break
-    return rows[: len(pivots)], pivots
-
-
-def _lex_min_vertex(a: list[list[int]], b: list[int]) -> list[Fraction] | None:
-    """Lexicographically smallest vertex of {x : Ax = b, x >= 0}, or None.
-
-    The polytope here is bounded (the normalization rows cap every
-    variable), so feasibility is equivalent to the existence of a basic
-    feasible solution; systems are tiny, so enumerating column bases is
-    exact and fast.  A basis solves d*x_i = rhs_i, so x_i >= 0 is the sign
-    test rhs_i*d >= 0, and a Fraction is built only for a feasible vertex.
-    """
-    nvars = len(a[0])
-    reduced, pivots = _reduce([row + [bv] for row, bv in zip(a, b)])
-    if nvars in pivots:
-        return None  # inconsistent
-    rank = len(pivots)
-    best: list[Fraction] | None = None
-    for cols in combinations(range(nvars), rank):
-        sub, sub_pivots = _reduce([[row[c] for c in cols] + [row[nvars]] for row in reduced])
-        if sub_pivots != list(range(rank)):
-            continue
-        d = sub[0][0]
-        if any(row[rank] * d < 0 for row in sub):
-            continue
-        full = [Fraction(0)] * nvars
-        for c, row in zip(cols, sub):
-            full[c] = Fraction(row[rank], d)
-        if best is None or full < best:
-            best = full
+        d = {j: prod(abs(j - i) for i in sub if i != j) for j in sub}
+        mass = sum(Fraction(1, d[j]) for j in sub if not side[j])
+        vertex = [Fraction(mass.denominator, d[j] * mass.numerator) if j in d else 0 for j in s0 + s1]
+        if best is None or vertex < best:
+            best = vertex
     return best
 
 
@@ -143,15 +103,11 @@ def solve_staggered(spec: SearchSpec) -> SearchResult:
     order 0..2t.
     """
     s0, s1 = spec.support0, spec.support1
-    k0, k1 = len(s0), len(s1)
-    rows = [[1] * k0 + [0] * k1, [0] * k0 + [1] * k1]
-    rows += [[j**p for j in s0] + [-(j**p) for j in s1] for p in range(2 * spec.t + 1)]
-    rhs = [1, 1] + [0] * (2 * spec.t + 1)
-    vertex = _lex_min_vertex(rows, rhs)
+    vertex = _lex_min_vertex(s0, s1, spec.t)
     if vertex is None:
         return SearchResult(spec, False, {}, {}, None)
-    x = {j: vertex[i] for i, j in enumerate(s0)}
-    y = {j: vertex[k0 + i] for i, j in enumerate(s1)}
+    x = {j: Fraction(v) for j, v in zip(s0, vertex)}
+    y = {j: Fraction(v) for j, v in zip(s1, vertex[len(s0) :])}
     entries0 = {j: SqrtRational.sqrt(v) for j, v in x.items() if v}
     entries1 = {j: SqrtRational.sqrt(v) for j, v in y.items() if v}
     code = CodeBasis(
@@ -170,13 +126,15 @@ def _staggered_pairs(n: int, t: int, max_size: int, counter_symmetric: bool = Fa
     """Every staggered support pair, in lexicographic (support0, support1) order.
 
     A pair is a merged support with spacing >= 2t+1, split into two nonempty
-    parts of at most max_size indices each.  Adding 2t*i to the i-th entry
-    maps the size-s subsets of range(n + 1 - 2t(s-1)) one to one onto the
-    merged supports of size s.  With ``counter_symmetric`` only merged
-    supports symmetric about n/2 are split.
+    parts of at most max_size indices each.  Only merged supports of 2t+2 or
+    more indices can carry a vertex (see `_lex_min_vertex`), so no smaller
+    one is generated.  Adding 2t*i to the i-th entry maps the size-s subsets
+    of range(n + 1 - 2t(s-1)) one to one onto the merged supports of size s.
+    With ``counter_symmetric`` only merged supports symmetric about n/2 are
+    split.
     """
     pairs = []
-    for size in range(2, 2 * max_size + 1):
+    for size in range(2 * t + 2, 2 * max_size + 1):
         for combo in combinations(range(n + 1 - 2 * t * (size - 1)), size):
             merged = tuple(j + 2 * t * i for i, j in enumerate(combo))
             if counter_symmetric and any(x + y != n for x, y in zip(merged, reversed(merged))):
@@ -191,9 +149,9 @@ def _staggered_pairs(n: int, t: int, max_size: int, counter_symmetric: bool = Fa
 def support_pair_count(n: int, t: int, max_size: int) -> int:
     """Number of staggered pairs, which `enumerate_and_search` solves with no limit or filter.
 
-    A merged support of size s splits C(s, k) ways, k in [lo, s - lo] with
-    lo = max(1, s - max_size): 2^s less twice the tail sum over k < lo, a sum
-    that Pascal's rule carries from s - 1 to s.
+    A merged support of size s >= 2t+2 splits C(s, k) ways, k in [lo, s - lo]
+    with lo = max(1, s - max_size): 2^s less twice the tail sum over k < lo,
+    a sum that Pascal's rule carries from s - 1 to s, starting at s = 2.
     """
     total, tail = 0, 1
     for size in range(2, 2 * max_size + 1):
@@ -203,7 +161,8 @@ def support_pair_count(n: int, t: int, max_size: int) -> int:
         lo = size - max_size
         if lo > 1:
             tail = 2 * tail - comb(size - 1, lo - 2) + comb(size, lo - 1)
-        total += merged * (2**size - 2 * tail)
+        if size >= 2 * t + 2:
+            total += merged * (2**size - 2 * tail)
     return total
 
 

@@ -125,8 +125,9 @@ class TestConstructVerify:
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
     def test_unfactorable_radicand_exits_two(self, tmp_path):
-        # Two 19-digit prime factors are beyond the Pollard rho budget; the
-        # subprocess timeout keeps a regression from hanging the suite.
+        # Two 19-digit prime factors are beyond the Pollard rho budget, here
+        # cut to 2^12 steps so the budget is reached quickly; the subprocess
+        # timeout keeps a regression from hanging the suite.
         data = fixtures()["J7half"].to_dict()
         data["basis"][0][0]["radicand_num"] = str(1000000000000000003 * 2000000000000000057)
         path = tmp_path / "hard.json"
@@ -136,7 +137,16 @@ class TestConstructVerify:
             filter(None, [src, os.environ.get("PYTHONPATH")])
         ))
         proc = subprocess.run(
-            [sys.executable, "-m", "aecodes.cli", "verify", str(path), "--t", "1"],
+            [
+                sys.executable,
+                "-c",
+                "import sys; from aecodes import cli, exactnum; "
+                "exactnum._RHO_STEP_BUDGET = 1 << 12; sys.exit(cli.main(sys.argv[1:]))",
+                "verify",
+                str(path),
+                "--t",
+                "1",
+            ],
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert proc.returncode == 2
