@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from aecodes import cli, search
 from aecodes.cli import main
-from aecodes.codes import CodeBasis, CodeKind, fixtures
+from aecodes.codes import CodeBasis, CodeKind, GmdeParams, construct_ae_gmde, fixtures
 from aecodes.errors import ErrorSet
 from aecodes.exactnum import SqrtRational
 from aecodes.search import support_pair_count
@@ -353,6 +353,42 @@ class TestOtherCommands:
         cg_args = ["--j1", "1", "--m1", "0", "--j2", "1", "--m2", "0", "--J", "0", "--M", "0"]
         assert main(["cg", *cg_args]) == 2
         _assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "code, flags, status, digest",
+        [
+            (
+                "family86",
+                ["--t", "4"],
+                0,
+                "195759126ef6af94070319f5d4e1e613e0f439034b5210deeb181d1a6d2b3b69",
+            ),
+            (
+                "J7half",
+                ["--t", "2"],
+                1,
+                "643fb58fbd341be1e69f483bed5fa17d9d74cae3d9d92af19cdeca650112c725",
+            ),
+            (
+                "J7half",
+                ["--t", "2", "--mode", "conditions"],
+                1,
+                "07099141467cc092b05e0bbb023c1999a8034476dc624ed9a1c8822160be3e86",
+            ),
+        ],
+        ids=["86-4-correct-gram", "7-2-correct-residuals", "7-2-conditions-residuals"],
+    )
+    def test_verify_stdout_pinned(self, tmp_path, capsys, monkeypatch, code, flags, status, digest):
+        # The gram decimals of a passing code and the residual decimals of a
+        # failing one; a relative path keeps the manifest's bytes fixed.
+        monkeypatch.chdir(tmp_path)
+        if code == "family86":
+            construct_ae_gmde(GmdeParams(8, 4, 21, -1)).save("family86.json")
+        else:
+            fixtures()[code].save(f"{code}.json")
+        assert main(["verify", f"{code}.json", *flags]) == status
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_verify_stdout_ignores_precision_env(self, tmp_path, capsys, monkeypatch):
         # verify renders its decimals at a fixed 200 bits, as its manifest records no precision

@@ -145,9 +145,20 @@ def _errors_stdout(capsys, two_J, t, kind):
 
 # SHA-256 of the sorted-key JSON of the report's operators, taken from the
 # factorial-sum Clebsch-Gordan routine (the last three from the binomial-sum
-# routine, when the operators still called it); any rewrite of the
-# amplitudes or of the report writer must reproduce these bytes.
+# routine, when the operators still called it; the first eight, from the
+# j-walk over every index and every delta_m, cover odd and even 2J at the
+# highest order each admits, where few indices lie off the centre); any
+# rewrite of the amplitudes or of the report writer must reproduce these
+# bytes.
 OPERATOR_DIGESTS = {
+    (0, 0, "ae"): "6faf2aad6faddb457399e1d7341dc37d218784eab4b6de81d4d11970fc14c662",
+    (1, 0, "ae"): "304571702c72d69e0153f7231c0a164a4ec919eb2c685b3d0a0e6bc12f7b6189",
+    (2, 1, "ae"): "53f8fe4d643c09104db1c76fa130f10417ab15baee1c6fc5d41bf15301dd4cd1",
+    (9, 4, "ae"): "edb5032f1c19bca6d90a00894871f8906220a24ae1359fab754413747ee659cf",
+    (12, 6, "ae"): "f62b655695f107f638e0461e92a50439dc840cb82ed9d794c3d0b29d29bfce58",
+    (12, 6, "spin"): "4e4fcfc16a3ab38cacd715aa1df7aa731369d080df2de7b0a063b00fd13d3d38",
+    (13, 5, "ae"): "d556e2aa9dd36015ba401529bc54e5c07babc5bfbabe38b890fef6b711c65f84",
+    (13, 5, "spin"): "1fc34d9b9756d0e4c8526870501507059da521ea10d9ad176b075748a065845b",
     (21, 2, "ae"): "3cd676c89d3934a65c1e4e7d524252d1d0929c6e08f9ea7121174c941a89db6f",
     (21, 2, "spin"): "727a7f55ea7d2d259805dea7ee883b035069322c663374b5b5c4d54e3515d5ad",
     (27, 2, "ae"): "1ecc36f6c66ba360baf8add1b7136bff49af5dcacfc565af59389d3db73f99b4",
