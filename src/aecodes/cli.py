@@ -31,6 +31,7 @@ there are C(n+1-2t(s-1), s), splits into two nonempty supports of at most
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -218,8 +219,7 @@ def cmd_cg(args) -> int:
     bits = precision_bits()
     labels = (args.j1, args.m1, args.j2, args.m2, args.J, args.M)
     value = clebsch_gordan_t(*(_parse_halfint(x).twice_value for x in labels))
-    with mpmath.workprec(bits):
-        decimal = mpmath.nstr(value.to_mpf(bits), int(bits / 3.32) + 2)
+    decimal = mpmath.nstr(value.to_mpf(bits), int(bits / 3.32) + 2)
     _emit(
         {
             "value": sqrt_rational_to_json(value),
@@ -378,6 +378,7 @@ def cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aecodes",

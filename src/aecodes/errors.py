@@ -12,7 +12,12 @@ small-int ratios from one j to the next (the j-structure of Johansson &
 Forssén's exact 3j symbols, SIAM J. Sci. Comput. 38 (2016) A376), and the
 square-free kernel is folded from the cached splits of ints below
 2J + 2r + 2, so no radicand is factorized.  ``angular.clebsch_gordan_t``
-serves the ``cg`` command and is the tests' independent oracle.
+serves the ``cg`` command and is the tests' independent oracle.  Only
+delta_m >= 0 is walked: C^{J'M'}_{Jm;rq} = (-1)^{J+r-J'} C^{J',-M'}_{J,-m;r,-q}
+(Varshalovich, Moskalev & Khersonskii 1988, ch. 8) gives the mirror
+E^{r,dJ,-dm}[n - j] = (-1)^{r-dJ} E^{r,dJ,dm}[j], which yields each delta_m < 0
+operator from its delta_m > 0 twin, and the upper half of each delta_m = 0 one
+from its lower half.
 
 Proportionality constants are fixed to 1: correctability depends only on
 the span of the error set, and the diagonal comparisons in verification pair
@@ -99,7 +104,7 @@ def _build_op(n: int, r: int, delta_J: int, delta_m: int) -> ErrorOp:
     entries: dict[int, SqrtRational] = {}
     window = [0] * a + [1]  # C(b, p - z) for z = 0..a, at p = n
     cnp = 1  # C(n, p)
-    for j in range(n + 1):
+    for j in range(n // 2 + 1 if delta_m == 0 else n + 1):
         p, p2 = n - j, n - j + delta_J - delta_m
         if j:
             cnp = cnp * (p + 1) // j
@@ -113,7 +118,15 @@ def _build_op(n: int, r: int, delta_J: int, delta_m: int) -> ErrorOp:
         num, den = total * s, cnp * den0 * prod(downs)
         h = gcd(num, den)
         entries[j] = SqrtRational._make(num // h, den // h, k)
+    if delta_m == 0:  # its own mirror: the walk stopped at the centre
+        entries.update(_mirror(entries, n, r - delta_J, n // 2))
     return ErrorOp(r, delta_J, delta_m, n, entries)
+
+
+def _mirror(entries, n: int, r_minus_dJ: int, above: int = -1) -> dict[int, SqrtRational]:
+    """The mirror's entries n - j > above, in ascending order like ``entries``."""
+    odd = r_minus_dJ % 2
+    return {n - j: -amp if odd else amp for j, amp in reversed(entries.items()) if n - j > above}
 
 
 def _build_set(two_J: int, t: int, spin: bool) -> ErrorSet:
@@ -121,13 +134,14 @@ def _build_set(two_J: int, t: int, spin: bool) -> ErrorSet:
         raise ValueError("t must be nonnegative")
     if two_J < 2 * t:
         raise ValueError(f"two_J={two_J} too small for order t={t} (need two_J >= 2t)")
-    ops = [
-        _build_op(two_J, r, dJ, dm)
-        for r in range(t + 1)
-        for dJ in ((0,) if spin else range(-r, r + 1))
-        for dm in range(-r, r + 1)
-    ]
-    return ErrorSet(t, tuple(ops))
+    ops = {}
+    for r in range(t + 1):
+        for dJ in (0,) if spin else range(-r, r + 1):
+            for dm in range(r + 1):
+                ops[r, dJ, dm] = op = _build_op(two_J, r, dJ, dm)
+                if dm:
+                    ops[r, dJ, -dm] = ErrorOp(r, dJ, -dm, two_J, _mirror(op.entries, two_J, r - dJ))
+    return ErrorSet(t, tuple(ops[key] for key in sorted(ops)))
 
 
 @lru_cache(maxsize=256)

@@ -25,6 +25,7 @@ from functools import lru_cache
 from typing import Iterable, Union
 
 import mpmath
+from mpmath.libmp import fzero, from_int, mpf_add, mpf_div, mpf_mul, mpf_pos, mpf_sqrt, to_str
 
 from .jsonfmt import int_field
 
@@ -401,26 +402,24 @@ class RadicalSum:
         return hash(tuple(self.terms()))
 
     def to_mpf(self, precision_bits: int = 200) -> mpmath.mpf:
-        """Float rendering; terms are summed in ascending magnitude."""
+        """Float rendering: mpf(num) / den * sqrt(mpf(k)) summed by magnitude at bits + 20."""
         if precision_bits < 53:
             raise ValueError("precision_bits must be at least 53")
-        with mpmath.workprec(precision_bits + 20):
-            vals = [
-                mpmath.mpf(c.numerator) / c.denominator * mpmath.sqrt(mpmath.mpf(k))
-                for k, c in self._terms.items()
-            ]
-            vals.sort(key=abs)
-            acc = mpmath.mpf(0)
-            for v in vals:
-                acc += v
-        with mpmath.workprec(precision_bits):
-            return +acc
+        # The libmp calls that mpf arithmetic makes under workprec(prec), with no context entered.
+        prec, rnd, vals = precision_bits + 20, "n", []  # "n": round to nearest
+        for k, c in self._terms.items():
+            q = mpf_div(from_int(c.numerator, prec, rnd), from_int(c.denominator), prec, rnd)
+            vals.append(mpf_mul(q, mpf_sqrt(from_int(k, prec, rnd), prec, rnd), prec, rnd))
+        # No term is zero; (top bit, mantissa aligned to prec bits) orders by magnitude.
+        vals.sort(key=lambda v: (v[2] + v[3], v[1] << (prec - v[3])))
+        acc = fzero
+        for v in vals:
+            acc = mpf_add(acc, v, prec, rnd)
+        return mpmath.mp.make_mpf(mpf_pos(acc, precision_bits, rnd))
 
     def to_decimal(self, precision_bits: int = 200) -> str:
-        with mpmath.workprec(precision_bits):
-            return mpmath.nstr(
-                self.to_mpf(precision_bits), int(precision_bits / 3.32) + 2
-            )
+        """Byte for byte ``mpmath.nstr(to_mpf(bits), int(bits / 3.32) + 2)``, as before."""
+        return to_str(self.to_mpf(precision_bits)._mpf_, int(precision_bits / 3.32) + 2)
 
     def __repr__(self) -> str:
         if not self._terms:

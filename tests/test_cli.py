@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: files, reports, manifests, exit codes."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -563,6 +564,144 @@ class TestOtherCommands:
         status, report = run(capsys, "identities")
         assert status == 0
         assert report["report"]["all_passed"] is True
+
+
+def _main_output(argv) -> tuple[int, str, str]:
+    """Exit status (a SystemExit's code included), stdout and stderr of one in-process call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    return status, out.getvalue(), err.getvalue()
+
+
+class TestParserReuse:
+    # One argparse tree serves every main() call in a process; no call's
+    # flags or defaults may leak into the next one's report.
+    @pytest.mark.parametrize(
+        "calls, statuses",
+        [
+            (
+                [
+                    ["errors", "--two-j", "9", "--t", "2", "--spin"],
+                    ["errors", "--two-j", "9", "--t", "2"],
+                ],
+                [0, 0],
+            ),
+            (
+                [
+                    ["verify", "J7half.json", "--t", "1", "--mode", "conditions", "--t-prime", "2"],
+                    ["verify", "J7half.json", "--t", "1"],
+                    ["verify", "J7half.json", "--t", "1", "--mode", "conditions"],
+                ],
+                [0, 0, 0],
+            ),
+            (
+                [
+                    ["verify", "--bogus"],
+                    ["errors", "--two-j", "5", "--t", "1"],
+                    ["verify", "--t", "1"],
+                    ["verify", "J7half.json", "--t", "1", "--mode", "detect"],
+                ],
+                [2, 0, 2, 0],
+            ),
+        ],
+        ids=["errors-spin-then-ae", "verify-t-prime-then-default", "usage-error-then-valid"],
+    )
+    def test_each_call_matches_a_lone_first_call(self, tmp_path, monkeypatch, calls, statuses):
+        monkeypatch.chdir(tmp_path)
+        fixtures()["J7half"].save("J7half.json")
+        lone = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            lone.append(_main_output(argv))
+        assert [status for status, _, _ in lone] == statuses
+        cli.build_parser.cache_clear()
+        assert [_main_output(argv) for argv in calls] == lone
+        assert cli.build_parser.cache_info().misses == 1
+
+
+# Valid command lines for the input fuzz, all cheap to run, and values to
+# put in place of their tokens: valid ones, ones of the wrong type or range,
+# and ones argparse or the loaders must reject.  No value makes a spin, an
+# order or a search that takes long to decide.
+_FUZZ_CALLS = (
+    "errors --two-j 7 --t 1",
+    "errors --two-j 13 --t 2 --spin",
+    "verify code.json --t 1",
+    "verify code.json --t 1 --mode detect",
+    "verify code.json --t 1 --mode conditions --t-prime 2",
+    "verify code.json --t 1 --mode cross",
+    "cg --j1 1 --m1 0 --j2 1/2 --m2 1/2 --J 3/2 --M 1/2",
+    "construct --g 2 --m 1 --delta 2 --epsilon -1 --kind pi --out out.json",
+    "map code.json --via e --out mapped.json",
+    "search --n 9 --t 1 --max-size 2 --limit 1",
+    "covariance code.json --group bd --b 4 --bits 64",
+)
+_FUZZ_TOKENS = st.sampled_from(
+    ["-1", "0", "1", "2", "3", "7", "513", "1e3", "x", "", "1/2", "1/3", "-1/2", "nan", "inf",
+     "correct", "conditions", "e", "h", "f", "2o", "2i", "pi", "--spin", "--bogus",
+     "code.json", "missing.json", "missing/out.json", "--t", "--mode"]
+)
+_FILE_VALUES = st.sampled_from(
+    [None, True, 7, 7.5, -1, 513, "7", "AE", "PI", "SPIN", "x", "", "0", "-3", "12", "10" * 3,
+     [], {}, [[]], [[{}]]]
+)
+
+
+@st.composite
+def _fuzz_call(draw):
+    """A valid command line with up to two tokens replaced, dropped or added."""
+    argv = draw(st.sampled_from(_FUZZ_CALLS)).split()
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(1, len(argv)))
+        action = draw(st.sampled_from(["replace", "drop", "insert"]))
+        if action == "insert" or i == len(argv):
+            argv.insert(i, draw(_FUZZ_TOKENS))
+        elif action == "replace":
+            argv[i] = draw(_FUZZ_TOKENS)
+        else:
+            del argv[i]
+    return argv
+
+
+@st.composite
+def _fuzz_code_file(draw):
+    """The J7half or J11half code file, perhaps with one field set, dropped or added."""
+    data = fixtures()[draw(st.sampled_from(["J7half", "J11half"]))].to_dict()
+    if draw(st.booleans()):
+        coeff = data["basis"][draw(st.integers(0, 1))][draw(st.integers(0, 3))]
+        target = draw(st.sampled_from([data, coeff]))
+        key = draw(st.sampled_from(sorted(target) + ["extra"]))
+        if draw(st.integers(0, 3)) == 0:
+            target.pop(key, None)
+        else:
+            target[key] = draw(_FILE_VALUES)
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fuzz_call(), _fuzz_code_file())
+def test_fuzzed_calls_exit_with_a_status_and_no_traceback(tmp_path_factory, argv, data):
+    # Every in-process run ends with status 0-3, or with argparse's
+    # SystemExit 2 and its usage line; an exit 2 of aecodes' own is one
+    # `error:` line.  An exception that escapes main fails the test.
+    work = tmp_path_factory.mktemp("fuzz")
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        Path("code.json").write_text(json.dumps(data))
+        status, out, err = _main_output(argv)
+    finally:
+        os.chdir(cwd)
+    assert status in (0, 1, 2, 3), (argv, status)
+    assert "Traceback" not in err
+    if status == 2 and not out:
+        assert err.startswith(("usage:", "error:")), (argv, err)
+        if err.startswith("error:"):
+            assert err.count("\n") == 1, (argv, err)
 
 
 # Leaves of every JSON type, with the awkward cases named explicitly.

@@ -14,6 +14,7 @@ from aecodes.exactnum import (
     RadicalSum,
     SqrtRational,
     _is_probable_prime,
+    _squarefree_int,
     factorize,
     sqrt_rational_from_json,
     sqrt_rational_to_json,
@@ -285,6 +286,50 @@ class TestToFloat:
             cancelled = s - s
             assert cancelled.is_zero()
             assert abs(cancelled.to_mpf(256)) < threshold
+
+
+def _nstr_oracle(s: RadicalSum, bits: int) -> tuple[mpmath.mpf, str]:
+    """The ``workprec`` + ``mpmath.nstr`` rendering that ``to_mpf``/``to_decimal`` replace."""
+    with mpmath.workprec(bits + 20):
+        vals = [
+            mpmath.mpf(c.numerator) / c.denominator * mpmath.sqrt(mpmath.mpf(k))
+            for k, c in s._terms.items()
+        ]
+        vals.sort(key=abs)
+        acc = mpmath.mpf(0)
+        for v in vals:
+            acc += v
+    with mpmath.workprec(bits):
+        value = +acc
+        return value, mpmath.nstr(value, int(bits / 3.32) + 2)
+
+
+_KERNELS = st.integers(1, 10**9).map(lambda n: _squarefree_int(n)[1])
+_DIGITS = st.integers(1, 40).flatmap(lambda d: st.integers(10 ** (d - 1), 10**d - 1))
+_COEFFS = st.builds(
+    lambda sign, num, den: Fraction(sign * num, den), st.sampled_from((-1, 1)), _DIGITS, _DIGITS
+)
+_RANDOM_SUMS = st.dictionaries(_KERNELS, _COEFFS, max_size=4).map(RadicalSum)
+# d digits of sqrt(k) less its integer part, scaled: terms near 10^d summing to below 1
+_CANCELLING_SUMS = st.builds(
+    lambda k, d, extra: RadicalSum(
+        {k: Fraction(10**d), 1: Fraction(-math.isqrt(k * 10 ** (2 * d)))} | extra
+    ),
+    _KERNELS.filter(lambda k: k > 1),
+    st.integers(1, 40),
+    st.dictionaries(_KERNELS.filter(lambda k: k > 1), _COEFFS, max_size=1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(_RANDOM_SUMS, _CANCELLING_SUMS, st.just(RadicalSum.zero())),
+    st.sampled_from((53, 80, 200, 400)),
+)
+def test_decimal_matches_nstr_oracle(s, bits):
+    value, text = _nstr_oracle(s, bits)
+    assert s.to_mpf(bits)._mpf_ == value._mpf_
+    assert s.to_decimal(bits) == text
 
 
 class TestSerialization:

@@ -107,16 +107,23 @@ class TestEnumerate:
 
     def test_counter_symmetric_pairs_filtered_before_specs(self, monkeypatch):
         # (12, 1, 2) has 210 staggered pairs that can carry a vertex, of which
-        # 18 are symmetric about n/2
-        built = []
+        # 18 are symmetric about n/2; only those are solved, and a SearchSpec
+        # is built only for the pairs that have a vertex
+        built, solved = [], []
 
         def spec(*args):
             built.append(SearchSpec(*args))
             return built[-1]
 
+        def vertex(*args, lex_min_vertex=search._lex_min_vertex):
+            solved.append(args)
+            return lex_min_vertex(*args)
+
         monkeypatch.setattr(search, "SearchSpec", spec)
+        monkeypatch.setattr(search, "_lex_min_vertex", vertex)
         results = enumerate_and_search(12, 1, max_support_size=2, require_counter_symmetric=True)
-        assert len(built) == 18
+        assert len(solved) == 18
+        assert 0 < len(built) == len(results) < 18
         digest = hashlib.sha256(
             json.dumps([r.to_dict() for r in results], sort_keys=True).encode()
         ).hexdigest()
