@@ -418,7 +418,7 @@ class RadicalSum:
         return mpmath.mp.make_mpf(mpf_pos(acc, precision_bits, rnd))
 
     def to_decimal(self, precision_bits: int = 200) -> str:
-        """Byte for byte ``mpmath.nstr(to_mpf(bits), int(bits / 3.32) + 2)``, as before."""
+        """``mpmath.nstr(self.to_mpf(bits), int(bits / 3.32) + 2)``, byte for byte."""
         return to_str(self.to_mpf(precision_bits)._mpf_, int(precision_bits / 3.32) + 2)
 
     def __repr__(self) -> str:

@@ -188,7 +188,7 @@ def enumerate_and_search(
             break
         vertex = _lex_min_vertex(s0, s1, t)
         if vertex is None:
-            continue  # about 97 % of pairs: no SearchSpec is built for them
+            continue  # most pairs: they get no SearchSpec, whose checks they pass by construction
         result = solve_staggered(SearchSpec(n, t, s0, s1), vertex)
         if not check_kl_correct(result.code, eset).passed:
             raise StaggeringFailure(f"staggered solution fails direct verification: {result.spec}")
