@@ -95,15 +95,19 @@ def _lex_min_vertex(s0: tuple[int, ...], s1: tuple[int, ...], t: int) -> list | 
     return best
 
 
-def solve_staggered(spec: SearchSpec, vertex: list | None = None) -> SearchResult:
+def solve_staggered(spec: SearchSpec) -> SearchResult:
     """Exact solution of the moment system over the given staggered supports.
 
     Unknowns are the squared coefficients on support0 then support1; the
     equations are the two normalizations and the matched power moments of
-    order 0..2t.  ``vertex`` is the pair's `_lex_min_vertex`, if known.
+    order 0..2t.
     """
+    return _staggered_result(spec, _lex_min_vertex(spec.support0, spec.support1, spec.t))
+
+
+def _staggered_result(spec: SearchSpec, vertex: list | None) -> SearchResult:
+    """The `solve_staggered` result for spec, given its `_lex_min_vertex`."""
     s0, s1 = spec.support0, spec.support1
-    vertex = vertex or _lex_min_vertex(s0, s1, spec.t)
     if vertex is None:
         return SearchResult(spec, False, {}, {}, None)
     x = {j: Fraction(v) for j, v in zip(s0, vertex)}
@@ -113,10 +117,7 @@ def solve_staggered(spec: SearchSpec, vertex: list | None = None) -> SearchResul
     code = CodeBasis(
         CodeKind.AE,
         spec.n,
-        (
-            vector_from_entries(spec.n, entries0),
-            vector_from_entries(spec.n, entries1),
-        ),
+        (vector_from_entries(spec.n, entries0), vector_from_entries(spec.n, entries1)),
         label=f"staggered(n={spec.n},t={spec.t},s0={list(s0)},s1={list(s1)})",
     )
     return SearchResult(spec, True, x, y, code)
@@ -189,7 +190,7 @@ def enumerate_and_search(
         vertex = _lex_min_vertex(s0, s1, t)
         if vertex is None:
             continue  # most pairs: they get no SearchSpec, whose checks they pass by construction
-        result = solve_staggered(SearchSpec(n, t, s0, s1), vertex)
+        result = _staggered_result(SearchSpec(n, t, s0, s1), vertex)
         if not check_kl_correct(result.code, eset).passed:
             raise StaggeringFailure(f"staggered solution fails direct verification: {result.spec}")
         results.append(result)

@@ -107,8 +107,8 @@ class TestEnumerate:
 
     def test_counter_symmetric_pairs_filtered_before_specs(self, monkeypatch):
         # (12, 1, 2) has 210 staggered pairs that can carry a vertex, of which
-        # 18 are symmetric about n/2; only those are solved, and a SearchSpec
-        # is built only for the pairs that have a vertex
+        # 18 are symmetric about n/2; only those are tested for a vertex, and
+        # a SearchSpec is built only for the pairs that have one
         built, solved = [], []
 
         def spec(*args):
