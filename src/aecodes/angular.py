@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
 import mpmath
@@ -57,7 +56,6 @@ class HalfInt:
         return HalfInt(int(value * 2))
 
 
-@lru_cache(maxsize=1 << 18)
 def clebsch_gordan_t(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> SqrtRational:
     """Exact C^{J,M}_{j1,m1;j2,m2} from doubled labels; zero when selection rules fail."""
     if tm1 + tm2 != tM:

@@ -19,7 +19,6 @@ import enum
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .combinatorics import binom
 from .exactnum import (
@@ -77,15 +76,6 @@ class CodeBasis:
         """Exact inner product of basis vectors i and k (real coefficients)."""
         vi, vk = self.basis[i], self.basis[k]
         return RadicalSum.total(vi[j] * vk[j] for j in self.support(i))
-
-    def is_orthonormal(self) -> bool:
-        for i in range(self.dim):
-            if self.inner(i, i) != RadicalSum.from_rational(1):
-                return False
-        for i, k in combinations(range(self.dim), 2):
-            if not self.inner(i, k).is_zero():
-                return False
-        return True
 
     def with_kind(self, kind: CodeKind, label: str | None = None) -> "CodeBasis":
         return CodeBasis(kind, self.two_J, self.basis, self.label if label is None else label)

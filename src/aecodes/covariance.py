@@ -110,10 +110,8 @@ def binary_icosahedral_group(precision_bits: int = 200) -> GroupSpec:
     return group
 
 
-def group_closure(
-    generators, precision_bits: int = 200, max_order: int = 4096
-) -> list[mpmath.matrix]:
-    """Multiplicative closure of the generators; raises if it exceeds max_order."""
+def group_closure(generators, precision_bits: int = 200) -> list[mpmath.matrix]:
+    """Multiplicative closure of the generators; raises past 4096 elements."""
 
     def key(u):
         return tuple(
@@ -134,10 +132,8 @@ def group_closure(
                     if k not in elements:
                         elements[k] = w
                         fresh.append(w)
-                        if len(elements) > max_order:
-                            raise ValueError(
-                                f"group closure exceeded {max_order} elements"
-                            )
+                        if len(elements) > 4096:
+                            raise ValueError("group closure exceeded 4096 elements")
             frontier = fresh
         return list(elements.values())
 

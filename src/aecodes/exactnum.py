@@ -453,7 +453,8 @@ def sqrt_rational_from_json(d: dict) -> SqrtRational:
     return SqrtRational.of_sign_radicand(int_field(d, "sign"), radicand)
 
 
-def radical_sum_to_json(v: RadicalSum, precision_bits: int = 200) -> dict:
+def radical_sum_to_json(v: RadicalSum) -> dict:
+    """Exact terms plus a decimal at the fixed report precision of 200 bits."""
     return {
         "terms": [
             {
@@ -463,5 +464,5 @@ def radical_sum_to_json(v: RadicalSum, precision_bits: int = 200) -> dict:
             }
             for k, c in v.terms()
         ],
-        "decimal": v.to_decimal(precision_bits),
+        "decimal": v.to_decimal(200),
     }

@@ -4,18 +4,21 @@ Everything here is decided with exact arithmetic: an inner product is a
 finite sum of signed square roots of rationals, and a condition holds when
 the canonical form of the sum is literally zero.
 
-Every check reduces to one kernel, ``_element``, which sums
-u[x+shift] * weight(x) * v[x] over two coefficient vectors.  The checks
-differ only in the weight:
+Every check is an inner product of two sparse vectors, {index: coefficient}
+over the nonzero entries, taken by one kernel, ``_dot``.  Each check builds
+its vectors once and then dots them pair by pair:
 
-* correction, <c_i| E_a^dagger E_b |c_j>: the product of the two operators'
-  Clebsch-Gordan amplitudes at x+shift and x;
-* detection, <c_i| E |c_j>: the operator's amplitude at x;
-* (C3)/(C4): the binomial ratio binom(n-2t, x-b) / sqrt(binom(n, x-b+a)
-  binom(n, x)).
+* the basis vectors c_i themselves;
+* operator images E|c_i> = {j + delta_m: amp[j] c_i[j]}.  Correction is
+  <E_a c_i, E_b c_j> for operators of one delta_J sector, where the key
+  j + delta_m differs from the target index by the sector's common delta_J;
+  detection is <c_i, E c_j>;
+* condition images Z_a(v)[j] = v[j+a] sqrt(C(n-2t, j) / C(n, j+a)) for
+  0 <= j <= n-2t, so that (C3) is <Z_a v_i, Z_b v_k> and (C4) the difference
+  of <Z_a v_i, Z_b v_i> and <Z_a v_k, Z_b v_k>.
 
-Operator pairs whose sector shifts differ act into different total-momentum
-sectors and are skipped as identically zero.
+Operators from different delta_J sectors act into orthogonal total-momentum
+sectors and are never paired.
 
 Verification over (operator pair x basis pair) tuples is embarrassingly
 parallel in principle; the implementation is sequential and deterministic,
@@ -25,10 +28,11 @@ which also fixes the report ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import comb
 
 from .codes import CodeBasis
-from .combinatorics import binom
 from .errors import ErrorOp, ErrorSet, build_ae_error_set
 from .exactnum import RadicalSum, SqrtRational, radical_sum_to_json
 
@@ -120,88 +124,75 @@ def _check_dims(code: CodeBasis, eset: ErrorSet) -> None:
             )
 
 
-def _element(u, v, support, shift: int, weight) -> RadicalSum:
-    """sum_x u[x+shift] * weight(x) * v[x] over x in ``support``.
-
-    An index outside ``u``, a zero ``u[x+shift]`` or a ``None`` weight
-    contributes nothing; the weight is asked for only when both
-    coefficients are nonzero.
-    """
-    terms = []
-    for x in support:
-        y = x + shift
-        if not 0 <= y < len(u) or not u[y].num:
-            continue
-        w = weight(x)
-        if w is not None:
-            terms.append(u[y] * w * v[x])
-    return RadicalSum.total(terms)
+def _vectors(code: CodeBasis) -> list[dict[int, SqrtRational]]:
+    """Each basis vector as {j: c} over its nonzero coefficients, in ascending j."""
+    return [{j: c for j, c in enumerate(vec) if c.num} for vec in code.basis]
 
 
-def _check_block(
-    code: CodeBasis,
-    supports: list[tuple[int, ...]],
-    shift: int,
-    weight,
-    labels: tuple[str, str],
-    violations: list[KLViolation],
-) -> RadicalSum:
-    """One operator (pair): off-diagonal elements vanish, diagonal ones agree.
+def _image(op: ErrorOp, vector: dict[int, SqrtRational]) -> dict[int, SqrtRational]:
+    """E|v> as {j + delta_m: amp[j] v[j]}, keyed the same way for all of a delta_J sector."""
+    entries, dm = op.entries, op.delta_m
+    return {j + dm: entries[j] * c for j, c in vector.items() if j in entries}
+
+
+def _condition_image(
+    vector: dict[int, SqrtRational], n: int, t: int, a: int
+) -> dict[int, SqrtRational]:
+    """Z_a(v)[j] = v[j+a] sqrt(C(n-2t, j) / C(n, j+a)) for 0 <= j <= n-2t."""
+    return {
+        x - a: c * SqrtRational.sqrt(Fraction(comb(n - 2 * t, x - a), comb(n, x)))
+        for x, c in vector.items()
+        if 0 <= x - a <= n - 2 * t
+    }
+
+
+def _dot(p: dict[int, SqrtRational], q: dict[int, SqrtRational]) -> RadicalSum:
+    """sum_y p[y] q[y] over two sparse vectors, in ascending y."""
+    return RadicalSum.total([c * q[y] for y, c in p.items() if y in q])
+
+
+def _check_block(left, right, labels: tuple[str, str], violations: list[KLViolation]) -> RadicalSum:
+    """One operator (pair): off-diagonal dots vanish, diagonal ones agree.
 
     Appends a violation per failing element and returns the first diagonal
     element, the Gram entry.
     """
     diag0 = None
-    for i, u in enumerate(code.basis):
-        for j, v in enumerate(code.basis):
-            val = _element(u, v, supports[j], shift, weight)
+    for i, p in enumerate(left):
+        for j, q in enumerate(right):
+            val = _dot(p, q)
             if i != j:
-                residual = val
+                if not val.is_zero():
+                    violations.append(KLViolation(i, j, *labels, val))
             elif diag0 is None:
                 diag0 = val
-                continue
-            else:
-                residual = val - diag0
-            if not residual.is_zero():
-                violations.append(KLViolation(i, j, *labels, residual))
+            elif val != diag0:
+                violations.append(KLViolation(i, j, *labels, val - diag0))
     return diag0
-
-
-def _pair_weight(op_a: ErrorOp, op_b: ErrorOp, shift: int):
-    """x -> amplitude of op_a at x+shift times amplitude of op_b at x."""
-    ea, eb = op_a.entries, op_b.entries
-
-    def weight(x):
-        amp_a, amp_b = ea.get(x + shift), eb.get(x)
-        return None if amp_a is None or amp_b is None else amp_a * amp_b
-
-    return weight
 
 
 def check_kl_correct(code: CodeBasis, eset: ErrorSet) -> KLReport:
     """<c_i| E_a^dagger E_b |c_j> = delta_ij g_ab for all operator pairs.
 
-    Pairs with different sector shifts map into orthogonal total-momentum
+    Pairs from different delta_J sectors map into orthogonal total-momentum
     sectors and vanish structurally.
     """
     _check_dims(code, eset)
-    supports = [code.support(i) for i in range(code.dim)]
+    vectors = _vectors(code)
     violations: list[KLViolation] = []
     gram: dict[tuple[str, ...], RadicalSum] = {}
     for _, ops in sorted(eset.by_sector().items()):
-        for op_a, op_b in combinations_with_replacement(ops, 2):
-            shift = op_b.delta_m - op_a.delta_m
-            labels = (op_a.label, op_b.label)
-            gram[labels] = _check_block(
-                code, supports, shift, _pair_weight(op_a, op_b, shift), labels, violations
-            )
+        images = [(op.label, [_image(op, v) for v in vectors]) for op in ops]
+        for (label_a, left), (label_b, right) in combinations_with_replacement(images, 2):
+            labels = (label_a, label_b)
+            gram[labels] = _check_block(left, right, labels, violations)
     return KLReport("correct", not violations, tuple(violations), gram)
 
 
 def check_kl_detect(code: CodeBasis, eset: ErrorSet) -> KLReport:
     """<c_i| E_a |c_j> = delta_ij g_a for every operator in the set."""
     _check_dims(code, eset)
-    supports = [code.support(i) for i in range(code.dim)]
+    vectors = _vectors(code)
     violations: list[KLViolation] = []
     gram: dict[tuple[str, ...], RadicalSum] = {}
     for op in eset.ops:
@@ -209,29 +200,9 @@ def check_kl_detect(code: CodeBasis, eset: ErrorSet) -> KLReport:
             # Image lies in a different momentum sector: matrix element is 0.
             gram[(op.label,)] = RadicalSum.zero()
             continue
-        gram[(op.label,)] = _check_block(
-            code, supports, op.delta_m, op.entries.get, (op.label, ""), violations
-        )
+        images = [_image(op, v) for v in vectors]
+        gram[(op.label,)] = _check_block(vectors, images, (op.label, ""), violations)
     return KLReport("detect", not violations, tuple(violations), gram)
-
-
-def _condition_weight(n: int, t: int, a: int, b: int):
-    """x -> binom(n-2t, x-b) / sqrt(binom(n, x-b+a) binom(n, x)) for 0 <= x-b <= n-2t.
-
-    Paired with the index shift a - b, this gives the (C3)/(C4) sum
-    sum_j binom(n-2t, j) v_i[j+a] v_k[j+b] / sqrt(binom(n,j+a) binom(n,j+b)),
-    where coefficients with index beyond n count as zero, matching the
-    convention that pads the vectors on the right.
-    """
-
-    def weight(x):
-        j = x - b
-        if not 0 <= j <= n - 2 * t:
-            return None
-        top = binom(n, j + a)
-        return SqrtRational.sqrt(top / binom(n, x)).scaled(binom(n - 2 * t, j) / top)
-
-    return weight
 
 
 def check_conditions(code: CodeBasis, t: int, t_prime: int) -> ConditionReport:
@@ -244,32 +215,26 @@ def check_conditions(code: CodeBasis, t: int, t_prime: int) -> ConditionReport:
         raise ValueError("t must be nonnegative")
     if t_prime not in (t, 2 * t):
         raise ValueError(f"t_prime must be t or 2t, got {t_prime}")
-    n, basis = code.two_J, code.basis
-    supports = [code.support(i) for i in range(code.dim)]
     pairs = list(combinations(range(code.dim), 2))
     one = RadicalSum.from_rational(1)
     c2 = all(code.inner(i, i) == one for i in range(code.dim))
     c1 = all(code.inner(i, k).is_zero() for i, k in pairs)
-    # One weight per (a, b), and each vector's (C4) diagonal sum once per (a, b).
-    grid = [
-        (a, b, _condition_weight(n, t, a, b))
-        for a in range(t_prime + 1)
-        for b in range(t_prime + 1)
-    ]
-    diag = [
-        [_element(v, v, s, a - b, w) for v, s in zip(basis, supports)]
-        for a, b, w in grid
+    # (C3) for vectors i, k is Z_a(v_i) . Z_b(v_k); (C4) compares each vector's own dots.
+    images = [
+        [_condition_image(v, code.two_J, t, a) for a in range(t_prime + 1)]
+        for v in _vectors(code)
     ] if pairs else []
+    grid = [(a, b) for a in range(t_prime + 1) for b in range(t_prime + 1)]
+    diag = [[_dot(z[a], z[b]) for a, b in grid] for z in images]
     c3_failures: list[ConditionFailure] = []
     c4_failures: list[ConditionFailure] = []
     for i, k in pairs:
-        for (a, b, w), d in zip(grid, diag):
-            s3 = _element(basis[i], basis[k], supports[k], a - b, w)
+        for (a, b), di, dk in zip(grid, diag[i], diag[k]):
+            s3 = _dot(images[i][a], images[k][b])
             if not s3.is_zero():
                 c3_failures.append(ConditionFailure(a, b, (i, k), s3))
-            s4 = d[i] - d[k]
-            if not s4.is_zero():
-                c4_failures.append(ConditionFailure(a, b, (i, k), s4))
+            if di != dk:
+                c4_failures.append(ConditionFailure(a, b, (i, k), di - dk))
     return ConditionReport(t, t_prime, c1, c2, tuple(c3_failures), tuple(c4_failures))
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from aecodes.acceptance import family_sweep_params
+from aecodes.acceptance import _random_rational_subspace, family_sweep_params
 from aecodes.codes import (
     CodeBasis,
     CodeKind,
@@ -80,7 +80,8 @@ class TestDirectKL:
                 tuple(SqrtRational.from_rational(x) * SqrtRational.sqrt(1 / nw) for x in w),
             ),
         )
-        assert code.is_orthonormal()
+        conditions = check_conditions(code, 0, 0)
+        assert conditions.c1 and conditions.c2
         report = check_kl_detect(code, build_ae_error_set(n, 1))
         assert not report.passed and report.violations
         # confirm one violation numerically
@@ -330,6 +331,10 @@ def oracle_cases():
     cases = [(code, t) for code in base.values() for t in (1, 2)]
     cases.append((perturb(j7, 0, j7.support(0)[0]), 1))
     cases.append((CodeBasis(j7.kind, j7.two_J, (j7.basis[0], j7.basis[0])), 1))
+    # Every index 0..n is nonzero: images are clipped at both ends and every
+    # operator pair overlaps.
+    dense = [_random_rational_subspace(n, seed=1) for n in (7, 11, 13)]
+    cases += [(code, t) for code in dense for t in (1, 2)]
     return cases
 
 
