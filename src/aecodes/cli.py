@@ -25,7 +25,7 @@ and ``--limit`` >= 0, and it solves at most MAX_SEARCH_PAIRS (100,000)
 staggered support pairs: each merged support of size s >= 2t+2, of which
 there are C(n+1-2t(s-1), s), splits into two nonempty supports of at most
 ``--max-size`` indices.  The slowest searches admitted, (n, t, max-size) =
-(21, 1, 3) with 84,000 pairs and (24, 0, 2) with 90,300, take 80-105 s.
+(21, 1, 3) with 84,000 pairs and (24, 0, 2) with 90,300, take 27-37 s.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ MAX_T = 6
 # the largest n admitted for t <= 2 and max-size 2-4, the slowest runs are
 # (21, 1, 3), with 84,000 pairs, 36,596 codes and a 22 MB report, and
 # (24, 0, 2), with 90,300 pairs and codes and a 49 MB report; each takes
-# 80-105 s end to end (2-core machine, Python 3.11).  At t = 2 and max-size 2
+# 27-37 s end to end (2-core machine, Python 3.11).  At t = 2 and max-size 2
 # no pair has the 2t+2 indices a vertex needs, so every n is admitted.
 MAX_SEARCH_PAIRS = 100_000
 

@@ -74,8 +74,7 @@ class CodeBasis:
 
     def inner(self, i: int, k: int) -> RadicalSum:
         """Exact inner product of basis vectors i and k (real coefficients)."""
-        vi, vk = self.basis[i], self.basis[k]
-        return RadicalSum.total(vi[j] * vk[j] for j in self.support(i))
+        return RadicalSum.total(a * b for a, b in zip(self.basis[i], self.basis[k]))
 
     def with_kind(self, kind: CodeKind, label: str | None = None) -> "CodeBasis":
         return CodeBasis(kind, self.two_J, self.basis, self.label if label is None else label)

@@ -7,11 +7,13 @@ kernels square-free positive integers.  Because square roots of distinct
 square-free integers are linearly independent over Q, equality with zero is
 decidable by inspecting the canonical form.
 
-A single signed root, ``SqrtRational``, keeps its coefficient as two plain
-ints (numerator, denominator) rather than a ``Fraction``; its public
-constructor checks that the kernel is square-free, while arithmetic uses a
-trusted private constructor.  ``RadicalSum.total`` accumulates int
-numerators over a common denominator and builds one ``Fraction`` per kernel.
+Both kinds keep their coefficients as plain ints, not ``Fraction``s.  A
+single signed root, ``SqrtRational``, stores (numerator, denominator,
+kernel); its public constructor checks that the kernel is square-free, while
+arithmetic uses a trusted private constructor.  A ``RadicalSum`` stores one
+reduced (numerator, denominator) pair per kernel.  Every sum, the fused
+inner products of ``klverify`` included, goes through one int accumulator,
+``RadicalSum._from_terms``; ``terms()`` hands out ``Fraction``s for writers.
 
 All values here are immutable and all operations are pure, so they can be
 shared freely between threads or tasks.
@@ -248,14 +250,17 @@ class SqrtRational:
 
     @staticmethod
     def sqrt(q: RationalLike) -> "SqrtRational":
-        """The nonnegative square root of a nonnegative rational."""
-        q = Fraction(q)
-        if q.numerator < 0:
+        """The nonnegative square root of p/q: (s/q) sqrt(k) where p*q = s**2 * k."""
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        num, den = q.numerator, q.denominator
+        if num < 0:
             raise ValueError(f"square root of negative rational {q}")
-        if not q.numerator:
+        if not num:
             return SqrtRational.zero()
-        scale, kernel = squarefree_decompose(q)
-        return SqrtRational._make(scale.numerator, scale.denominator, kernel.numerator)
+        s, kernel = _squarefree_int(num * den)
+        g = math.gcd(s, den)
+        return SqrtRational._make(s // g, den // g, kernel)
 
     @staticmethod
     def of_sign_radicand(sign: int, radicand: RationalLike) -> "SqrtRational":
@@ -345,38 +350,50 @@ class SqrtRational:
 class RadicalSum:
     """A finite sum of rational multiples of sqrt(square-free integer).
 
-    The zero test is exact and complete for this class: the represented real
-    number is zero iff every stored coefficient is zero, by the linear
-    independence over Q of square roots of distinct square-free integers.
+    Stored as {kernel: (num, den)} in plain ints, each pair in lowest terms
+    with den > 0 and num != 0, so equality is structural.  The zero test is
+    exact and complete for this class: the represented real number is zero
+    iff no term is stored, by the linear independence over Q of square roots
+    of distinct square-free integers.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: dict[int, Fraction] | None = None):
-        self._terms = {k: c for k, c in (terms or {}).items() if c}
+    def __init__(self, terms: dict[int, RationalLike] | None = None):
+        coeffs = {k: Fraction(c) for k, c in (terms or {}).items()}
+        self._terms = {k: (c.numerator, c.denominator) for k, c in coeffs.items() if c}
+
+    @staticmethod
+    def _from_terms(terms: list[tuple[int, int, int]]) -> "RadicalSum":
+        """Sum of (num / den) sqrt(kernel) triples: per kernel ints over an lcm, reduced once."""
+        if not terms:
+            return _EMPTY
+        acc: dict[int, tuple[int, int]] = {}
+        for num, den, k in terms:
+            n0, d0 = acc.get(k, (0, 1))
+            g = math.gcd(d0, den)
+            acc[k] = (n0 * (den // g) + num * (d0 // g), d0 // g * den)
+        out = object.__new__(RadicalSum)
+        gcds = {k: math.gcd(num, den) for k, (num, den) in acc.items() if num}
+        out._terms = {k: (acc[k][0] // g, acc[k][1] // g) for k, g in gcds.items()}
+        return out
 
     @staticmethod
     def zero() -> "RadicalSum":
-        return RadicalSum()
+        return _EMPTY
 
     @staticmethod
     def from_rational(q: RationalLike) -> "RadicalSum":
-        return RadicalSum({1: Fraction(q)})
+        return RadicalSum({1: q})
 
     @staticmethod
     def total(values: Iterable[SqrtRational]) -> "RadicalSum":
-        """Sum of signed square roots; per kernel an int numerator over an lcm."""
-        acc: dict[int, tuple[int, int]] = {}
-        for v in values:
-            if v.num:
-                num, den = acc.get(v.kernel, (0, 1))
-                g = math.gcd(den, v.den)
-                acc[v.kernel] = (num * (v.den // g) + v.num * (den // g), den // g * v.den)
-        return RadicalSum({k: Fraction(num, den) for k, (num, den) in acc.items()})
+        """Sum of signed square roots."""
+        return RadicalSum._from_terms([(v.num, v.den, v.kernel) for v in values])
 
     def terms(self) -> list[tuple[int, Fraction]]:
         """Canonically ordered (kernel, coefficient) pairs."""
-        return sorted(self._terms.items())
+        return [(k, Fraction(num, den)) for k, (num, den) in sorted(self._terms.items())]
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -384,22 +401,20 @@ class RadicalSum:
     def __add__(self, other: "RadicalSum") -> "RadicalSum":
         if not isinstance(other, RadicalSum):
             return NotImplemented
-        terms = dict(self._terms)
-        for k, c in other._terms.items():
-            terms[k] = terms.get(k, Fraction(0)) + c
-        return RadicalSum(terms)
+        terms = [(n, d, k) for v in (self, other) for k, (n, d) in v._terms.items()]
+        return RadicalSum._from_terms(terms)
 
     def __sub__(self, other: "RadicalSum") -> "RadicalSum":
         return self + (-other)
 
     def __neg__(self) -> "RadicalSum":
-        return RadicalSum({k: -c for k, c in self._terms.items()})
+        return RadicalSum._from_terms([(-n, d, k) for k, (n, d) in self._terms.items()])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RadicalSum) and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(tuple(self.terms()))
+        return hash(tuple(sorted(self._terms.items())))
 
     def to_mpf(self, precision_bits: int = 200) -> mpmath.mpf:
         """Float rendering: mpf(num) / den * sqrt(mpf(k)) summed by magnitude at bits + 20."""
@@ -407,8 +422,8 @@ class RadicalSum:
             raise ValueError("precision_bits must be at least 53")
         # The libmp calls that mpf arithmetic makes under workprec(prec), with no context entered.
         prec, rnd, vals = precision_bits + 20, "n", []  # "n": round to nearest
-        for k, c in self._terms.items():
-            q = mpf_div(from_int(c.numerator, prec, rnd), from_int(c.denominator), prec, rnd)
+        for k, (num, den) in self._terms.items():
+            q = mpf_div(from_int(num, prec, rnd), from_int(den), prec, rnd)
             vals.append(mpf_mul(q, mpf_sqrt(from_int(k, prec, rnd), prec, rnd), prec, rnd))
         # No term is zero; (top bit, mantissa aligned to prec bits) orders by magnitude.
         vals.sort(key=lambda v: (v[2] + v[3], v[1] << (prec - v[3])))
@@ -425,8 +440,11 @@ class RadicalSum:
         if not self._terms:
             return "0"
         return " + ".join(
-            repr(SqrtRational._make(c.numerator, c.denominator, k)) for k, c in self.terms()
+            repr(SqrtRational._make(num, den, k)) for k, (num, den) in sorted(self._terms.items())
         )
+
+
+_EMPTY = RadicalSum()
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ finite sum of signed square roots of rationals, and a condition holds when
 the canonical form of the sum is literally zero.
 
 Every check is an inner product of two sparse vectors, {index: coefficient}
-over the nonzero entries, taken by one kernel, ``_dot``.  Each check builds
-its vectors once and then dots them pair by pair:
+over the nonzero entries, taken by one kernel, ``_dot``.  It forms each
+product as (numerator, denominator, kernel) ints, with no ``SqrtRational`` or
+``Fraction`` per term, and sums them in the accumulator of ``RadicalSum.total``.
+Each check builds its vectors once and then dots them pair by pair:
 
 * the basis vectors c_i themselves;
 * operator images E|c_i> = {j + delta_m: amp[j] c_i[j]}.  Correction is
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import comb
+from math import comb, gcd
 
 from .codes import CodeBasis
 from .errors import ErrorOp, ErrorSet, build_ae_error_set
@@ -147,8 +149,14 @@ def _condition_image(
 
 
 def _dot(p: dict[int, SqrtRational], q: dict[int, SqrtRational]) -> RadicalSum:
-    """sum_y p[y] q[y] over two sparse vectors, in ascending y."""
-    return RadicalSum.total([c * q[y] for y, c in p.items() if y in q])
+    """sum_y p[y] q[y] over two sparse vectors; products formed as in ``SqrtRational.__mul__``."""
+    terms = []
+    for y, a in p.items():
+        b = q.get(y)
+        if b is not None:
+            g = gcd(a.kernel, b.kernel)
+            terms.append((a.num * b.num * g, a.den * b.den, a.kernel // g * (b.kernel // g)))
+    return RadicalSum._from_terms(terms)
 
 
 def _check_block(left, right, labels: tuple[str, str], violations: list[KLViolation]) -> RadicalSum:
@@ -215,14 +223,15 @@ def check_conditions(code: CodeBasis, t: int, t_prime: int) -> ConditionReport:
         raise ValueError("t must be nonnegative")
     if t_prime not in (t, 2 * t):
         raise ValueError(f"t_prime must be t or 2t, got {t_prime}")
+    vectors = _vectors(code)
     pairs = list(combinations(range(code.dim), 2))
     one = RadicalSum.from_rational(1)
-    c2 = all(code.inner(i, i) == one for i in range(code.dim))
-    c1 = all(code.inner(i, k).is_zero() for i, k in pairs)
+    c2 = all(_dot(v, v) == one for v in vectors)
+    c1 = all(_dot(vectors[i], vectors[k]).is_zero() for i, k in pairs)
     # (C3) for vectors i, k is Z_a(v_i) . Z_b(v_k); (C4) compares each vector's own dots.
     images = [
         [_condition_image(v, code.two_J, t, a) for a in range(t_prime + 1)]
-        for v in _vectors(code)
+        for v in vectors
     ] if pairs else []
     grid = [(a, b) for a in range(t_prime + 1) for b in range(t_prime + 1)]
     diag = [[_dot(z[a], z[b]) for a, b in grid] for z in images]

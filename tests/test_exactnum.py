@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -229,6 +230,82 @@ class TestAgainstFractionReference:
         assert all(isinstance(c, Fraction) for _, c in total.terms())
 
 
+class TestSqrtAgainstDecompose:
+    """``SqrtRational.sqrt`` on ints against the ``squarefree_decompose`` form."""
+
+    @given(
+        q=st.one_of(
+            st.integers(min_value=0, max_value=10**9),
+            st.fractions(min_value=0, max_value=10**4, max_denominator=10**4),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_decompose(self, q):
+        root = SqrtRational.sqrt(q)
+        if q == 0:
+            assert (root.num, root.den, root.kernel) == (0, 1, 1)
+        else:
+            scale, kernel = squarefree_decompose(Fraction(q))
+            assert (root.num, root.den, root.kernel) == (
+                scale.numerator,
+                scale.denominator,
+                kernel.numerator,
+            )
+        assert canonical_view(root) == (int(q > 0), Fraction(q))
+        assert root == SqrtRational.sqrt(Fraction(q))
+        with pytest.raises(ValueError, match="square root of negative rational"):
+            SqrtRational.sqrt(-q - Fraction(1, 3))
+
+    def test_other_rational_types_go_through_fraction(self):
+        assert SqrtRational.sqrt(0.75) == SqrtRational.sqrt(Fraction(3, 4))
+        assert SqrtRational.sqrt(Decimal("0.125")) == SqrtRational.sqrt(Fraction(1, 8))
+        with pytest.raises(ValueError, match="square root of negative rational"):
+            SqrtRational.sqrt(-0.5)
+
+
+def canonical_sum(s: RadicalSum) -> RadicalSum:
+    """s, after asserting its int storage: lowest terms, den > 0, no zero term."""
+    for k, (num, den) in s._terms.items():
+        assert isinstance(num, int) and isinstance(den, int) and isinstance(k, int)
+        assert num != 0 and den > 0 and math.gcd(num, den) == 1
+    return s
+
+
+_SMALL_KERNELS = st.sampled_from((1, 2, 3, 5, 6, 30, 1155))
+_FRACTION_DICTS = st.dictionaries(
+    _SMALL_KERNELS, st.fractions(min_value=-20, max_value=20, max_denominator=60), max_size=5
+)
+
+
+class TestRadicalSumAgainstFractionDicts:
+    """``+``, ``-``, unary ``-`` and ``==`` on int pairs against Fraction-dict arithmetic."""
+
+    @staticmethod
+    def expected(d: dict[int, Fraction]) -> list[tuple[int, Fraction]]:
+        return sorted((k, c) for k, c in d.items() if c)
+
+    @given(x=_FRACTION_DICTS, y=_FRACTION_DICTS, same=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_arithmetic_and_equality(self, x, y, same):
+        if same:  # y equals x up to explicit zero coefficients
+            y = {k: Fraction(0) for k in y} | x
+        sx, sy = canonical_sum(RadicalSum(x)), canonical_sum(RadicalSum(y))
+        keys = x.keys() | y.keys()
+        plus = {k: x.get(k, 0) + y.get(k, 0) for k in keys}
+        minus = {k: x.get(k, 0) - y.get(k, 0) for k in keys}
+        for got, want in (
+            (sx + sy, plus),
+            (sx - sy, minus),
+            (-sx, {k: -c for k, c in x.items()}),
+        ):
+            assert canonical_sum(got).terms() == self.expected(want)
+            assert got == RadicalSum(want) and hash(got) == hash(RadicalSum(want))
+            assert got.is_zero() == (not self.expected(want))
+        assert (sx == sy) == (self.expected(x) == self.expected(y))
+        assert (sx != sy) == (self.expected(x) != self.expected(y))
+        assert (sx - sx).is_zero() and sx - sx == RadicalSum.zero()
+
+
 class TestRadicalSum:
     def test_cancellation(self):
         s = RadicalSum.total([SqrtRational.sqrt(2)]) + RadicalSum.total([-SqrtRational.sqrt(2)])
@@ -293,7 +370,7 @@ def _nstr_oracle(s: RadicalSum, bits: int) -> tuple[mpmath.mpf, str]:
     with mpmath.workprec(bits + 20):
         vals = [
             mpmath.mpf(c.numerator) / c.denominator * mpmath.sqrt(mpmath.mpf(k))
-            for k, c in s._terms.items()
+            for k, c in s.terms()
         ]
         vals.sort(key=abs)
         acc = mpmath.mpf(0)

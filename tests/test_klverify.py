@@ -15,6 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aecodes.acceptance import _random_rational_subspace, family_sweep_params
 from aecodes.codes import (
@@ -28,6 +30,9 @@ from aecodes.codes import (
 from aecodes.errors import apply, build_ae_error_set
 from aecodes.exactnum import RadicalSum, SqrtRational
 from aecodes.klverify import (
+    _condition_image,
+    _dot,
+    _vectors,
     check_conditions,
     check_kl_correct,
     check_kl_detect,
@@ -137,11 +142,22 @@ class TestConditions:
         with pytest.raises(ValueError):
             check_conditions(fixtures()["J7half"], 1, 3)
 
-    def test_index_overflow_convention(self):
-        # a support point at the very top exercises the j + a > n cutoff
-        code = construct_ae_gmde(GmdeParams(3, 1, 4, 1))  # support includes j = 11
-        report = check_conditions(code, 1, 2)
-        assert report.all_pass
+    def test_condition_image_keys_within_0_to_n_minus_2t(self):
+        # With j <= n - 2t and a <= t' <= 2t no source index j + a passes n,
+        # so the images need no cutoff at the top.
+        codes = list(fixtures().values()) + [
+            construct_ae_gmde(GmdeParams(g, m, delta, eps))
+            for g, m, delta, eps, t in family_sweep_params()[::50]
+            if t in (1, 2)
+        ]
+        assert len(codes) > 70
+        for code in codes:
+            n = code.two_J
+            for v, t in itertools.product(_vectors(code), (1, 2)):
+                for a in range(2 * t + 1):  # every a of t' = t and of t' = 2t
+                    image = _condition_image(v, n, t, a)
+                    assert all(0 <= j <= n - 2 * t for j in image)
+                    assert all(j + a <= n and j + a in v for j in image)
 
     def test_verdicts_invariant_under_global_sign_flip(self):
         base = fixtures()["J7half"]
@@ -371,6 +387,41 @@ class TestMatrixElementOracle:
                         c4 += [] if s4.is_zero() else [(a, b, (i, k), s4)]
             assert [(f.a, f.b, f.pair, f.residual) for f in report.c3_failures] == c3
             assert [(f.a, f.b, f.pair, f.residual) for f in report.c4_failures] == c4
+
+
+# ---------------------------------------------------------------------------
+# The fused dot against sums of SqrtRational products
+# ---------------------------------------------------------------------------
+
+
+def product_total(p, q) -> RadicalSum:
+    """The product-and-total form the fused ``_dot`` replaced, kept as its oracle."""
+    return RadicalSum.total([a * q[y] for y, a in p.items() if y in q])
+
+
+# Small kernels make products of shared and of coprime kernels collide often.
+_DOT_KERNELS = st.one_of(
+    st.sampled_from((1, 2, 3, 5, 6, 7, 10, 15, 30, 105)),
+    st.sampled_from((11 * 13, 2 * 3 * 5 * 7 * 11, 10**9 + 7)),
+)
+_DOT_ENTRIES = st.builds(
+    SqrtRational,
+    st.fractions(min_value=-30, max_value=30, max_denominator=40),
+    _DOT_KERNELS,
+)
+_SPARSE = st.dictionaries(st.integers(0, 12), _DOT_ENTRIES, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=_SPARSE, q=_SPARSE)
+def test_dot_matches_product_total(p, q):
+    assert _dot(p, q) == product_total(p, q)
+    disjoint = {y + 100: c for y, c in q.items()}
+    assert _dot(p, disjoint) == RadicalSum.zero() == product_total(p, disjoint)
+    # p's entries again at y + 100 against -q there: the two halves cancel exactly.
+    p2 = p | {y + 100: c for y, c in p.items()}
+    q2 = q | {y + 100: -c for y, c in q.items()}
+    assert _dot(p2, q2).is_zero() and product_total(p2, q2).is_zero()
 
 
 # ---------------------------------------------------------------------------
