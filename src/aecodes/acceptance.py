@@ -34,7 +34,7 @@ from .covariance import (
 )
 from .errors import build_ae_error_set
 from .exactnum import SqrtRational
-from .klverify import check_conditions, check_kl_correct, check_kl_detect
+from .klverify import check_conditions, check_kl_correct, check_kl_detect, cross_validate
 from .search import SearchSpec, enumerate_and_search, solve_staggered
 
 SWEEP_N_MAX = 60
@@ -210,22 +210,17 @@ def criterion_6() -> dict:
             counterexamples.append(("correct", e["params"]))
         if e["cond_t"] and e["detect"] is False:
             counterexamples.append(("detect", e["params"]))
-    searched = 0
-    for res in _search_codes():
-        searched += 1
-        code, t = res.code, res.spec.t
-        eset = build_ae_error_set(code.two_J, t)
-        if check_conditions(code, t, 2 * t).all_pass and not check_kl_correct(code, eset).passed:
-            counterexamples.append(("correct", code.label))
-        if check_conditions(code, t, t).all_pass and not check_kl_detect(code, eset).passed:
-            counterexamples.append(("detect", code.label))
+    searched = _search_codes()
+    counterexamples += [
+        ("cross", r.code.label) for r in searched if not cross_validate(r.code, r.spec.t)
+    ]
     return {
         "id": 6,
         "name": "cross-validation",
         "pass": not counterexamples,
         "details": {
             "sweep_instances": len(entries),
-            "search_codes": searched,
+            "search_codes": len(searched),
             "counterexamples": counterexamples[:10],
         },
     }

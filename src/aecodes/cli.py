@@ -25,7 +25,11 @@ and ``--limit`` >= 0, and it solves at most MAX_SEARCH_PAIRS (100,000)
 staggered support pairs: each merged support of size s >= 2t+2, of which
 there are C(n+1-2t(s-1), s), splits into two nonempty supports of at most
 ``--max-size`` indices.  The slowest searches admitted, (n, t, max-size) =
-(21, 1, 3) with 84,000 pairs and (24, 0, 2) with 90,300, take 27-37 s.
+(21, 1, 3) with 84,000 pairs and (24, 0, 2) with 90,300, take 12-16 s, or
+29-43 s and 51-73 s when ``--out`` writes a file per code.
+``covariance --full-group`` checks every element of the closure, of order
+8b for ``bd``, 48 for ``2o`` and 120 for ``2i``; it exits 2 before any work
+when order x (2J+1)^2 x (bits + 2J + 32) exceeds MAX_FULL_GROUP_WORK (7 x 10^8).
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from .covariance import (
     binary_icosahedral_group,
     binary_octahedral_group,
     check_covariance,
+    fixed_point_bits,
 )
 from .errors import build_ae_error_set, build_spin_error_set, write_operators_json
 from .exactnum import sqrt_rational_to_json
@@ -73,10 +78,18 @@ MAX_T = 6
 # `search` solves every staggered support pair that can carry a vertex.  At
 # the largest n admitted for t <= 2 and max-size 2-4, the slowest runs are
 # (21, 1, 3), with 84,000 pairs, 36,596 codes and a 22 MB report, and
-# (24, 0, 2), with 90,300 pairs and codes and a 49 MB report; each takes
-# 27-37 s end to end (2-core machine, Python 3.11).  At t = 2 and max-size 2
-# no pair has the 2t+2 indices a vertex needs, so every n is admitted.
+# (24, 0, 2), with 90,300 pairs and codes and a 49 MB report; they take 12-16 s
+# end to end, and 29-43 s and 51-73 s with --out (2-core machine, Python 3.11).
+# At t = 2 and max-size 2 no pair has the 2t+2 indices a vertex needs, so
+# every n is admitted.
 MAX_SEARCH_PAIRS = 100_000
+
+# `covariance --full-group` checks each of the closure's 8b (BD), 48 (2O) or
+# 120 (2I) elements with O((2J+1)^2) products of S-bit ints, S = bits + 2J + 32,
+# so it is bounded on order * (2J+1)^2 * S.  The slowest runs admitted, 2I on
+# 2J = 36 at 4096 bits and on 2J = 126 at 200 bits, take 35 s and 12 s end to
+# end (2-core machine, Python 3.11).
+MAX_FULL_GROUP_WORK = 7 * 10**8
 
 
 def _bounded(name: str, value: int, low: int, high: int) -> int:
@@ -151,14 +164,7 @@ def cmd_construct(args) -> int:
             "manifest": make_manifest(
                 "construct",
                 [args.out],
-                {
-                    "g": args.g,
-                    "m": args.m,
-                    "delta": args.delta,
-                    "epsilon": args.epsilon,
-                    "kind": args.kind,
-                    "out": str(args.out),
-                },
+                {k: getattr(args, k) for k in ("g", "m", "delta", "epsilon", "kind", "out")},
                 verdict,
             ),
         }
@@ -169,12 +175,7 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     _bounded("--t", args.t, 0, MAX_T)
     code = _load_code(args.code_file)
-    params = {
-        "file": str(args.code_file),
-        "t": args.t,
-        "mode": args.mode,
-        "t_prime": args.t_prime,
-    }
+    params = {"file": str(args.code_file)} | {k: getattr(args, k) for k in ("t", "mode", "t_prime")}
     if args.mode in ("correct", "detect"):
         eset = build_ae_error_set(code.two_J, args.t)
         checker = check_kl_correct if args.mode == "correct" else check_kl_detect
@@ -282,7 +283,9 @@ def cmd_search(args) -> int:
     written: list[str] = []
     for i, res in enumerate(results):
         entry = res.to_dict()
-        entry["verdicts"] = {"kl_correct": True, "cross_validate": cross_validate(res.code, args.t)}
+        # The guard in enumerate_and_search has passed check_kl_correct at (n, t),
+        # which implies both halves of cross_validate (see its docstring).
+        entry["verdicts"] = {"kl_correct": True, "cross_validate": True}
         if out_dir is not None:
             path = out_dir / f"code_{i:03d}.json"
             res.code.save(path)
@@ -297,26 +300,28 @@ def cmd_search(args) -> int:
         "manifest": make_manifest(
             "search",
             written,
-            {
-                "n": args.n,
-                "t": args.t,
-                "max_size": args.max_size,
-                "limit": args.limit,
-                "counter_symmetric": args.counter_symmetric,
-            },
+            {k: getattr(args, k) for k in ("n", "t", "max_size", "limit", "counter_symmetric")},
             {"found": len(results)},
         ),
     }
+    text = to_json(report) + "\n"
     if out_dir is not None:
-        with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-            _emit(report, fh)
-    _emit(report)
+        (out_dir / "summary.json").write_text(text, encoding="utf-8")
+    sys.stdout.write(text)
     return EXIT_PASS
 
 
 def cmd_covariance(args) -> int:
     bits = precision_bits(args.bits)
     code = _load_code(args.code_file)
+    if args.full_group:
+        order = {"bd": 8 * args.b, "2o": 48, "2i": 120}[args.group]
+        work = order * (code.two_J + 1) ** 2 * fixed_point_bits(code.two_J, bits)
+        if work > MAX_FULL_GROUP_WORK:
+            raise ValueError(
+                f"--full-group work order x (2J+1)^2 x (bits + 2J + 32) = {work}"
+                f" exceeds {MAX_FULL_GROUP_WORK}"
+            )
     if args.group == "bd":
         group = binary_dihedral_group(args.b, bits)
     elif args.group == "2o":
@@ -330,14 +335,8 @@ def cmd_covariance(args) -> int:
             "manifest": make_manifest(
                 "covariance",
                 [args.code_file],
-                {
-                    "file": str(args.code_file),
-                    "group": args.group,
-                    "b": args.b,
-                    "tol": args.tol,
-                    "bits": bits,
-                    "full_group": args.full_group,
-                },
+                {"file": str(args.code_file), "bits": bits}
+                | {k: getattr(args, k) for k in ("group", "b", "tol", "full_group")},
                 {"pass": report.passed},
             ),
         }

@@ -21,12 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import binom
-from .exactnum import (
-    RadicalSum,
-    SqrtRational,
-    sqrt_rational_from_json,
-    sqrt_rational_to_json,
-)
+from .exactnum import SqrtRational, sqrt_rational_from_json, sqrt_rational_to_json
 from .jsonfmt import int_field, to_json
 
 
@@ -71,10 +66,6 @@ class CodeBasis:
 
     def support(self, i: int) -> tuple[int, ...]:
         return tuple([j for j, c in enumerate(self.basis[i]) if c.num])
-
-    def inner(self, i: int, k: int) -> RadicalSum:
-        """Exact inner product of basis vectors i and k (real coefficients)."""
-        return RadicalSum.total(a * b for a, b in zip(self.basis[i], self.basis[k]))
 
     def with_kind(self, kind: CodeKind, label: str | None = None) -> "CodeBasis":
         return CodeBasis(kind, self.two_J, self.basis, self.label if label is None else label)

@@ -253,6 +253,16 @@ def cross_validate(code: CodeBasis, t: int) -> bool:
     Conditions at t' = 2t all passing must imply direct correction of every
     order <= t, and conditions at t' = t all passing must imply detection at
     order t.  Vacuously true when the conditions fail.
+
+    A code that passes ``check_kl_correct`` at (n, t) passes both halves, so
+    ``aecodes search`` reports this verdict from its KL guard and only
+    ``verify --mode cross`` and criterion 6 compute it.  The first half's
+    conclusion holds outright.  For the second, a code correcting an error
+    set that contains the identity detects every operator in it (Knill &
+    Laflamme, Phys. Rev. A 55 (1997) 900): E[r=0, dJ=0, dm=0] has amplitude
+    exactly 1 at every j, so the correction pairs (E_0, E_b) of the dJ = 0
+    sector are the detection elements <c_i|E_b|c_j>, and those with
+    dJ != 0 vanish by structure.
     """
     eset = build_ae_error_set(code.two_J, t)
     if check_conditions(code, t, 2 * t).all_pass:

@@ -460,6 +460,34 @@ class TestOtherCommands:
             _assert_one_error_line(capsys)
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize(
+        "group, b, order, bits",
+        [("bd", 4, 32, 200), ("bd", 300, 2400, 200), ("2o", 4, 48, 200), ("2i", 4, 120, 200),
+         ("2i", 4, 120, 4096)],
+    )
+    def test_full_group_work_out_of_range_exits_two(
+        self, tmp_path, capsys, monkeypatch, group, b, order, bits
+    ):
+        # the least spin over the bound exits 2 before any group is built; one less starts work
+        class Started(Exception):
+            pass
+
+        def start(*args, **kwargs):
+            raise Started
+
+        for name in ("binary_dihedral_group", "binary_octahedral_group", "binary_icosahedral_group"):
+            monkeypatch.setattr(cli, name, start)
+        monkeypatch.setattr(cli, "check_covariance", _must_not_run)
+        work = [order * (n + 1) ** 2 * (bits + n + 32) for n in range(cli.MAX_TWO_J + 1)]
+        n = next(n for n, w in enumerate(work) if w > cli.MAX_FULL_GROUP_WORK)
+        argv = ["--group", group, "--b", str(b), "--bits", str(bits)]
+        over = self._code_file(tmp_path, n, "AE")
+        assert main(["covariance", over, *argv, "--full-group"]) == 2
+        _assert_one_error_line(capsys)
+        for path, flags in ((over, []), (self._code_file(tmp_path, n - 1, "AE"), ["--full-group"])):
+            with pytest.raises(Started):
+                main(["covariance", path, *argv, *flags])
+
     def test_loaded_spin_bound_admits_limit(self, tmp_path, capsys):
         ae = self._code_file(tmp_path, cli.MAX_TWO_J, "AE")
         pi = self._code_file(tmp_path, cli.MAX_TWO_J, "PI")

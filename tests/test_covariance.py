@@ -105,8 +105,10 @@ class TestGroups:
         assert len(group_closure(group.generators, 80)) == 120
 
     def test_dihedral_closure(self):
-        group = binary_dihedral_group(4, 120)
-        assert len(group_closure(group.generators, 80)) == 32
+        # order 8b, by which `covariance --full-group` bounds its work before building the closure
+        for b in range(1, 8):
+            group = binary_dihedral_group(b, 120)
+            assert len(group_closure(group.generators, 80)) == 8 * b
 
     def test_generators_are_special_unitary(self):
         for group in (

@@ -28,6 +28,13 @@ class TestCounts:
         assert all(amp == SqrtRational.one() for amp in op.entries.values())
         assert len(op.entries) == 10
 
+    @pytest.mark.parametrize("two_J", [*range(1, 65), 255, 511, 512])
+    def test_rank_zero_operator_is_exactly_the_identity(self, two_J):
+        # the premise of cross_validate's docstring, by which search reports it from its KL guard
+        op = build_ae_error_set(two_J, 0).ops[0]
+        assert (op.r, op.delta_J, op.delta_m) == (0, 0, 0)
+        assert op.entries == {j: SqrtRational.one() for j in range(two_J + 1)}
+
     def test_order_one_count(self):
         assert len(build_ae_error_set(7, 1).ops) == 10
 

@@ -149,8 +149,19 @@ class TestEnumerate:
             enumerate_and_search(2, 1)
 
     def test_every_result_cross_validates(self):
-        for r in enumerate_and_search(9, 1, max_support_size=2):
-            assert cross_validate(r.code, 1)
+        # the oracle for `aecodes search`, which reports this verdict from its KL guard
+        for n, t, size, counter_symmetric, found in [
+            (9, 1, 2, False, 2),
+            (12, 1, 2, True, 6),
+            (15, 1, 3, False, 994),
+            (27, 2, 3, False, 56),
+        ]:
+            results = enumerate_and_search(
+                n, t, max_support_size=size, require_counter_symmetric=counter_symmetric
+            )
+            assert len(results) == found
+            for r in results:
+                assert cross_validate(r.code, t)
 
 
 # ---------------------------------------------------------------------------
