@@ -1,6 +1,6 @@
 """Construction and exact verification of absorption-emission quantum codes."""
 
-from .exactnum import RadicalSum, SqrtRational, squarefree_decompose
+from .exactnum import RadicalSum, SqrtRational
 from .combinatorics import (
     FCoeffArgs,
     binom,
@@ -47,7 +47,6 @@ __version__ = "0.1.0"
 __all__ = [
     "RadicalSum",
     "SqrtRational",
-    "squarefree_decompose",
     "FCoeffArgs",
     "binom",
     "check_corollary_B3",

@@ -5,9 +5,9 @@ that all bookkeeping is integer arithmetic.  The general Clebsch-Gordan
 routine uses Racah's sum (Phys. Rev. 62, 438 (1942)) in its binomial form
 (Varshalovich, Moskalev & Khersonskii, *Quantum Theory of Angular Momentum*,
 1988, ch. 8) with the Condon-Shortley sign convention: the alternating sum
-is a plain int of ``math.comb`` products, and the coefficient is its sign
-times the square root of its square times a ratio of binomials.  That whole
-squared value goes to the square-free split in ``SqrtRational``.
+is a plain int of ``math.comb`` products, and the coefficient is that sum
+times the square root of a ratio of binomials.  Only the ratio, whose primes
+are below j1 + j2 + J + 2, goes to the square-free split; the sum scales it.
 
 It serves the ``cg`` command and is the independent oracle for the error
 operators, which ``errors`` builds from small ints without calling it.
@@ -79,14 +79,14 @@ def clebsch_gordan_t(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -
         (-1) ** z * comb(a, z) * comb(b, p - z) * comb(c, q - z)
         for z in range(max(0, p - b, q - c), min(a, p, q) + 1)
     )
-    radicand = Fraction(
-        total * total * comb(tj1, a) * comb(tj2, a),
+    ratio = Fraction(
+        comb(tj1, a) * comb(tj2, a),
         comb((tj1 + tj2 + tJ) // 2 + 1, a)
         * comb(tj1, p)
         * comb(tj2, (tj2 - tm2) // 2)
         * comb(tJ, (tJ - tM) // 2),
     )
-    return SqrtRational.of_sign_radicand((total > 0) - (total < 0), radicand)
+    return SqrtRational.sqrt(ratio).scaled(total)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +130,7 @@ def cg_transition(n: int, t: int, r: int, a: int, q: int, j: int) -> SqrtRationa
         * binom(2 * r, a + r - t)
         * binom(nbar + q, j + q)
     )
-    return SqrtRational.of_sign_radicand((total > 0) - (total < 0), pref * total * total)
+    return SqrtRational.sqrt(pref).scaled(total)
 
 
 def cg_transition_general(n: int, t: int, r: int, a: int, q: int, j: int) -> SqrtRational:

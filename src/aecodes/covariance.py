@@ -110,8 +110,12 @@ def binary_icosahedral_group(precision_bits: int = 200) -> GroupSpec:
     return group
 
 
+# The most elements a closure may reach: BD with b = 512 has 8b of them.
+MAX_CLOSURE_ORDER = 4096
+
+
 def group_closure(generators, precision_bits: int = 200) -> list[mpmath.matrix]:
-    """Multiplicative closure of the generators; raises past 4096 elements."""
+    """Multiplicative closure of the generators; raises past MAX_CLOSURE_ORDER elements."""
 
     def key(u):
         return tuple(
@@ -132,8 +136,8 @@ def group_closure(generators, precision_bits: int = 200) -> list[mpmath.matrix]:
                     if k not in elements:
                         elements[k] = w
                         fresh.append(w)
-                        if len(elements) > 4096:
-                            raise ValueError("group closure exceeded 4096 elements")
+                        if len(elements) > MAX_CLOSURE_ORDER:
+                            raise ValueError(f"group closure exceeded {MAX_CLOSURE_ORDER} elements")
             frontier = fresh
         return list(elements.values())
 

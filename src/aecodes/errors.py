@@ -9,11 +9,11 @@ j = m + J to its amplitude.
 Amplitudes are built per operator from small ints: with the operator
 fixed, Racah's sum depends on j only through binomials that change by
 small-int ratios from one j to the next (the j-structure of Johansson &
-Forssén's exact 3j symbols, SIAM J. Sci. Comput. 38 (2016) A376), and the
-square-free kernel is folded from the cached splits of ints below
-2J + 2r + 2, so no radicand is factorized.  ``angular.clebsch_gordan_t``
-serves the ``cg`` command and is the tests' independent oracle.  Only
-delta_m >= 0 is walked: C^{J'M'}_{Jm;rq} = (-1)^{J+r-J'} C^{J',-M'}_{J,-m;r,-q}
+Forssén's exact 3j symbols, SIAM J. Sci. Comput. 38 (2016) A376), and
+``exactnum.squarefree_fold`` folds the square-free kernel from the cached
+splits of ints below 2J + 2r + 2, so no radicand is factorized.
+``angular.clebsch_gordan_t`` serves the ``cg`` command and is the tests'
+independent oracle.  Only delta_m >= 0 is walked: C^{J'M'}_{Jm;rq} = (-1)^{J+r-J'} C^{J',-M'}_{J,-m;r,-q}
 (Varshalovich, Moskalev & Khersonskii 1988, ch. 8) gives the mirror
 E^{r,dJ,-dm}[n - j] = (-1)^{r-dJ} E^{r,dJ,dm}[j], which yields each delta_m < 0
 operator from its delta_m > 0 twin, and the upper half of each delta_m = 0 one
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd, prod
 
-from .exactnum import SqrtRational, _squarefree_int
+from .exactnum import SqrtRational, squarefree_fold
 
 
 @dataclass(frozen=True)
@@ -77,15 +77,6 @@ class ErrorSet:
         return sectors
 
 
-def _squarefree_fold(factors, s: int = 1, k: int = 1) -> tuple[int, int]:
-    """(s', k') with s'^2 k' = s^2 k prod(factors), k and k' square-free."""
-    for x in factors:
-        sx, kx = _squarefree_int(x)
-        g = gcd(k, kx)
-        s, k = s * sx * g, (k // g) * (kx // g)
-    return s, k
-
-
 def _build_op(n: int, r: int, delta_J: int, delta_m: int) -> ErrorOp:
     """Amplitudes C^{n2/2, m + delta_m}_{n/2, m; r, delta_m}, n2 = n + 2 delta_J.
 
@@ -99,7 +90,7 @@ def _build_op(n: int, r: int, delta_J: int, delta_m: int) -> ErrorOp:
     w = [(-1) ** z * comb(a, z) * comb(c, q - z) for z in range(min(a, q) + 1)]
     ups = (*range(n2 + 1, n + 1), comb(2 * r, a), *range(n - a + 1, n + 1))
     downs = (*range(n + 1, n2 + 1), comb(2 * r, r - delta_m), *range(n + c - a + 2, n + c + 2))
-    s0, k0 = _squarefree_fold(ups + downs)
+    s0, k0 = squarefree_fold(ups + downs)
     den0 = prod(downs)
     entries: dict[int, SqrtRational] = {}
     window = [0] * a + [1]  # C(b, p - z) for z = 0..a, at p = n
@@ -114,7 +105,7 @@ def _build_op(n: int, r: int, delta_J: int, delta_m: int) -> ErrorOp:
             continue
         ups = (*range(p + 1, p2 + 1), *range(j + 1, n2 - p2 + 1))
         downs = (*range(p2 + 1, p + 1), *range(n2 - p2 + 1, j + 1))
-        s, k = _squarefree_fold(ups + downs, s0, k0)
+        s, k = squarefree_fold(ups + downs, s0, k0)
         num, den = total * s, cnp * den0 * prod(downs)
         h = gcd(num, den)
         entries[j] = SqrtRational._make(num // h, den // h, k)

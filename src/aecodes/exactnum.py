@@ -7,13 +7,15 @@ kernels square-free positive integers.  Because square roots of distinct
 square-free integers are linearly independent over Q, equality with zero is
 decidable by inspecting the canonical form.
 
-Both kinds keep their coefficients as plain ints, not ``Fraction``s.  A
-single signed root, ``SqrtRational``, stores (numerator, denominator,
-kernel); its public constructor checks that the kernel is square-free, while
-arithmetic uses a trusted private constructor.  A ``RadicalSum`` stores one
-reduced (numerator, denominator) pair per kernel.  Every sum, the fused
-inner products of ``klverify`` included, goes through one int accumulator,
-``RadicalSum._from_terms``; ``terms()`` hands out ``Fraction``s for writers.
+Both kinds keep their coefficients as plain ints, and only this module
+splits a radicand or combines kernels: no constructor takes a kernel.  A
+``SqrtRational`` stores (numerator, denominator, kernel) and comes from
+``zero``, ``one``, ``from_rational``, ``sqrt`` or arithmetic, through the
+trusted ``_make``.  A ``RadicalSum`` stores one reduced (numerator,
+denominator) pair per kernel; ``RadicalSum()`` is the empty sum.  Every sum,
+the sparse inner product ``dot`` behind all of ``klverify`` included, goes
+through one int accumulator, ``RadicalSum._from_terms``; ``terms()`` hands
+out ``Fraction``s for writers.  ``squarefree_fold`` gives ``errors`` its kernels.
 
 All values here are immutable and all operations are pure, so they can be
 shared freely between threads or tasks.
@@ -24,6 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Iterable, Union
 
 import mpmath
@@ -186,18 +189,6 @@ def _squarefree_int(n: int) -> tuple[int, int]:
     return s, k
 
 
-def squarefree_decompose(r: Fraction) -> tuple[Fraction, Fraction]:
-    """Write positive r as scale**2 * kernel with a square-free kernel.
-
-    The kernel is always an integer: p/q = (s/q)**2 * k where p*q = s**2 * k.
-    """
-    r = Fraction(r)
-    if r.numerator <= 0:
-        raise ValueError("squarefree_decompose expects a positive rational")
-    s, k = _squarefree_int(r.numerator * r.denominator)
-    return Fraction(s, r.denominator), Fraction(k)
-
-
 # ---------------------------------------------------------------------------
 # Signed square roots of rationals
 # ---------------------------------------------------------------------------
@@ -209,22 +200,12 @@ class SqrtRational:
     Canonical storage is ``(num / den) * sqrt(kernel)`` in plain ints:
     ``num / den`` in lowest terms with ``den > 0``, and ``kernel`` a
     square-free positive integer (1 when ``num == 0``).  This makes products
-    cheap (two gcds) and equality structural.
-
-    The public constructor ``SqrtRational(coeff, kernel)`` validates the
-    kernel and raises ValueError unless it is a positive square-free int.
-    Internal arithmetic builds results through the trusted ``_make``, whose
+    cheap (two gcds) and equality structural.  No constructor takes a
+    kernel: every value is built through the trusted ``_make``, whose
     arguments already satisfy the invariants.
     """
 
     __slots__ = ("num", "den", "kernel")
-
-    def __init__(self, coeff: RationalLike, kernel: int):
-        if not (isinstance(kernel, int) and kernel > 0 and _squarefree_int(kernel)[0] == 1):
-            raise ValueError(f"kernel must be a positive square-free int, got {kernel!r}")
-        coeff = Fraction(coeff)
-        self.num, self.den = coeff.numerator, coeff.denominator
-        self.kernel = kernel if self.num else 1
 
     @staticmethod
     def _make(num: int, den: int, kernel: int) -> "SqrtRational":
@@ -261,20 +242,6 @@ class SqrtRational:
         s, kernel = _squarefree_int(num * den)
         g = math.gcd(s, den)
         return SqrtRational._make(s // g, den // g, kernel)
-
-    @staticmethod
-    def of_sign_radicand(sign: int, radicand: RationalLike) -> "SqrtRational":
-        radicand = Fraction(radicand)
-        if sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0, or +1, got {sign}")
-        if radicand < 0:
-            raise ValueError("radicand must be nonnegative")
-        if (sign == 0) != (radicand == 0):
-            raise ValueError("sign is 0 exactly when the radicand is 0")
-        if sign == 0:
-            return SqrtRational.zero()
-        root = SqrtRational.sqrt(radicand)
-        return root if sign > 0 else -root
 
     # -- views --------------------------------------------------------------
 
@@ -354,14 +321,13 @@ class RadicalSum:
     with den > 0 and num != 0, so equality is structural.  The zero test is
     exact and complete for this class: the represented real number is zero
     iff no term is stored, by the linear independence over Q of square roots
-    of distinct square-free integers.
+    of distinct square-free integers.  ``RadicalSum()`` is the empty sum.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: dict[int, RationalLike] | None = None):
-        coeffs = {k: Fraction(c) for k, c in (terms or {}).items()}
-        self._terms = {k: (c.numerator, c.denominator) for k, c in coeffs.items() if c}
+    def __init__(self):
+        self._terms: dict[int, tuple[int, int]] = {}
 
     @staticmethod
     def _from_terms(terms: list[tuple[int, int, int]]) -> "RadicalSum":
@@ -384,7 +350,8 @@ class RadicalSum:
 
     @staticmethod
     def from_rational(q: RationalLike) -> "RadicalSum":
-        return RadicalSum({1: q})
+        q = Fraction(q)
+        return RadicalSum._from_terms([(q.numerator, q.denominator, 1)])
 
     @staticmethod
     def total(values: Iterable[SqrtRational]) -> "RadicalSum":
@@ -447,6 +414,26 @@ class RadicalSum:
 _EMPTY = RadicalSum()
 
 
+def dot(p: dict[int, SqrtRational], q: dict[int, SqrtRational]) -> RadicalSum:
+    """sum_y p[y] q[y] over two sparse vectors; products formed as in ``SqrtRational.__mul__``."""
+    terms = []
+    for y, a in p.items():
+        b = q.get(y)
+        if b is not None:
+            g = gcd(a.kernel, b.kernel)
+            terms.append((a.num * b.num * g, a.den * b.den, a.kernel // g * (b.kernel // g)))
+    return RadicalSum._from_terms(terms)
+
+
+def squarefree_fold(factors, s: int = 1, k: int = 1) -> tuple[int, int]:
+    """(s', k') with s'^2 k' = s^2 k prod(factors), k and k' square-free."""
+    for x in factors:
+        sx, kx = _squarefree_int(x)
+        g = gcd(k, kx)
+        s, k = s * sx * g, (k // g) * (kx // g)
+    return s, k
+
+
 # ---------------------------------------------------------------------------
 # Serialization of scalars (shared by the code file format and reports)
 # ---------------------------------------------------------------------------
@@ -467,8 +454,15 @@ def sqrt_rational_from_json(d: dict) -> SqrtRational:
     den = int_field(d, "radicand_den")
     if den == 0:
         raise ValueError("radicand_den must be nonzero")
-    radicand = Fraction(int_field(d, "radicand_num"), den)
-    return SqrtRational.of_sign_radicand(int_field(d, "sign"), radicand)
+    radicand, sign = Fraction(int_field(d, "radicand_num"), den), int_field(d, "sign")
+    if sign not in (-1, 0, 1):
+        raise ValueError(f"sign must be -1, 0, or +1, got {sign}")
+    if radicand < 0:
+        raise ValueError("radicand must be nonnegative")
+    if (sign == 0) != (radicand == 0):
+        raise ValueError("sign is 0 exactly when the radicand is 0")
+    root = SqrtRational.sqrt(radicand)
+    return root if sign >= 0 else -root
 
 
 def radical_sum_to_json(v: RadicalSum) -> dict:

@@ -5,7 +5,7 @@ finite sum of signed square roots of rationals, and a condition holds when
 the canonical form of the sum is literally zero.
 
 Every check is an inner product of two sparse vectors, {index: coefficient}
-over the nonzero entries, taken by one kernel, ``_dot``.  It forms each
+over the nonzero entries, taken by one kernel, ``exactnum.dot``.  It forms each
 product as (numerator, denominator, kernel) ints, with no ``SqrtRational`` or
 ``Fraction`` per term, and sums them in the accumulator of ``RadicalSum.total``.
 Each check builds its vectors once and then dots them pair by pair:
@@ -32,11 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import comb, gcd
+from math import comb
 
 from .codes import CodeBasis
 from .errors import ErrorOp, ErrorSet, build_ae_error_set
-from .exactnum import RadicalSum, SqrtRational, radical_sum_to_json
+from .exactnum import RadicalSum, SqrtRational, dot, radical_sum_to_json
 
 
 @dataclass(frozen=True)
@@ -148,17 +148,6 @@ def _condition_image(
     }
 
 
-def _dot(p: dict[int, SqrtRational], q: dict[int, SqrtRational]) -> RadicalSum:
-    """sum_y p[y] q[y] over two sparse vectors; products formed as in ``SqrtRational.__mul__``."""
-    terms = []
-    for y, a in p.items():
-        b = q.get(y)
-        if b is not None:
-            g = gcd(a.kernel, b.kernel)
-            terms.append((a.num * b.num * g, a.den * b.den, a.kernel // g * (b.kernel // g)))
-    return RadicalSum._from_terms(terms)
-
-
 def _check_block(left, right, labels: tuple[str, str], violations: list[KLViolation]) -> RadicalSum:
     """One operator (pair): off-diagonal dots vanish, diagonal ones agree.
 
@@ -168,7 +157,7 @@ def _check_block(left, right, labels: tuple[str, str], violations: list[KLViolat
     diag0 = None
     for i, p in enumerate(left):
         for j, q in enumerate(right):
-            val = _dot(p, q)
+            val = dot(p, q)
             if i != j:
                 if not val.is_zero():
                     violations.append(KLViolation(i, j, *labels, val))
@@ -226,20 +215,20 @@ def check_conditions(code: CodeBasis, t: int, t_prime: int) -> ConditionReport:
     vectors = _vectors(code)
     pairs = list(combinations(range(code.dim), 2))
     one = RadicalSum.from_rational(1)
-    c2 = all(_dot(v, v) == one for v in vectors)
-    c1 = all(_dot(vectors[i], vectors[k]).is_zero() for i, k in pairs)
+    c2 = all(dot(v, v) == one for v in vectors)
+    c1 = all(dot(vectors[i], vectors[k]).is_zero() for i, k in pairs)
     # (C3) for vectors i, k is Z_a(v_i) . Z_b(v_k); (C4) compares each vector's own dots.
     images = [
         [_condition_image(v, code.two_J, t, a) for a in range(t_prime + 1)]
         for v in vectors
     ] if pairs else []
     grid = [(a, b) for a in range(t_prime + 1) for b in range(t_prime + 1)]
-    diag = [[_dot(z[a], z[b]) for a, b in grid] for z in images]
+    diag = [[dot(z[a], z[b]) for a, b in grid] for z in images]
     c3_failures: list[ConditionFailure] = []
     c4_failures: list[ConditionFailure] = []
     for i, k in pairs:
         for (a, b), di, dk in zip(grid, diag[i], diag[k]):
-            s3 = _dot(images[i][a], images[k][b])
+            s3 = dot(images[i][a], images[k][b])
             if not s3.is_zero():
                 c3_failures.append(ConditionFailure(a, b, (i, k), s3))
             if di != dk:

@@ -94,6 +94,19 @@ class TestClebschGordan:
                             assert value.radicand == Fraction(int(square.p), int(square.q))
                             count += 1
         assert count == 1887
+        # Racah sums with a factor that Pollard rho cannot split within its budget; only the
+        # ratio of binomials is factorized.
+        for labels in (
+            (348, 371, 493, -198, -23, -221),
+            (464, 499, 387, 282, -175, 107),
+            (511, 346, 257, -329, 156, -173),
+        ):
+            expected = clebsch_gordan(*(sympy.Rational(x, 2) for x in labels))
+            square = expected**2
+            tj1, tj2, tJ, tm1, tm2, tM = labels
+            value = clebsch_gordan_t(tj1, tm1, tj2, tm2, tJ, tM)
+            assert value.sign == sympy.sign(expected) != 0, labels
+            assert value.radicand == Fraction(int(square.p), int(square.q))
 
 
 def cg_binomial_reconstruction(n, t, r, a, q, j):
@@ -121,7 +134,7 @@ def cg_binomial_reconstruction(n, t, r, a, q, j):
         binom(n + q + r - t + 1, r + t - q) * binom(2 * r, a + r - t)
     )
     sign = 1 if total > 0 else -1
-    return SqrtRational.of_sign_radicand(sign, pref * total * total)
+    return SqrtRational.sqrt(pref * total * total).scaled(sign)
 
 
 class TestTransitionForm:

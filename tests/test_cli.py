@@ -14,10 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aecodes import cli, search
+from aecodes.angular import clebsch_gordan_t
 from aecodes.cli import main
 from aecodes.codes import CodeBasis, CodeKind, GmdeParams, construct_ae_gmde, fixtures
 from aecodes.errors import ErrorSet
-from aecodes.exactnum import SqrtRational
+from aecodes.exactnum import SqrtRational, sqrt_rational_to_json
 from aecodes.search import support_pair_count
 
 
@@ -488,6 +489,23 @@ class TestOtherCommands:
             with pytest.raises(Started):
                 main(["covariance", path, *argv, *flags])
 
+    @pytest.mark.parametrize("b", [513, 1383])
+    def test_full_group_closure_over_cap_exits_two(self, tmp_path, capsys, monkeypatch, b):
+        # BD's closure has 8b elements: past the cap at b = 513 on any spin, while b = 512 starts
+        class Started(Exception):
+            pass
+
+        def start(*args, **kwargs):
+            raise Started
+
+        monkeypatch.setattr(cli, "binary_dihedral_group", start)
+        monkeypatch.setattr(cli, "check_covariance", _must_not_run)
+        path = self._code_file(tmp_path, 1, "AE")
+        assert main(["covariance", path, "--group", "bd", "--b", str(b), "--full-group"]) == 2
+        _assert_one_error_line(capsys)
+        with pytest.raises(Started):
+            main(["covariance", path, "--group", "bd", "--b", "512", "--full-group"])
+
     def test_loaded_spin_bound_admits_limit(self, tmp_path, capsys):
         ae = self._code_file(tmp_path, cli.MAX_TWO_J, "AE")
         pi = self._code_file(tmp_path, cli.MAX_TWO_J, "PI")
@@ -514,6 +532,14 @@ class TestOtherCommands:
         argv = ["--j1", j, "--m1=-1", "--j2", j, "--m2", "1", "--J", j, "--M", "0"]
         status, report = run(capsys, "cg", *argv)
         assert status == 0 and report["manifest"]["verdicts"]["sign"] != 0
+
+    def test_cg_racah_sum_past_pollard_rho(self, capsys):
+        # The Racah sum has a composite factor 288244105768484777466276392194453 that rho
+        # cannot split within its budget; only the ratio of binomials is factorized.
+        argv = ["--j1", "174", "--m1=-99", "--j2", "371/2", "--m2=-23/2", "--J", "493/2"]
+        status, report = run(capsys, "cg", *argv, "--M=-221/2")
+        expected = clebsch_gordan_t(348, -198, 371, -23, 493, -221)
+        assert status == 0 and report["value"] == sqrt_rational_to_json(expected)
 
     @pytest.mark.parametrize(
         "g, m, delta", [(1, cli.MAX_TWO_J // 2, 0), (100000, 100000, 4), (0, 0, cli.MAX_TWO_J)]
@@ -755,5 +781,6 @@ _JSON_VALUES = st.recursive(
 @given(st.one_of(_JSON_VALUES, st.just({}), st.just([]), st.just({"a": [], "b": {}})))
 def test_emit_matches_indented_json_dumps(value):
     buf = io.StringIO()
-    cli._emit(value, buf)
+    with contextlib.redirect_stdout(buf):
+        cli._emit(value)
     assert buf.getvalue() == json.dumps(value, indent=2, sort_keys=True) + "\n"

@@ -17,8 +17,8 @@ from aecodes.codes import (
     map_h,
     vector_from_entries,
 )
-from aecodes.exactnum import SqrtRational
-from aecodes.klverify import _dot, _vectors, check_conditions
+from aecodes.exactnum import SqrtRational, dot
+from aecodes.klverify import _vectors, check_conditions
 
 
 def sq(num, den):
@@ -145,7 +145,7 @@ class TestMaps:
         before, after = _vectors(spin), _vectors(ae)
         for i in range(2):
             for k in range(2):
-                assert _dot(before[i], before[k]) == _dot(after[i], after[k])
+                assert dot(before[i], before[k]) == dot(after[i], after[k])
 
 
 class TestFixtures:

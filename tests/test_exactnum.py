@@ -15,11 +15,9 @@ from aecodes.exactnum import (
     RadicalSum,
     SqrtRational,
     _is_probable_prime,
-    _squarefree_int,
     factorize,
     sqrt_rational_from_json,
     sqrt_rational_to_json,
-    squarefree_decompose,
 )
 
 
@@ -33,24 +31,25 @@ def brute_squarefree(n: int) -> bool:
     return True
 
 
+def storage(v: SqrtRational) -> tuple[int, int, int]:
+    return v.num, v.den, v.kernel
+
+
 class TestSquarefreeDecompose:
+    """``SqrtRational.sqrt`` writes p/q as (s/q)**2 * k with k square-free."""
+
     def test_eight(self):
-        assert squarefree_decompose(Fraction(8)) == (Fraction(2), Fraction(2))
+        assert storage(SqrtRational.sqrt(8)) == (2, 1, 2)
+        assert SqrtRational.sqrt(8) == SqrtRational.sqrt(2).scaled(2)
 
     def test_three_tenths(self):
         # oracle: 3/10 = (1/10)^2 * 30 and 30 is square-free by trial division
-        scale, kernel = squarefree_decompose(Fraction(3, 10))
-        assert (scale, kernel) == (Fraction(1, 10), Fraction(30))
+        assert storage(SqrtRational.sqrt(Fraction(3, 10))) == (1, 10, 30)
         assert brute_squarefree(30)
 
     def test_one(self):
-        assert squarefree_decompose(Fraction(1)) == (Fraction(1), Fraction(1))
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            squarefree_decompose(Fraction(0))
-        with pytest.raises(ValueError):
-            squarefree_decompose(Fraction(-3, 7))
+        assert storage(SqrtRational.sqrt(1)) == (1, 1, 1)
+        assert SqrtRational.sqrt(Fraction(1)) == SqrtRational.one()
 
     @given(
         num=st.integers(min_value=1, max_value=10**6),
@@ -59,9 +58,9 @@ class TestSquarefreeDecompose:
     @settings(max_examples=200, deadline=None)
     def test_roundtrip_and_squarefree(self, num, den):
         r = Fraction(num, den)
-        scale, kernel = squarefree_decompose(r)
-        assert scale * scale * kernel == r
-        assert kernel.denominator == 1 and brute_squarefree(kernel.numerator)
+        root = SqrtRational.sqrt(r)
+        assert root.coeff * root.coeff * root.kernel == r == root.radicand
+        assert brute_squarefree(root.kernel)
 
 
 class TestFactorize:
@@ -72,7 +71,7 @@ class TestFactorize:
         p = 10**18 + 3
         assert factorize(p**power) == {p: power}
         assert factorize(6 * p**power) == {2: 1, 3: 1, p: power}
-        assert squarefree_decompose(Fraction(p**power)) == (p ** (power // 2), p ** (power % 2))
+        assert storage(SqrtRational.sqrt(p**power)) == (p ** (power // 2), 1, p ** (power % 2))
 
 
 # The least strong pseudoprimes to all prime bases up to 37 and up to 41
@@ -99,11 +98,11 @@ class TestPrimality:
     def test_kernel_of_p_squared_q_is_squarefree(self):
         # p * p * q = psi_12 * p: taking psi_12 for a prime left the kernel p * q * p.
         _, p, q = PSI_12
-        assert squarefree_decompose(Fraction(p * p * q)) == (p, q)
+        assert storage(SqrtRational.sqrt(p * p * q)) == (p, 1, q)
 
 
 def _sq(sign, num, den):
-    return SqrtRational.of_sign_radicand(sign, Fraction(num, den))
+    return SqrtRational.sqrt(Fraction(num, den)).scaled(sign)
 
 
 class TestSqrtRational:
@@ -119,12 +118,18 @@ class TestSqrtRational:
         assert (_sq(1, 5, 3) * SqrtRational.zero()).is_zero()
 
     def test_sign_radicand_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            SqrtRational.of_sign_radicand(0, Fraction(1, 2))
-        with pytest.raises(ValueError):
-            SqrtRational.of_sign_radicand(1, Fraction(0))
-        with pytest.raises(ValueError):
-            SqrtRational.of_sign_radicand(2, Fraction(1))
+        # the code file reader's checks on each (sign, radicand) it reads
+        for sign, num, den, message in (
+            (0, 1, 2, "sign is 0 exactly when the radicand is 0"),
+            (1, 0, 1, "sign is 0 exactly when the radicand is 0"),
+            (2, 1, 1, "sign must be -1, 0, or \\+1"),
+            (1, -3, 7, "radicand must be nonnegative"),
+            (-1, 3, -7, "radicand must be nonnegative"),
+            (1, 3, 0, "radicand_den must be nonzero"),
+        ):
+            d = {"sign": sign, "radicand_num": str(num), "radicand_den": str(den)}
+            with pytest.raises(ValueError, match=message):
+                sqrt_rational_from_json(d)
 
     def test_sign_and_radicand_views(self):
         v = _sq(-1, 9, 4)
@@ -158,15 +163,19 @@ class TestSqrtRational:
 
 
 class TestKernelInvariant:
-    def test_non_squarefree_or_nonpositive_kernel_rejected(self):
-        for kernel in (4, 0, -3):
-            with pytest.raises(ValueError):
-                SqrtRational(1, kernel)
+    def test_no_constructor_takes_a_kernel(self):
+        # A kernel from outside would skip the square-free split: {4: 1} is 2 but not from_rational(2).
+        for make, args in ((SqrtRational, (1, 2)), (SqrtRational, (1, 4)), (RadicalSum, ({4: 1},))):
+            with pytest.raises(TypeError):
+                make(*args)
+        assert RadicalSum() == RadicalSum.zero()
+        assert RadicalSum.total([SqrtRational.sqrt(4)]) == RadicalSum.from_rational(2)
 
     def test_public_constructor_roundtrips_through_radicand(self):
-        v = SqrtRational(Fraction(2, 3), 6)
-        assert v.radicand == Fraction(8, 3)
-        assert SqrtRational.of_sign_radicand(v.sign, v.radicand) == v
+        v = SqrtRational.sqrt(6).scaled(Fraction(2, 3))
+        assert storage(v) == (2, 3, 6) and v.radicand == Fraction(8, 3)
+        assert SqrtRational.sqrt(v.radicand).scaled(v.sign) == v
+        assert sqrt_rational_from_json(sqrt_rational_to_json(-v)) == -v
 
 
 def reference_root(sign: int, radicand: Fraction) -> tuple[int, Fraction]:
@@ -206,7 +215,7 @@ class TestAgainstFractionReference:
     )
     @settings(max_examples=200, deadline=None)
     def test_operations(self, pairs, q):
-        values = [SqrtRational.of_sign_radicand(s, r) for s, r in pairs]
+        values = [SqrtRational.sqrt(r).scaled(s) for s, r in pairs]
         qs = (q > 0) - (q < 0)
         for v, (s, r) in zip(values, pairs):
             assert canonical_view(v) == (s, r)
@@ -231,7 +240,7 @@ class TestAgainstFractionReference:
 
 
 class TestSqrtAgainstDecompose:
-    """``SqrtRational.sqrt`` on ints against the ``squarefree_decompose`` form."""
+    """``SqrtRational.sqrt`` against an independent square-free decomposition, by sympy."""
 
     @given(
         q=st.one_of(
@@ -241,16 +250,17 @@ class TestSqrtAgainstDecompose:
     )
     @settings(max_examples=200, deadline=None)
     def test_matches_decompose(self, q):
-        root = SqrtRational.sqrt(q)
+        sympy = pytest.importorskip("sympy")
+        root, r = SqrtRational.sqrt(q), Fraction(q)
         if q == 0:
-            assert (root.num, root.den, root.kernel) == (0, 1, 1)
+            assert storage(root) == (0, 1, 1)
         else:
-            scale, kernel = squarefree_decompose(Fraction(q))
-            assert (root.num, root.den, root.kernel) == (
-                scale.numerator,
-                scale.denominator,
-                kernel.numerator,
-            )
+            # r = (s/den)**2 * k, where num * den = s**2 * k by sympy's factorization
+            s = k = 1
+            for p, e in sympy.factorint(r.numerator * r.denominator).items():
+                s, k = s * p ** (e // 2), k * p ** (e % 2)
+            g = math.gcd(s, r.denominator)
+            assert storage(root) == (s // g, r.denominator // g, k)
         assert canonical_view(root) == (int(q > 0), Fraction(q))
         assert root == SqrtRational.sqrt(Fraction(q))
         with pytest.raises(ValueError, match="square root of negative rational"):
@@ -271,6 +281,11 @@ def canonical_sum(s: RadicalSum) -> RadicalSum:
     return s
 
 
+def radical_sum(d: dict[int, Fraction]) -> RadicalSum:
+    """sum_k d[k] sqrt(k) over square-free kernels k, built through the public API."""
+    return RadicalSum.total([SqrtRational.sqrt(k).scaled(c) for k, c in d.items()])
+
+
 _SMALL_KERNELS = st.sampled_from((1, 2, 3, 5, 6, 30, 1155))
 _FRACTION_DICTS = st.dictionaries(
     _SMALL_KERNELS, st.fractions(min_value=-20, max_value=20, max_denominator=60), max_size=5
@@ -289,7 +304,7 @@ class TestRadicalSumAgainstFractionDicts:
     def test_arithmetic_and_equality(self, x, y, same):
         if same:  # y equals x up to explicit zero coefficients
             y = {k: Fraction(0) for k in y} | x
-        sx, sy = canonical_sum(RadicalSum(x)), canonical_sum(RadicalSum(y))
+        sx, sy = canonical_sum(radical_sum(x)), canonical_sum(radical_sum(y))
         keys = x.keys() | y.keys()
         plus = {k: x.get(k, 0) + y.get(k, 0) for k in keys}
         minus = {k: x.get(k, 0) - y.get(k, 0) for k in keys}
@@ -299,7 +314,7 @@ class TestRadicalSumAgainstFractionDicts:
             (-sx, {k: -c for k, c in x.items()}),
         ):
             assert canonical_sum(got).terms() == self.expected(want)
-            assert got == RadicalSum(want) and hash(got) == hash(RadicalSum(want))
+            assert got == radical_sum(want) and hash(got) == hash(radical_sum(want))
             assert got.is_zero() == (not self.expected(want))
         assert (sx == sy) == (self.expected(x) == self.expected(y))
         assert (sx != sy) == (self.expected(x) != self.expected(y))
@@ -381,15 +396,15 @@ def _nstr_oracle(s: RadicalSum, bits: int) -> tuple[mpmath.mpf, str]:
         return value, mpmath.nstr(value, int(bits / 3.32) + 2)
 
 
-_KERNELS = st.integers(1, 10**9).map(lambda n: _squarefree_int(n)[1])
+_KERNELS = st.integers(1, 10**9).map(lambda n: SqrtRational.sqrt(n).kernel)
 _DIGITS = st.integers(1, 40).flatmap(lambda d: st.integers(10 ** (d - 1), 10**d - 1))
 _COEFFS = st.builds(
     lambda sign, num, den: Fraction(sign * num, den), st.sampled_from((-1, 1)), _DIGITS, _DIGITS
 )
-_RANDOM_SUMS = st.dictionaries(_KERNELS, _COEFFS, max_size=4).map(RadicalSum)
+_RANDOM_SUMS = st.dictionaries(_KERNELS, _COEFFS, max_size=4).map(radical_sum)
 # d digits of sqrt(k) less its integer part, scaled: terms near 10^d summing to below 1
 _CANCELLING_SUMS = st.builds(
-    lambda k, d, extra: RadicalSum(
+    lambda k, d, extra: radical_sum(
         {k: Fraction(10**d), 1: Fraction(-math.isqrt(k * 10 ** (2 * d)))} | extra
     ),
     _KERNELS.filter(lambda k: k > 1),

@@ -28,10 +28,9 @@ from aecodes.codes import (
     fixtures,
 )
 from aecodes.errors import apply, build_ae_error_set
-from aecodes.exactnum import RadicalSum, SqrtRational
+from aecodes.exactnum import RadicalSum, SqrtRational, dot
 from aecodes.klverify import (
     _condition_image,
-    _dot,
     _vectors,
     check_conditions,
     check_kl_correct,
@@ -395,7 +394,7 @@ class TestMatrixElementOracle:
 
 
 def product_total(p, q) -> RadicalSum:
-    """The product-and-total form the fused ``_dot`` replaced, kept as its oracle."""
+    """The product-and-total form the fused ``dot`` replaced, kept as its oracle."""
     return RadicalSum.total([a * q[y] for y, a in p.items() if y in q])
 
 
@@ -405,7 +404,7 @@ _DOT_KERNELS = st.one_of(
     st.sampled_from((11 * 13, 2 * 3 * 5 * 7 * 11, 10**9 + 7)),
 )
 _DOT_ENTRIES = st.builds(
-    SqrtRational,
+    lambda coeff, kernel: SqrtRational.sqrt(kernel).scaled(coeff),
     st.fractions(min_value=-30, max_value=30, max_denominator=40),
     _DOT_KERNELS,
 )
@@ -415,13 +414,13 @@ _SPARSE = st.dictionaries(st.integers(0, 12), _DOT_ENTRIES, max_size=8)
 @settings(max_examples=200, deadline=None)
 @given(p=_SPARSE, q=_SPARSE)
 def test_dot_matches_product_total(p, q):
-    assert _dot(p, q) == product_total(p, q)
+    assert dot(p, q) == product_total(p, q)
     disjoint = {y + 100: c for y, c in q.items()}
-    assert _dot(p, disjoint) == RadicalSum.zero() == product_total(p, disjoint)
+    assert dot(p, disjoint) == RadicalSum.zero() == product_total(p, disjoint)
     # p's entries again at y + 100 against -q there: the two halves cancel exactly.
     p2 = p | {y + 100: c for y, c in p.items()}
     q2 = q | {y + 100: -c for y, c in q.items()}
-    assert _dot(p2, q2).is_zero() and product_total(p2, q2).is_zero()
+    assert dot(p2, q2).is_zero() and product_total(p2, q2).is_zero()
 
 
 # ---------------------------------------------------------------------------
