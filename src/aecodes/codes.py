@@ -32,6 +32,8 @@ class CodeKind(str, enum.Enum):
 
 
 Vector = tuple[SqrtRational, ...]
+# ``CodeBasis.save`` writes ``to_json(to_dict())`` a coefficient at a time; a zero's is this text.
+_ZERO_JSON = to_json(sqrt_rational_to_json(SqrtRational.zero()), "\n      ")
 
 
 @dataclass(frozen=True)
@@ -100,13 +102,21 @@ class CodeBasis:
             raise ValueError(f"malformed code file: {exc}") from exc
 
     def save(self, path) -> None:
+        rows = (",\n      ".join(map(_coefficient_json, v)) for v in self.basis)
+        basis = ",\n    ".join(f"[\n      {row}\n    ]" for row in rows)
+        # the other keys sort after "basis": their text is to_json's without its "{"
+        tail = to_json({"kind": self.kind.value, "label": self.label, "two_J": self.two_J})[1:]
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(to_json(self.to_dict()) + "\n")
+            fh.write(f'{{\n  "basis": [\n    {basis}\n  ],{tail}\n')
 
     @staticmethod
     def load(path) -> "CodeBasis":
         with open(path, encoding="utf-8") as fh:
             return CodeBasis.from_dict(json.load(fh))
+
+
+def _coefficient_json(c: SqrtRational) -> str:
+    return to_json(sqrt_rational_to_json(c), "\n      ") if c.num else _ZERO_JSON
 
 
 def _zero_vector(n: int) -> list[SqrtRational]:
@@ -218,6 +228,8 @@ def map_h(c: CodeBasis) -> CodeBasis:
 
 def map_f(c: CodeBasis) -> CodeBasis:
     """Composition e after h: |J,m> -> |J,-m| on coefficients."""
+    if c.kind is not CodeKind.SPIN:
+        raise ValueError(f"map f expects a SPIN code, got {c.kind.value}")
     return map_e(map_h(c))
 
 

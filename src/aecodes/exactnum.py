@@ -13,9 +13,9 @@ splits a radicand or combines kernels: no constructor takes a kernel.  A
 ``zero``, ``one``, ``from_rational``, ``sqrt`` or arithmetic, through the
 trusted ``_make``.  A ``RadicalSum`` stores one reduced (numerator,
 denominator) pair per kernel; ``RadicalSum()`` is the empty sum.  Every sum,
-the sparse inner product ``dot`` behind all of ``klverify`` included, goes
-through one int accumulator, ``RadicalSum._from_terms``; ``terms()`` hands
-out ``Fraction``s for writers.  ``squarefree_fold`` gives ``errors`` its kernels.
+``dot`` of the (num, den, kernel) vectors that ``image`` builds for all of
+``klverify`` included, goes through one int accumulator, ``_from_terms``;
+``terms()`` hands ``Fraction``s to writers, ``squarefree_fold`` kernels to ``errors``.
 
 All values here are immutable and all operations are pure, so they can be
 shared freely between threads or tasks.
@@ -340,8 +340,7 @@ class RadicalSum:
             g = math.gcd(d0, den)
             acc[k] = (n0 * (den // g) + num * (d0 // g), d0 // g * den)
         out = object.__new__(RadicalSum)
-        gcds = {k: math.gcd(num, den) for k, (num, den) in acc.items() if num}
-        out._terms = {k: (acc[k][0] // g, acc[k][1] // g) for k, g in gcds.items()}
+        out._terms = {k: (n // g, d // g) for k, (n, d) in acc.items() if n and (g := gcd(n, d))}
         return out
 
     @staticmethod
@@ -414,14 +413,25 @@ class RadicalSum:
 _EMPTY = RadicalSum()
 
 
-def dot(p: dict[int, SqrtRational], q: dict[int, SqrtRational]) -> RadicalSum:
-    """sum_y p[y] q[y] over two sparse vectors; products formed as in ``SqrtRational.__mul__``."""
+def image(vector, weights: dict[int, SqrtRational], shift: int) -> dict[int, tuple[int, int, int]]:
+    """{j + shift: vector[j] weights[j]} over the j of both, as ``dot`` takes them."""
+    out = {}
+    for j, (num, den, k) in vector.items():
+        w = weights.get(j)
+        if w is not None:
+            g = gcd(k, w.kernel)
+            out[j + shift] = (num * w.num * g, den * w.den, k // g * (w.kernel // g))
+    return out
+
+
+def dot(p: dict[int, tuple[int, int, int]], q: dict[int, tuple[int, int, int]]) -> RadicalSum:
+    """sum_y p[y] q[y] over {y: (num, den, kernel)}: products as in ``SqrtRational.__mul__``."""
     terms = []
-    for y, a in p.items():
+    for y, (num, den, k) in p.items():
         b = q.get(y)
         if b is not None:
-            g = gcd(a.kernel, b.kernel)
-            terms.append((a.num * b.num * g, a.den * b.den, a.kernel // g * (b.kernel // g)))
+            g = gcd(k, b[2])
+            terms.append((num * b[0] * g, den * b[1], k // g * (b[2] // g)))
     return RadicalSum._from_terms(terms)
 
 

@@ -4,39 +4,40 @@ Everything here is decided with exact arithmetic: an inner product is a
 finite sum of signed square roots of rationals, and a condition holds when
 the canonical form of the sum is literally zero.
 
-Every check is an inner product of two sparse vectors, {index: coefficient}
-over the nonzero entries, taken by one kernel, ``exactnum.dot``.  It forms each
-product as (numerator, denominator, kernel) ints, with no ``SqrtRational`` or
-``Fraction`` per term, and sums them in the accumulator of ``RadicalSum.total``.
-Each check builds its vectors once and then dots them pair by pair:
+Every check dots sparse vectors {index: (num, den, kernel)} of nonzero
+entries by one kernel, ``exactnum.dot``, with no ``SqrtRational`` or
+``Fraction`` per product or term.  Each check builds them once (images by
+``exactnum.image``):
 
 * the basis vectors c_i themselves;
-* operator images E|c_i> = {j + delta_m: amp[j] c_i[j]}.  Correction is
-  <E_a c_i, E_b c_j> for operators of one delta_J sector, where the key
-  j + delta_m differs from the target index by the sector's common delta_J;
+* operator images E|c_i> = {j + delta_m: amp[j] c_i[j]}, keyed alike across a
+  delta_J sector.  Correction is <E_a c_i, E_b c_j> within a sector (sectors
+  act into orthogonal total-momentum sectors and are never paired), and
   detection is <c_i, E c_j>;
 * condition images Z_a(v)[j] = v[j+a] sqrt(C(n-2t, j) / C(n, j+a)) for
   0 <= j <= n-2t, so that (C3) is <Z_a v_i, Z_b v_k> and (C4) the difference
   of <Z_a v_i, Z_b v_i> and <Z_a v_k, Z_b v_k>.
 
-Operators from different delta_J sectors act into orthogonal total-momentum
-sectors and are never paired.
-
-Verification over (operator pair x basis pair) tuples is embarrassingly
-parallel in principle; the implementation is sequential and deterministic,
-which also fixes the report ordering.
+An element's two operands are supp c_i and supp c_j moved apart by d =
+delta_m_a - delta_m_b (-delta_m for detection, b - a for the conditions), so
+it has a term only if y - x = d for some x in supp c_i, y in supp c_j.  Each
+check collects these shifts, |d| <= 2t, t or t', once (``_shifts``): one set
+for a vector with itself, one for two vectors.  A block whose d is in neither
+is skipped as the empty sum; elsewhere only elements whose set holds d are
+dotted, so staggered supports (``search``) dot only diagonals at d = 0.  The
+checks run sequentially and deterministically, which fixes the report order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 from .codes import CodeBasis
-from .errors import ErrorOp, ErrorSet, build_ae_error_set
-from .exactnum import RadicalSum, SqrtRational, dot, radical_sum_to_json
+from .errors import ErrorSet, build_ae_error_set
+from .exactnum import RadicalSum, SqrtRational, dot, image, radical_sum_to_json
 
 
 @dataclass(frozen=True)
@@ -126,38 +127,42 @@ def _check_dims(code: CodeBasis, eset: ErrorSet) -> None:
             )
 
 
-def _vectors(code: CodeBasis) -> list[dict[int, SqrtRational]]:
-    """Each basis vector as {j: c} over its nonzero coefficients, in ascending j."""
-    return [{j: c for j, c in enumerate(vec) if c.num} for vec in code.basis]
+def _vectors(code: CodeBasis) -> list[dict[int, tuple[int, int, int]]]:
+    """Each basis vector as {j: (num, den, kernel)} over its nonzero entries, in ascending j."""
+    return [{j: (c.num, c.den, c.kernel) for j, c in enumerate(v) if c.num} for v in code.basis]
 
 
-def _image(op: ErrorOp, vector: dict[int, SqrtRational]) -> dict[int, SqrtRational]:
-    """E|v> as {j + delta_m: amp[j] v[j]}, keyed the same way for all of a delta_J sector."""
-    entries, dm = op.entries, op.delta_m
-    return {j + dm: entries[j] * c for j, c in vector.items() if j in entries}
+def _shifts(vectors, bound: int) -> tuple[set[int], set[int]]:
+    """(same, other): the shifts y - x, |y - x| <= bound, within one support and between two."""
+    masks = [sum(1 << x for x in v) for v in vectors]  # each support as the bits of an int
+    same, other = set(), set()
+    for d, (i, a), (k, b) in product(range(bound + 1), enumerate(masks), enumerate(masks)):
+        if a << d & b:
+            (same if i == k else other).update((d, -d))
+    return same, other
 
 
-def _condition_image(
-    vector: dict[int, SqrtRational], n: int, t: int, a: int
-) -> dict[int, SqrtRational]:
+def _condition_image(vector, n: int, t: int, a: int) -> dict[int, tuple[int, int, int]]:
     """Z_a(v)[j] = v[j+a] sqrt(C(n-2t, j) / C(n, j+a)) for 0 <= j <= n-2t."""
-    return {
-        x - a: c * SqrtRational.sqrt(Fraction(comb(n - 2 * t, x - a), comb(n, x)))
-        for x, c in vector.items()
-        if 0 <= x - a <= n - 2 * t
-    }
+    if not t:  # then a = 0 and every weight is 1
+        return vector
+    m = n - 2 * t
+    ratios = {x: Fraction(comb(m, x - a), comb(n, x)) for x in vector if a <= x <= a + m}
+    return image(vector, {x: SqrtRational.sqrt(q) for x, q in ratios.items()}, -a)
 
 
-def _check_block(left, right, labels: tuple[str, str], violations: list[KLViolation]) -> RadicalSum:
+def _check_block(left, right, on: bool, off: bool, labels, violations) -> RadicalSum:
     """One operator (pair): off-diagonal dots vanish, diagonal ones agree.
 
-    Appends a violation per failing element and returns the first diagonal
-    element, the Gram entry.
+    Dots the diagonal only if ``on``, the rest only if ``off``.  Appends a violation
+    per failing element and returns the first diagonal element, the Gram entry.
     """
+    if not (on or off):
+        return RadicalSum.zero()
     diag0 = None
     for i, p in enumerate(left):
         for j, q in enumerate(right):
-            val = dot(p, q)
+            val = dot(p, q) if (on if i == j else off) else RadicalSum.zero()
             if i != j:
                 if not val.is_zero():
                     violations.append(KLViolation(i, j, *labels, val))
@@ -176,13 +181,15 @@ def check_kl_correct(code: CodeBasis, eset: ErrorSet) -> KLReport:
     """
     _check_dims(code, eset)
     vectors = _vectors(code)
+    same, other = _shifts(vectors, 2 * eset.t)
     violations: list[KLViolation] = []
     gram: dict[tuple[str, ...], RadicalSum] = {}
     for _, ops in sorted(eset.by_sector().items()):
-        images = [(op.label, [_image(op, v) for v in vectors]) for op in ops]
-        for (label_a, left), (label_b, right) in combinations_with_replacement(images, 2):
-            labels = (label_a, label_b)
-            gram[labels] = _check_block(left, right, labels, violations)
+        images = [(op.label, op.delta_m, [image(v, op.entries, op.delta_m) for v in vectors])
+                  for op in ops]
+        for (a, dm_a, left), (b, dm_b, right) in combinations_with_replacement(images, 2):
+            labels, d = (a, b), dm_a - dm_b
+            gram[labels] = _check_block(left, right, d in same, d in other, labels, violations)
     return KLReport("correct", not violations, tuple(violations), gram)
 
 
@@ -190,15 +197,17 @@ def check_kl_detect(code: CodeBasis, eset: ErrorSet) -> KLReport:
     """<c_i| E_a |c_j> = delta_ij g_a for every operator in the set."""
     _check_dims(code, eset)
     vectors = _vectors(code)
+    same, other = _shifts(vectors, eset.t)
     violations: list[KLViolation] = []
     gram: dict[tuple[str, ...], RadicalSum] = {}
     for op in eset.ops:
-        if op.delta_J != 0:
-            # Image lies in a different momentum sector: matrix element is 0.
-            gram[(op.label,)] = RadicalSum.zero()
+        labels, d = (op.label, ""), -op.delta_m
+        if op.delta_J != 0 or d not in same and d not in other:
+            # The image lies in another momentum sector or meets no support point.
+            gram[labels[:1]] = RadicalSum.zero()
             continue
-        images = [_image(op, v) for v in vectors]
-        gram[(op.label,)] = _check_block(vectors, images, (op.label, ""), violations)
+        images = [image(v, op.entries, op.delta_m) for v in vectors]
+        gram[labels[:1]] = _check_block(vectors, images, d in same, d in other, labels, violations)
     return KLReport("detect", not violations, tuple(violations), gram)
 
 
@@ -213,22 +222,21 @@ def check_conditions(code: CodeBasis, t: int, t_prime: int) -> ConditionReport:
     if t_prime not in (t, 2 * t):
         raise ValueError(f"t_prime must be t or 2t, got {t_prime}")
     vectors = _vectors(code)
+    same, other = _shifts(vectors, t_prime)
     pairs = list(combinations(range(code.dim), 2))
-    one = RadicalSum.from_rational(1)
+    one, zero = RadicalSum.from_rational(1), RadicalSum.zero()
     c2 = all(dot(v, v) == one for v in vectors)
-    c1 = all(dot(vectors[i], vectors[k]).is_zero() for i, k in pairs)
+    c1 = 0 not in other or all(dot(vectors[i], vectors[k]).is_zero() for i, k in pairs)
     # (C3) for vectors i, k is Z_a(v_i) . Z_b(v_k); (C4) compares each vector's own dots.
-    images = [
-        [_condition_image(v, code.two_J, t, a) for a in range(t_prime + 1)]
-        for v in vectors
-    ] if pairs else []
-    grid = [(a, b) for a in range(t_prime + 1) for b in range(t_prime + 1)]
-    diag = [[dot(z[a], z[b]) for a, b in grid] for z in images]
+    span, n = range(t_prime + 1), code.two_J
+    images = [[_condition_image(v, n, t, a) for a in span] for v in vectors] if pairs else []
+    grid = [(a, b) for a in span for b in span]
+    diag = [[dot(z[a], z[b]) if b - a in same else zero for a, b in grid] for z in images]
     c3_failures: list[ConditionFailure] = []
     c4_failures: list[ConditionFailure] = []
     for i, k in pairs:
         for (a, b), di, dk in zip(grid, diag[i], diag[k]):
-            s3 = dot(images[i][a], images[k][b])
+            s3 = dot(images[i][a], images[k][b]) if b - a in other else zero
             if not s3.is_zero():
                 c3_failures.append(ConditionFailure(a, b, (i, k), s3))
             if di != dk:

@@ -19,7 +19,7 @@ from aecodes.cli import main
 from aecodes.codes import CodeBasis, CodeKind, GmdeParams, construct_ae_gmde, fixtures
 from aecodes.errors import ErrorSet
 from aecodes.exactnum import SqrtRational, sqrt_rational_to_json
-from aecodes.search import support_pair_count
+from aecodes.search import StaggeringFailure, enumerate_and_search, support_pair_count
 
 
 def run(capsys, *argv):
@@ -248,8 +248,13 @@ class TestOtherCommands:
     def test_map_wrong_kind_exits_two(self, tmp_path, capsys):
         path = str(tmp_path / "ae.json")
         fixtures()["J7half"].save(path)
-        status = main(["map", path, "--via", "e", "--out", str(tmp_path / "x.json")])
-        assert status == 2
+        # each map names itself, f too, though it is h followed by e
+        for via, wants in (("e", "PI"), ("h", "SPIN"), ("f", "SPIN")):
+            status = main(["map", path, "--via", via, "--out", str(tmp_path / "x.json")])
+            assert status == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: map {via} expects a {wants} code, got AE\n"
 
     def test_search_writes_codes_and_summary(self, tmp_path, capsys):
         out_dir = tmp_path / "found"
@@ -304,6 +309,26 @@ class TestOtherCommands:
         out_dir = tmp_path / "found"
         status = main(["search", "--n", "9", "--t", "1", "--out", str(out_dir)])
         assert status == cli.EXIT_FALSIFIED == 3
+        _assert_one_error_line(capsys)
+        assert not out_dir.exists()
+
+    def test_search_guard_catches_a_moment_mismatch(self, tmp_path, capsys, monkeypatch):
+        # The real check_kl_correct, fed a vertex whose side-0 mass moves between
+        # two of its indices: still normalized, but the first moments differ.
+        def vertex(s0, s1, t, lex_min_vertex=search._lex_min_vertex):
+            v = lex_min_vertex(s0, s1, t)
+            if v is not None:
+                i, k = [p for p, x in enumerate(v[: len(s0)]) if x][:2]
+                eps = min(v[i], v[k]) / 2
+                v[i], v[k] = v[i] + eps, v[k] - eps
+            return v
+
+        monkeypatch.setattr(search, "_lex_min_vertex", vertex)
+        with pytest.raises(StaggeringFailure):
+            enumerate_and_search(9, 1, 2)
+        out_dir = tmp_path / "found"
+        status = main(["search", "--n", "9", "--t", "1", "--out", str(out_dir)])
+        assert status == cli.EXIT_FALSIFIED
         _assert_one_error_line(capsys)
         assert not out_dir.exists()
 

@@ -1,5 +1,6 @@
 """Constructions, relabeling maps, fixtures, and the code file format."""
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from aecodes.codes import (
 )
 from aecodes.exactnum import SqrtRational, dot
 from aecodes.klverify import _vectors, check_conditions
+from aecodes.search import enumerate_and_search
 
 
 def sq(num, den):
@@ -182,10 +184,15 @@ class TestFileFormat:
             assert loaded == code
 
     def test_file_is_indented_sorted_json(self, tmp_path):
-        code = fixtures()["J21half"].with_kind(CodeKind.AE, label="J21half \u00bd")
-        path = tmp_path / "q.json"
-        code.save(path)
-        assert path.read_text() == json.dumps(code.to_dict(), indent=2, sort_keys=True) + "\n"
+        # save writes the text itself, a coefficient at a time, not through to_dict
+        codes = list(fixtures().values()) + [r.code for r in enumerate_and_search(9, 1, 2)]
+        labels = ("J21half \u00bd", "", 'quote " backslash \\ newline \n []')
+        for code, kind, label in itertools.product(codes, CodeKind, labels):
+            code = code.with_kind(kind, label=label)
+            path = tmp_path / "q.json"
+            code.save(path)
+            text = path.read_text(encoding="utf-8")
+            assert text == json.dumps(code.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def test_dict_shape(self):
         d = fixtures()["J7half"].to_dict()

@@ -26,9 +26,10 @@ from aecodes.codes import (
     construct_ae_gmde,
     construct_pi_gmde,
     fixtures,
+    vector_from_entries,
 )
 from aecodes.errors import apply, build_ae_error_set
-from aecodes.exactnum import RadicalSum, SqrtRational, dot
+from aecodes.exactnum import RadicalSum, SqrtRational, dot, image
 from aecodes.klverify import (
     _condition_image,
     _vectors,
@@ -350,7 +351,22 @@ def oracle_cases():
     # operator pair overlaps.
     dense = [_random_rational_subspace(n, seed=1) for n in (7, 11, 13)]
     cases += [(code, t) for code in dense for t in (1, 2)]
+    # Supports whose index shifts sit at the edges of what correction can
+    # reach: two vectors meet only at the extreme shift 2t; two vectors stay
+    # 2t+1 apart, so they never meet; a vector's own support has a gap of 2t,
+    # so diagonal blocks at shifts +-2t carry terms.
+    for t in (1, 2):
+        meet = spaced_code(9 * t + 7, (1, 6 * t + 4), (2 * t + 1, 9 * t + 6))
+        apart = spaced_code(9 * t + 7, (1, 6 * t + 4), (2 * t + 2, 9 * t + 6))
+        own_gap = spaced_code(11 * t + 7, (1, 2 * t + 1, 8 * t + 4), (4 * t + 2, 11 * t + 6))
+        cases += [(meet, t), (apart, t), (own_gap, t)]
     return cases
+
+
+def spaced_code(n: int, *supports) -> CodeBasis:
+    """A code, normalized or not, with coefficient sqrt(j + 1) at each support index j."""
+    vectors = [vector_from_entries(n, {j: SqrtRational.sqrt(j + 1) for j in s}) for s in supports]
+    return CodeBasis(CodeKind.AE, n, tuple(vectors), f"spaced{supports}")
 
 
 class TestMatrixElementOracle:
@@ -393,8 +409,13 @@ class TestMatrixElementOracle:
 # ---------------------------------------------------------------------------
 
 
+def as_ints(vector) -> dict:
+    """A {y: SqrtRational} vector in the (num, den, kernel) form that ``dot`` takes."""
+    return {y: (c.num, c.den, c.kernel) for y, c in vector.items()}
+
+
 def product_total(p, q) -> RadicalSum:
-    """The product-and-total form the fused ``dot`` replaced, kept as its oracle."""
+    """sum_y p[y] q[y] as a total of ``SqrtRational`` products, the oracle of ``dot``."""
     return RadicalSum.total([a * q[y] for y, a in p.items() if y in q])
 
 
@@ -414,13 +435,30 @@ _SPARSE = st.dictionaries(st.integers(0, 12), _DOT_ENTRIES, max_size=8)
 @settings(max_examples=200, deadline=None)
 @given(p=_SPARSE, q=_SPARSE)
 def test_dot_matches_product_total(p, q):
-    assert dot(p, q) == product_total(p, q)
+    assert dot(as_ints(p), as_ints(q)) == product_total(p, q)
     disjoint = {y + 100: c for y, c in q.items()}
-    assert dot(p, disjoint) == RadicalSum.zero() == product_total(p, disjoint)
+    assert dot(as_ints(p), as_ints(disjoint)) == RadicalSum.zero() == product_total(p, disjoint)
     # p's entries again at y + 100 against -q there: the two halves cancel exactly.
     p2 = p | {y + 100: c for y, c in p.items()}
     q2 = q | {y + 100: -c for y, c in q.items()}
-    assert dot(p2, q2).is_zero() and product_total(p2, q2).is_zero()
+    assert dot(as_ints(p2), as_ints(q2)).is_zero() and product_total(p2, q2).is_zero()
+
+
+# Basis vectors, amplitudes and condition weights hold no zero entry.
+_NONZERO = st.dictionaries(st.integers(0, 12), _DOT_ENTRIES.filter(lambda c: c.num), max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(v=_NONZERO, weights=_NONZERO, w=_SPARSE, shift=st.integers(-3, 3))
+def test_image_matches_sqrt_rational_products(v, weights, w, shift):
+    products = {y + shift: c * weights[y] for y, c in v.items() if y in weights}
+    got = image(as_ints(v), weights, shift)
+    # Entries may carry a common factor in num and den; kernels are already canonical.
+    assert {y: (Fraction(num, den), k) for y, (num, den, k) in got.items()} == {
+        y: (c.coeff, c.kernel) for y, c in products.items()
+    }
+    # Unreduced entries still dot to the canonical sum.
+    assert dot(got, as_ints(w)) == product_total(products, w)
 
 
 # ---------------------------------------------------------------------------
