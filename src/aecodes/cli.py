@@ -109,18 +109,14 @@ def precision_bits(flag: int | None = None) -> int:
     return _bounded(source, bits, 53, MAX_PRECISION_BITS)
 
 
-def _digest(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
-def make_manifest(command: str, inputs: list[str], parameters: dict, verdicts: dict) -> dict:
+def make_manifest(command: str, inputs: dict[str, str], parameters: dict, verdicts: dict) -> dict:
     return {
         "command": command,
-        "inputs": {p: _digest(p) for p in inputs},
+        "inputs": inputs,
         "parameters": parameters,
         "verdicts": verdicts,
         "tool_version": __version__,
@@ -137,10 +133,12 @@ def _parse_halfint(text: str) -> HalfInt:
     return value
 
 
-def _load_code(path) -> CodeBasis:
-    code = CodeBasis.load(path)
+def _load_code(path) -> tuple[CodeBasis, str]:
+    """The code in ``path`` and the digest of its bytes, read once."""
+    data = Path(path).read_bytes()
+    code = CodeBasis.from_dict(json.loads(data.decode("utf-8")))
     _bounded("two_J", code.two_J, 1, MAX_TWO_J)
-    return code
+    return code, _digest(data)
 
 
 # ---------------------------------------------------------------------------
@@ -155,14 +153,14 @@ def cmd_construct(args) -> int:
     code = build(params)
     if args.label:
         code = code.with_kind(code.kind, label=args.label)
-    code.save(args.out)
+    digest = _digest(code.save(args.out))
     verdict = {"n": code.two_J, "dim": code.dim, "written": str(args.out)}
     _emit(
         {
             "code": {"kind": code.kind.value, "two_J": code.two_J, "label": code.label},
             "manifest": make_manifest(
                 "construct",
-                [args.out],
+                {args.out: digest},
                 {k: getattr(args, k) for k in ("g", "m", "delta", "epsilon", "kind", "out")},
                 verdict,
             ),
@@ -173,7 +171,7 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     _bounded("--t", args.t, 0, MAX_T)
-    code = _load_code(args.code_file)
+    code, digest = _load_code(args.code_file)
     params = {"file": str(args.code_file)} | {k: getattr(args, k) for k in ("t", "mode", "t_prime")}
     if args.mode in ("correct", "detect"):
         eset = build_ae_error_set(code.two_J, args.t)
@@ -192,7 +190,7 @@ def cmd_verify(args) -> int:
     _emit(
         {
             "report": body,
-            "manifest": make_manifest("verify", [args.code_file], params, {"pass": passed}),
+            "manifest": make_manifest("verify", {args.code_file: digest}, params, {"pass": passed}),
         }
     )
     return EXIT_PASS if passed else EXIT_FAIL
@@ -203,7 +201,7 @@ def cmd_errors(args) -> int:
     eset = build(_bounded("--two-j", args.two_j, 0, MAX_TWO_J), _bounded("--t", args.t, 0, MAX_T))
     count = len(eset.ops)
     manifest = make_manifest(
-        "errors", [], {"two_j": args.two_j, "t": args.t, "spin": bool(args.spin)}, {"count": count}
+        "errors", {}, {"two_j": args.two_j, "t": args.t, "spin": bool(args.spin)}, {"count": count}
     )
     # The report as _emit writes it, keys in sorted order, with the operators
     # array written one operator at a time rather than held as a second copy.
@@ -226,7 +224,7 @@ def cmd_cg(args) -> int:
             "decimal": decimal,
             "manifest": make_manifest(
                 "cg",
-                [],
+                {},
                 {k: getattr(args, k) for k in ("j1", "m1", "j2", "m2", "J", "M")},
                 {"sign": value.sign},
             ),
@@ -236,17 +234,17 @@ def cmd_cg(args) -> int:
 
 
 def cmd_map(args) -> int:
-    code = _load_code(args.code_file)
+    code, digest = _load_code(args.code_file)
     mapper = {"e": map_e, "h": map_h, "f": map_f}[args.via]
     mapped = mapper(code)
-    mapped.save(args.out)
+    inputs = {args.code_file: digest, args.out: _digest(mapped.save(args.out))}
     _emit(
         {
             "kind_in": code.kind.value,
             "kind_out": mapped.kind.value,
             "manifest": make_manifest(
                 "map",
-                [args.code_file, args.out],
+                inputs,
                 {"via": args.via, "file": str(args.code_file), "out": str(args.out)},
                 {"written": str(args.out)},
             ),
@@ -279,7 +277,7 @@ def cmd_search(args) -> int:
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     summary = []
-    written: list[str] = []
+    written: dict[str, str] = {}
     for i, res in enumerate(results):
         entry = res.to_dict()
         # The guard in enumerate_and_search has passed check_kl_correct at (n, t),
@@ -287,9 +285,8 @@ def cmd_search(args) -> int:
         entry["verdicts"] = {"kl_correct": True, "cross_validate": True}
         if out_dir is not None:
             path = out_dir / f"code_{i:03d}.json"
-            res.code.save(path)
             entry["file"] = str(path)
-            written.append(str(path))
+            written[str(path)] = _digest(res.code.save(path))
         summary.append(entry)
     report = {
         "n": args.n,
@@ -312,7 +309,7 @@ def cmd_search(args) -> int:
 
 def cmd_covariance(args) -> int:
     bits = precision_bits(args.bits)
-    code = _load_code(args.code_file)
+    code, digest = _load_code(args.code_file)
     if args.full_group:
         order = {"bd": 8 * args.b, "2o": 48, "2i": 120}[args.group]
         if order > MAX_CLOSURE_ORDER:
@@ -335,7 +332,7 @@ def cmd_covariance(args) -> int:
             "report": report.to_dict(),
             "manifest": make_manifest(
                 "covariance",
-                [args.code_file],
+                {args.code_file: digest},
                 {"file": str(args.code_file), "bits": bits}
                 | {k: getattr(args, k) for k in ("group", "b", "tol", "full_group")},
                 {"pass": report.passed},
@@ -353,7 +350,7 @@ def cmd_identities(args) -> int:
         {
             "report": results,
             "manifest": make_manifest(
-                "identities", [], {}, {"all_passed": results["all_passed"]}
+                "identities", {}, {}, {"all_passed": results["all_passed"]}
             ),
         }
     )
@@ -366,7 +363,7 @@ def cmd_reproduce(args) -> int:
         {
             "report": outcome,
             "manifest": make_manifest(
-                "reproduce-paper", [], {}, {"all_pass": outcome["all_pass"]}
+                "reproduce-paper", {}, {}, {"all_pass": outcome["all_pass"]}
             ),
         }
     )

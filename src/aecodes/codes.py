@@ -101,13 +101,15 @@ class CodeBasis:
         except TypeError as exc:
             raise ValueError(f"malformed code file: {exc}") from exc
 
-    def save(self, path) -> None:
+    def save(self, path) -> bytes:
+        """Write the code file and return its bytes, for a manifest to hash."""
         rows = (",\n      ".join(map(_coefficient_json, v)) for v in self.basis)
         basis = ",\n    ".join(f"[\n      {row}\n    ]" for row in rows)
         # the other keys sort after "basis": their text is to_json's without its "{"
         tail = to_json({"kind": self.kind.value, "label": self.label, "two_J": self.two_J})[1:]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f'{{\n  "basis": [\n    {basis}\n  ],{tail}\n')
+        with open(path, "wb") as fh:
+            fh.write(data := f'{{\n  "basis": [\n    {basis}\n  ],{tail}\n'.encode("utf-8"))
+        return data
 
     @staticmethod
     def load(path) -> "CodeBasis":

@@ -4,7 +4,8 @@ An operator indexed (r, delta_J, delta_m) maps |J, m> to an amplitude times
 |J + delta_J, m + delta_m>; the amplitude is the Clebsch-Gordan coefficient
 coupling rank r.  Each operator therefore has at most one source index per
 target index and is stored as a sparse map from the source index
-j = m + J to its amplitude.
+j = m + J to its amplitude (num / den) sqrt(kernel) as the ints (num, den,
+kernel), which ``exactnum.image`` dots and the report writer prints as they are.
 
 Amplitudes are built per operator from small ints: with the operator
 fixed, Racah's sum depends on j only through binomials that change by
@@ -30,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd, prod
+from operator import mul
 
 from .exactnum import SqrtRational, squarefree_fold
 
@@ -39,15 +41,19 @@ class ErrorOp:
     """One operator: indices (r, delta_J, delta_m) over a spin-(two_J/2) source.
 
     ``entries`` maps source index j (projection m = j - J) to the amplitude
-    attached to the target |J + delta_J, m + delta_m>.  Zero amplitudes and
-    out-of-range targets are absent.
+    attached to the target |J + delta_J, m + delta_m>, as ints (num, den, kernel)
+    under ``SqrtRational``'s invariants; ``amplitudes()`` is their one reader.
+    Zero amplitudes and out-of-range targets are absent.
     """
 
     r: int
     delta_J: int
     delta_m: int
     source_two_J: int
-    entries: dict[int, SqrtRational]
+    entries: dict[int, tuple[int, int, int]]
+
+    def amplitudes(self) -> dict[int, SqrtRational]:
+        return {j: SqrtRational._make(*amp) for j, amp in self.entries.items()}
 
     @property
     def label(self) -> str:
@@ -56,10 +62,6 @@ class ErrorOp:
     @property
     def target_two_J(self) -> int:
         return self.source_two_J + 2 * self.delta_J
-
-    def target_index(self, j: int) -> int:
-        """Target-sector index hit by source index j."""
-        return j + self.delta_m + self.delta_J
 
     def __repr__(self) -> str:
         return self.label
@@ -80,44 +82,45 @@ class ErrorSet:
 def _build_op(n: int, r: int, delta_J: int, delta_m: int) -> ErrorOp:
     """Amplitudes C^{n2/2, m + delta_m}_{n/2, m; r, delta_m}, n2 = n + 2 delta_J.
 
-    Racah's binomial form (as in ``clebsch_gordan_t``) with p = n - j,
-    p2 = p + delta_J - delta_m: the square is S(p)^2 / C(n, p)^2 times a
-    constant times C(n, p) / C(n2, p2) = (n!/n2!) (p2!/p!) ((n2-p2)!/(n-p)!),
-    with S(p) = sum_z w_z C(b, p - z).  range(x + 1, y + 1) lists the ints
-    of y!/x! (empty unless y > x).
+    Racah's binomial form (as in ``clebsch_gordan_t``) with p = n - j: the
+    square is S(p)^2 / C(n, p)^2 times a constant times C(n, p) / C(n2, p + d)
+    = (n!/n2!) ((p + d)!/p!) ((j + e)!/j!), d = delta_J - delta_m and
+    e = delta_J + delta_m, with S(p) = sum_z w_z C(b, p - z).  Each j folds only
+    the ints of the last two ratios, ``px`` and ``jy``, onto (s0, k0).
     """
     n2, a, b, c, q = n + 2 * delta_J, r - delta_J, n - r + delta_J, r + delta_J, r + delta_m
+    d, e = delta_J - delta_m, delta_J + delta_m
     w = [(-1) ** z * comb(a, z) * comb(c, q - z) for z in range(min(a, q) + 1)]
     ups = (*range(n2 + 1, n + 1), comb(2 * r, a), *range(n - a + 1, n + 1))
     downs = (*range(n + 1, n2 + 1), comb(2 * r, r - delta_m), *range(n + c - a + 2, n + c + 2))
     s0, k0 = squarefree_fold(ups + downs)
-    den0 = prod(downs)
-    entries: dict[int, SqrtRational] = {}
+    x0, x1, y0, y1 = min(d, 0) + 1, max(d, 0) + 1, min(e, 0) + 1, max(e, 0) + 1
+    entries: dict[int, tuple[int, int, int]] = {}
     window = [0] * a + [1]  # C(b, p - z) for z = 0..a, at p = n
-    cnp = 1  # C(n, p)
+    cden = prod(downs)  # C(n, p) times the constant's denominator, at p = n
     for j in range(n // 2 + 1 if delta_m == 0 else n + 1):
-        p, p2 = n - j, n - j + delta_J - delta_m
+        p = n - j
         if j:
-            cnp = cnp * (p + 1) // j
-            window = window[1:] + [window[-1] * (p + 1 - a) // (b - p + a)]
-        total = sum(x * y for x, y in zip(w, window))
-        if not (0 <= p2 <= n2 and total):
+            cden = cden * (p + 1) // j
+            window.append(window[-1] * (p + 1 - a) // (b - p + a))
+            del window[0]
+        total = sum(map(mul, w, window))
+        if not (0 <= p + d <= n2 and total):
             continue
-        ups = (*range(p + 1, p2 + 1), *range(j + 1, n2 - p2 + 1))
-        downs = (*range(p2 + 1, p + 1), *range(n2 - p2 + 1, j + 1))
-        s, k = squarefree_fold(ups + downs, s0, k0)
-        num, den = total * s, cnp * den0 * prod(downs)
+        px, jy = range(p + x0, p + x1), range(j + y0, j + y1)
+        s, k = squarefree_fold((*px, *jy), s0, k0)
+        num, den = total * s, cden * (prod(px) if d < 0 else 1) * (prod(jy) if e < 0 else 1)
         h = gcd(num, den)
-        entries[j] = SqrtRational._make(num // h, den // h, k)
+        entries[j] = (num // h, den // h, k)
     if delta_m == 0:  # its own mirror: the walk stopped at the centre
         entries.update(_mirror(entries, n, r - delta_J, n // 2))
     return ErrorOp(r, delta_J, delta_m, n, entries)
 
 
-def _mirror(entries, n: int, r_minus_dJ: int, above: int = -1) -> dict[int, SqrtRational]:
+def _mirror(entries, n: int, r_minus_dJ: int, above: int = -1) -> dict:
     """The mirror's entries n - j > above, in ascending order like ``entries``."""
-    odd = r_minus_dJ % 2
-    return {n - j: -amp if odd else amp for j, amp in reversed(entries.items()) if n - j > above}
+    odd, items = r_minus_dJ % 2, reversed(entries.items())
+    return {n - j: (-a[0], a[1], a[2]) if odd else a for j, a in items if n - j > above}
 
 
 def _build_set(two_J: int, t: int, spin: bool) -> ErrorSet:
@@ -162,42 +165,38 @@ def apply(op: ErrorOp, v) -> list[SqrtRational]:
             f"vector length {len(v)} does not match source dimension {op.source_two_J + 1}"
         )
     out = [SqrtRational.zero()] * (op.target_two_J + 1)
-    for j, amp in op.entries.items():
-        tgt = op.target_index(j)
+    for j, amp in op.amplitudes().items():
+        tgt = j + op.delta_m + op.delta_J
         if 0 <= tgt <= op.target_two_J and not v[j].is_zero():
             out[tgt] = amp * v[j]
     return out
 
 
-# An operator and an amplitude as ``jsonfmt.to_json`` writes them in the errors report.
-_OP = """{{
-      "delta_J": {},
-      "delta_m": {},
-      "entries": {},
-      "r": {},
-      "source_two_J": {}
-    }}"""
-_ENTRY = """{{
-          "amplitude": {{
-            "radicand_den": "{}",
-            "radicand_num": "{}",
-            "sign": {}
-          }},
-          "j": {},
-          "two_m": {}
-        }}"""
-
-
 def write_operators_json(ops, write) -> None:
-    """The report's operators array at indent 2, one ``write`` per operator."""
+    """The report's operators array as ``to_json`` writes it, one ``write`` per operator."""
     sep = "["
     for op in ops:
         n, items = op.source_two_J, []
-        for j, amp in sorted(op.entries.items()):
-            num, den2, k = amp.num, amp.den * amp.den, amp.kernel
+        for j, (num, den, k) in sorted(op.entries.items()):
+            den2 = den * den
             g = gcd(k, den2)  # num and den are coprime, as in sqrt_rational_to_json
-            items.append(_ENTRY.format(den2 // g, num * num * (k // g), amp.sign, j, 2 * j - n))
+            items.append(f"""{{
+          "amplitude": {{
+            "radicand_den": "{den2 // g}",
+            "radicand_num": "{num * num * (k // g)}",
+            "sign": {(num > 0) - (num < 0)}
+          }},
+          "j": {j},
+          "two_m": {2 * j - n}
+        }}""")
         entries = "[\n        " + ",\n        ".join(items) + "\n      ]" if items else "[]"
-        write(sep + "\n    " + _OP.format(op.delta_J, op.delta_m, entries, op.r, n))
+        write(f"""{sep}
+    {{
+      "delta_J": {op.delta_J},
+      "delta_m": {op.delta_m},
+      "entries": {entries},
+      "r": {op.r},
+      "source_two_J": {n}
+    }}""")
         sep = ","
     write("\n  ]" if ops else "[]")

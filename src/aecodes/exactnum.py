@@ -14,8 +14,9 @@ splits a radicand or combines kernels: no constructor takes a kernel.  A
 trusted ``_make``.  A ``RadicalSum`` stores one reduced (numerator,
 denominator) pair per kernel; ``RadicalSum()`` is the empty sum.  Every sum,
 ``dot`` of the (num, den, kernel) vectors that ``image`` builds for all of
-``klverify`` included, goes through one int accumulator, ``_from_terms``;
-``terms()`` hands ``Fraction``s to writers, ``squarefree_fold`` kernels to ``errors``.
+``klverify`` included, goes through one int accumulator, ``_from_terms``, and
+``image`` takes its weights as the same triples; ``terms()`` hands ``Fraction``s
+to writers, ``squarefree_fold`` kernels to the triples ``errors`` stores.
 
 All values here are immutable and all operations are pure, so they can be
 shared freely between threads or tasks.
@@ -413,14 +414,14 @@ class RadicalSum:
 _EMPTY = RadicalSum()
 
 
-def image(vector, weights: dict[int, SqrtRational], shift: int) -> dict[int, tuple[int, int, int]]:
-    """{j + shift: vector[j] weights[j]} over the j of both, as ``dot`` takes them."""
+def image(vector, weights, shift: int) -> dict[int, tuple[int, int, int]]:
+    """{j + shift: vector[j] weights[j]} over the j of both; all three as ``dot`` takes them."""
     out = {}
     for j, (num, den, k) in vector.items():
         w = weights.get(j)
         if w is not None:
-            g = gcd(k, w.kernel)
-            out[j + shift] = (num * w.num * g, den * w.den, k // g * (w.kernel // g))
+            g = gcd(k, w[2])
+            out[j + shift] = (num * w[0] * g, den * w[1], k // g * (w[2] // g))
     return out
 
 

@@ -148,7 +148,8 @@ def _condition_image(vector, n: int, t: int, a: int) -> dict[int, tuple[int, int
         return vector
     m = n - 2 * t
     ratios = {x: Fraction(comb(m, x - a), comb(n, x)) for x in vector if a <= x <= a + m}
-    return image(vector, {x: SqrtRational.sqrt(q) for x, q in ratios.items()}, -a)
+    roots = {x: SqrtRational.sqrt(q) for x, q in ratios.items()}
+    return image(vector, {x: (s.num, s.den, s.kernel) for x, s in roots.items()}, -a)
 
 
 def _check_block(left, right, on: bool, off: bool, labels, violations) -> RadicalSum:

@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+from math import gcd
 
 import pytest
+import sympy
 
 from aecodes.angular import cg_transition, clebsch_gordan_t
 from aecodes.cli import main
@@ -15,7 +17,7 @@ from aecodes.errors import (
     build_spin_error_set,
     write_operators_json,
 )
-from aecodes.exactnum import SqrtRational
+from aecodes.exactnum import SqrtRational, sqrt_rational_to_json
 from aecodes.jsonfmt import to_json
 
 
@@ -25,7 +27,7 @@ class TestCounts:
         assert len(eset.ops) == 1
         op = eset.ops[0]
         assert (op.r, op.delta_J, op.delta_m) == (0, 0, 0)
-        assert all(amp == SqrtRational.one() for amp in op.entries.values())
+        assert all(amp == SqrtRational.one() for amp in op.amplitudes().values())
         assert len(op.entries) == 10
 
     @pytest.mark.parametrize("two_J", [*range(1, 65), 255, 511, 512])
@@ -33,7 +35,7 @@ class TestCounts:
         # the premise of cross_validate's docstring, by which search reports it from its KL guard
         op = build_ae_error_set(two_J, 0).ops[0]
         assert (op.r, op.delta_J, op.delta_m) == (0, 0, 0)
-        assert op.entries == {j: SqrtRational.one() for j in range(two_J + 1)}
+        assert op.amplitudes() == {j: SqrtRational.one() for j in range(two_J + 1)}
 
     def test_order_one_count(self):
         assert len(build_ae_error_set(7, 1).ops) == 10
@@ -72,8 +74,9 @@ class TestAmplitudes:
                 for op in build_ae_error_set(two_J, t).ops:
                     a = t - op.delta_m
                     q = t + op.delta_J
+                    amps = op.amplitudes()
                     for j_src in range(two_J + 1):
-                        amp = op.entries.get(j_src, SqrtRational.zero())
+                        amp = amps.get(j_src, SqrtRational.zero())
                         assert amp == cg_transition(two_J, t, op.r, a, q, j_src - a)
 
     @pytest.mark.parametrize("build", [build_ae_error_set, build_spin_error_set])
@@ -82,13 +85,14 @@ class TestAmplitudes:
         for two_J in range(41):
             for t in range(min(3, two_J // 2) + 1):
                 for op in build(two_J, t).ops:
+                    amps = op.amplitudes()
                     for j in range(two_J + 1):
                         tm = 2 * j - two_J
                         expected = clebsch_gordan_t(
                             two_J, tm, 2 * op.r, 2 * op.delta_m,
                             op.target_two_J, tm + 2 * op.delta_m,
                         )
-                        assert op.entries.get(j, SqrtRational.zero()) == expected, (op, j)
+                        assert amps.get(j, SqrtRational.zero()) == expected, (op, j)
 
     def test_out_of_range_targets_absent(self):
         eset = build_ae_error_set(7, 1)
@@ -96,6 +100,46 @@ class TestAmplitudes:
             op for op in eset.ops if (op.r, op.delta_J, op.delta_m) == (1, 0, 1)
         )
         assert 7 not in raising.entries  # |J, J> cannot be raised within the sector
+
+
+class TestStorage:
+    # Entries are (num, den, kernel) triples read back through the trusted
+    # SqrtRational._make, so the builder must keep its invariants itself.
+    CASES = [(two_J, t) for two_J in range(41) for t in range(min(3, two_J // 2) + 1)]
+
+    @pytest.mark.parametrize("build", [build_ae_error_set, build_spin_error_set])
+    def test_entries_keep_the_sqrt_rational_invariants(self, build):
+        kernels = set()
+        for two_J, t in self.CASES + [(86, 4), (240, 2)]:
+            for op in build(two_J, t).ops:
+                for j, (num, den, k) in op.entries.items():
+                    assert den > 0 and num != 0 and gcd(num, den) == 1, (op, j)
+                    kernels.add(k)
+        assert all(k > 0 and max(sympy.factorint(k).values(), default=1) == 1 for k in kernels)
+
+    @pytest.mark.parametrize("build", [build_ae_error_set, build_spin_error_set])
+    def test_writer_prints_what_the_serializer_writes(self, build):
+        # sqrt_rational_to_json of each amplitude, through the generic writer, is an
+        # independent route to the bytes the int writer prints.
+        for two_J in range(21):
+            for t in range(min(3, two_J // 2) + 1):
+                ops = build(two_J, t).ops
+                parts: list[str] = []
+                write_operators_json(ops, parts.append)
+                expected = [
+                    {
+                        "delta_J": op.delta_J,
+                        "delta_m": op.delta_m,
+                        "entries": [
+                            {"amplitude": sqrt_rational_to_json(a), "j": j, "two_m": 2 * j - two_J}
+                            for j, a in sorted(op.amplitudes().items())
+                        ],
+                        "r": op.r,
+                        "source_two_J": two_J,
+                    }
+                    for op in ops
+                ]
+                assert "".join(parts) == to_json(expected, "\n  "), (two_J, t)
 
 
 class TestApply:

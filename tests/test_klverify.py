@@ -94,7 +94,7 @@ class TestDirectKL:
         op = next(o for o in build_ae_error_set(n, 1).ops if o.label == viol.op_a)
         vi = [float(c.to_mpf(80)) for c in code.basis[viol.i]]
         vj = [float(c.to_mpf(80)) for c in code.basis[viol.j]]
-        amp = {j: float(a.to_mpf(80)) for j, a in op.entries.items()}
+        amp = {j: float(a.to_mpf(80)) for j, a in op.amplitudes().items()}
         direct = sum(
             vi[j + op.delta_m] * amp.get(j, 0.0) * vj[j]
             for j in range(n + 1)
@@ -452,7 +452,7 @@ _NONZERO = st.dictionaries(st.integers(0, 12), _DOT_ENTRIES.filter(lambda c: c.n
 @given(v=_NONZERO, weights=_NONZERO, w=_SPARSE, shift=st.integers(-3, 3))
 def test_image_matches_sqrt_rational_products(v, weights, w, shift):
     products = {y + shift: c * weights[y] for y, c in v.items() if y in weights}
-    got = image(as_ints(v), weights, shift)
+    got = image(as_ints(v), as_ints(weights), shift)
     # Entries may carry a common factor in num and den; kernels are already canonical.
     assert {y: (Fraction(num, den), k) for y, (num, den, k) in got.items()} == {
         y: (c.coeff, c.kernel) for y, c in products.items()
