@@ -16,7 +16,6 @@ codes to permutation-invariant codes is the reversal of the vector.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -110,11 +109,6 @@ class CodeBasis:
         with open(path, "wb") as fh:
             fh.write(data := f'{{\n  "basis": [\n    {basis}\n  ],{tail}\n'.encode("utf-8"))
         return data
-
-    @staticmethod
-    def load(path) -> "CodeBasis":
-        with open(path, encoding="utf-8") as fh:
-            return CodeBasis.from_dict(json.load(fh))
 
 
 def _coefficient_json(c: SqrtRational) -> str:

@@ -68,7 +68,7 @@ class TestConstructVerify:
             "construct", "--g", "3", "--m", "1", "--delta", "4",
             "--epsilon", "1", "--kind", "ae", "--out", path,
         )
-        loaded = CodeBasis.load(path)
+        loaded, _ = cli._load_code(path)
         assert loaded.basis == fixtures()["J11half"].basis
         for mode, expected in (("correct", 0), ("conditions", 0), ("cross", 0)):
             status, _ = run(capsys, "verify", path, "--t", "1", "--mode", mode)
@@ -243,7 +243,7 @@ class TestOtherCommands:
         )
         status, _ = run(capsys, "map", src, "--via", "e", "--out", dst)
         assert status == 0
-        assert CodeBasis.load(dst).basis == CodeBasis.load(src).basis
+        assert cli._load_code(dst)[0].basis == cli._load_code(src)[0].basis
 
     def test_map_wrong_kind_exits_two(self, tmp_path, capsys):
         path = str(tmp_path / "ae.json")
@@ -267,7 +267,7 @@ class TestOtherCommands:
         entry = report["results"][0]
         assert entry["x"] == {"0": "1/4", "6": "3/4"}
         assert entry["verdicts"] == {"kl_correct": True, "cross_validate": True}
-        code = CodeBasis.load(out_dir / "code_000.json")
+        code, _ = cli._load_code(out_dir / "code_000.json")
         assert code.two_J == 9
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["found"] == 1

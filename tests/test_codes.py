@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from aecodes.cli import _load_code
 from aecodes.codes import (
     CodeBasis,
     CodeKind,
@@ -180,7 +181,7 @@ class TestFileFormat:
         for code in fixtures().values():
             path = tmp_path / f"{code.label}.json"
             code.save(path)
-            loaded = CodeBasis.load(path)
+            loaded, _ = _load_code(path)
             assert loaded == code
 
     def test_file_is_indented_sorted_json(self, tmp_path):

@@ -198,9 +198,11 @@ def _errors_stdout(capsys, two_J, t, kind):
 # factorial-sum Clebsch-Gordan routine (the last three from the binomial-sum
 # routine, when the operators still called it; the first eight, from the
 # j-walk over every index and every delta_m, cover odd and even 2J at the
-# highest order each admits, where few indices lie off the centre); any
-# rewrite of the amplitudes or of the report writer must reproduce these
-# bytes.
+# highest order each admits, where few indices lie off the centre; the
+# last two, at the CLI's admitted maximum 2J = 512 and t = 6, from the
+# operators built as SqrtRational entries before they were stored as int
+# triples); any rewrite of the amplitudes or of the report writer must
+# reproduce these bytes.
 OPERATOR_DIGESTS = {
     (0, 0, "ae"): "6faf2aad6faddb457399e1d7341dc37d218784eab4b6de81d4d11970fc14c662",
     (1, 0, "ae"): "304571702c72d69e0153f7231c0a164a4ec919eb2c685b3d0a0e6bc12f7b6189",
@@ -219,6 +221,8 @@ OPERATOR_DIGESTS = {
     (86, 4, "ae"): "145bda86fc3e523b65f16fd7252a36aa5fc530101121f00bdfb8d5baeb7da1f9",
     (240, 2, "ae"): "bd8766edbc3ada156be4407cfc7f19f19c210ef77ff1e7fc7ee6ad9af7f0a4fe",
     (240, 2, "spin"): "fb5f8751d2bf4a4ee3c433220881b97a049bef0c6552548e040b4fd665a33cb5",
+    (512, 6, "ae"): "a962352ca796446473d53293f282cb27831f87804b7984be5b49a455b80f37f0",
+    (512, 6, "spin"): "bd1150b1e5a50913c09064f868357e02fef704a3d2c1a7ceb956018f9ba79b22",
 }
 
 
