@@ -90,12 +90,14 @@ class CodeBasis:
             raise ValueError("basis must be a list of coefficient lists")
         if not all(isinstance(c, dict) for vec in basis for c in vec):
             raise ValueError("each basis coefficient must be a JSON object")
+        if not isinstance(label := d.get("label", ""), str):
+            raise ValueError(f"label must be a string, got {label!r}")
         try:
             return CodeBasis(
                 kind=CodeKind(d["kind"]),
                 two_J=int_field(d, "two_J"),
                 basis=tuple(tuple(sqrt_rational_from_json(c) for c in vec) for vec in basis),
-                label=d.get("label", ""),
+                label=label,
             )
         except TypeError as exc:
             raise ValueError(f"malformed code file: {exc}") from exc

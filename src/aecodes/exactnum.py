@@ -2,10 +2,13 @@
 
 Every scalar that appears in the code constructions and verification sums is
 a finite Q-linear combination of square roots of positive rationals.  Such a
-number is stored canonically as ``sum_k coeff_k * sqrt(kernel_k)`` with the
-kernels square-free positive integers.  Because square roots of distinct
-square-free integers are linearly independent over Q, equality with zero is
-decidable by inspecting the canonical form.
+number is stored as ``sum_k coeff_k * sqrt(kernel_k)``.  A kernel is a
+square-free smooth part, its primes below 1000, times a cofactor that trial
+division left whole and that is not a perfect square; the radicands the
+program makes are smooth, so their kernels are square-free.  Square roots of
+distinct products of pairwise coprime non-squares are linearly independent
+over Q, so once a sum's cofactors are written over a coprime base, equality
+with zero is decided by inspecting that form, with no primality test.
 
 Both kinds keep their coefficients as plain ints, and only this module
 splits a radicand or combines kernels: no constructor takes a kernel.  A
@@ -38,156 +41,57 @@ from .jsonfmt import int_field
 RationalLike = Union[Fraction, int]
 
 # ---------------------------------------------------------------------------
-# Integer factorization: trial division by the primes below 1000, then
-# Miller-Rabin, a perfect-power test and Pollard rho for the cofactor.
-# Every number met in practice is smooth, since it arises from binomial
-# coefficients and factorials.  Rho finds a prime factor p in about sqrt(p)
-# steps, so the step budget reaches factors up to about 10^12; a radicand
-# from a file whose cofactor splits only into larger primes, and is not a
-# perfect power, raises ValueError instead of running without end.
+# Square-free splits: trial division by the primes below 1000, then one
+# integer square root of the cofactor.  Every number the program makes is
+# smooth, since it arises from binomial coefficients and factorials; a
+# radicand from a file may keep a cofactor, which a sum that holds one
+# refines to a coprime base before it decides anything (``RadicalSum``).
 # ---------------------------------------------------------------------------
 
 _SMALL_PRIMES = tuple(
     p for p in range(2, 1000) if all(p % q for q in range(2, math.isqrt(p) + 1))
 )
-_RHO_STEP_BUDGET = 1 << 23
-
-
-# psi_13 = 3,317,044,064,679,887,385,961,981 is the least composite that is a
-# strong pseudoprime to all of these; without 41, psi_12 = 399165290221 *
-# 798330580441 passes (Sorenson & Webster, Math. Comp. 86 (2017) 985).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def _is_probable_prime(n: int) -> bool:
-    """Miller-Rabin on ``_MR_WITNESSES``: deterministic for n < psi_13 (about 3.3e24)."""
-    if n < 2:
-        return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n (Brent's cycle variant).
-
-    Raises ValueError once _RHO_STEP_BUDGET polynomial steps are spent.
-    """
-    if n % 2 == 0:
-        return 2
-    seed = steps = 1
-    while True:
-        seed += 1
-        y, c, m = seed, seed + 1, 128
-        g = r = q = 1
-        x = ys = y
-        while g == 1:
-            if steps > _RHO_STEP_BUDGET:
-                raise ValueError(
-                    f"no factor of {n} found within {_RHO_STEP_BUDGET} Pollard rho steps"
-                )
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            steps += 2 * r
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of a positive integer as {prime: exponent}."""
-    if n <= 0:
-        raise ValueError("factorize expects a positive integer")
-    factors: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        if p * p > n:
-            break
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        power = _perfect_power(m)
-        if power is not None:
-            stack.extend([power[0]] * power[1])
-            continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return factors
-
-
-def _perfect_power(m: int) -> tuple[int, int] | None:
-    """(root, k) with root**k == m for the least k >= 2, or None.
-
-    Rho needs about sqrt(p) steps to split p**k, past its budget for a large
-    prime p, while the exact root takes a few Newton steps per k.  The least
-    such k is prime, since r**(a*b) == (r**a)**b, so only prime k are tried.
-    """
-    for k in range(2, m.bit_length()):
-        if not _is_probable_prime(k):
-            continue
-        root = _integer_root(m, k)
-        if root**k == m:
-            return root, k
-    return None
-
-
-def _integer_root(m: int, k: int) -> int:
-    """floor(m ** (1/k)) for m >= 1, by Newton's method from above."""
-    x = 1 << -(-m.bit_length() // k)
-    while True:
-        y = ((k - 1) * x + m // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
+_PRIMORIAL = math.prod(_SMALL_PRIMES)  # gcd(k, _PRIMORIAL) is a kernel's smooth part
 
 
 @lru_cache(maxsize=1 << 16)
 def _squarefree_int(n: int) -> tuple[int, int]:
-    """Write positive n as s**2 * k with k square-free; returns (s, k)."""
+    """Positive n as s**2 * k, k a square-free smooth part times a cofactor, 1 or no square."""
     s = k = 1
-    for p, e in factorize(n).items():
-        s *= p ** (e // 2)
-        if e % 2:
-            k *= p
-    return s, k
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        s, k = s * p ** (e // 2), k * p ** (e % 2)
+    r = math.isqrt(n)
+    return (s * r, k) if r * r == n else (s, k * n)
+
+
+def _coprime_base(xs: Iterable[int]) -> list[int]:
+    """Pairwise coprime non-squares of whose powers every x > 1 in xs is a product.
+
+    Naive refinement: a pair sharing g > 1 becomes a / g, g, b / g, and a
+    perfect square gives way to its root.  The product of the pending and
+    kept numbers drops at each step, so the loop ends.
+    """
+    base: list[int] = []
+    todo = [x for x in xs if x > 1]
+    while todo:
+        a = todo.pop()
+        r = math.isqrt(a)
+        if r * r == a:
+            todo.append(r)
+            continue
+        for i, b in enumerate(base):
+            if (g := gcd(a, b)) > 1:
+                del base[i]
+                todo += [x for x in (g, a // g, b // g) if x > 1]
+                break
+        else:
+            base.append(a)
+    return base
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +102,15 @@ def _squarefree_int(n: int) -> tuple[int, int]:
 class SqrtRational:
     """A value sign * sqrt(radicand), radicand a nonnegative rational.
 
-    Canonical storage is ``(num / den) * sqrt(kernel)`` in plain ints:
-    ``num / den`` in lowest terms with ``den > 0``, and ``kernel`` a
-    square-free positive integer (1 when ``num == 0``).  This makes products
-    cheap (two gcds) and equality structural.  No constructor takes a
-    kernel: every value is built through the trusted ``_make``, whose
-    arguments already satisfy the invariants.
+    Storage is ``(num / den) * sqrt(kernel)`` in plain ints: ``num / den``
+    in lowest terms with ``den > 0``, and ``kernel`` positive (1 when
+    ``num == 0``) with a square-free smooth part, its primes below 1000.
+    What trial division leaves of a radicand stays whole in the kernel as a
+    cofactor unless it is a perfect square, so one value can be stored two
+    ways, sqrt(p**3) and p*sqrt(p); equality and hash compare the square,
+    that is sign and radicand.  Products cost two gcds.  No constructor
+    takes a kernel: every value is built through the trusted ``_make``,
+    whose arguments already satisfy the invariants.
     """
 
     __slots__ = ("num", "den", "kernel")
@@ -268,7 +175,7 @@ class SqrtRational:
     def __mul__(self, other: "SqrtRational") -> "SqrtRational":
         if not isinstance(other, SqrtRational):
             return NotImplemented
-        # Product of coprime square-free parts stays square-free.
+        # Products of coprime square-free smooth parts stay square-free.
         g = math.gcd(self.kernel, other.kernel)
         num, den = self.num * other.num * g, self.den * other.den
         h = math.gcd(num, den)
@@ -289,13 +196,12 @@ class SqrtRational:
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, SqrtRational)
-            and self.num == other.num
-            and self.den == other.den
-            and self.kernel == other.kernel
+            and self.sign == other.sign
+            and self.radicand == other.radicand
         )
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den, self.kernel))
+        return hash((self.sign, self.radicand))
 
     def to_mpf(self, precision_bits: int = 200) -> mpmath.mpf:
         with mpmath.workprec(precision_bits + 10):
@@ -316,13 +222,19 @@ class SqrtRational:
 
 
 class RadicalSum:
-    """A finite sum of rational multiples of sqrt(square-free integer).
+    """A finite sum of rational multiples of square roots of kernels.
 
     Stored as {kernel: (num, den)} in plain ints, each pair in lowest terms
-    with den > 0 and num != 0, so equality is structural.  The zero test is
-    exact and complete for this class: the represented real number is zero
-    iff no term is stored, by the linear independence over Q of square roots
-    of distinct square-free integers.  ``RadicalSum()`` is the empty sum.
+    with den > 0 and num != 0, kernels as ``SqrtRational`` keeps them.  When
+    no kernel holds a cofactor the kernels are square-free, and the sum is
+    zero iff no term is stored, by the linear independence over Q of square
+    roots of distinct square-free integers.  Otherwise ``_canonical`` first
+    rewrites the cofactors over a coprime base of non-squares (Bernstein,
+    J. Algorithms 54 (2005) 1); square roots of distinct products of such a
+    base are again independent (Besicovitch, J. London Math. Soc. 15 (1940)
+    3).  So ``is_zero``, ``==``, ``terms()`` and ``to_mpf`` see a zero as
+    zero, and the smooth path pays one gcd a term, only where the answer
+    depends on it.  ``RadicalSum()`` is the empty sum.
     """
 
     __slots__ = ("_terms",)
@@ -358,12 +270,30 @@ class RadicalSum:
         """Sum of signed square roots."""
         return RadicalSum._from_terms([(v.num, v.den, v.kernel) for v in values])
 
+    def _canonical(self) -> "RadicalSum":
+        """This sum with its kernels' cofactors, k // gcd(k, _PRIMORIAL), over a coprime base."""
+        cofactors = {k: c for k in self._terms if (c := k // gcd(k, _PRIMORIAL)) > 1}
+        if not cofactors:
+            return self
+        base, terms = _coprime_base(cofactors.values()), []
+        for k, (num, den) in self._terms.items():
+            c = cofactors.get(k, 1)
+            k //= c
+            for b in base:
+                e = 0
+                while c % b == 0:
+                    c, e = c // b, e + 1
+                num, k = num * b ** (e // 2), k * b ** (e % 2)
+            terms.append((num, den, k))
+        return RadicalSum._from_terms(terms)
+
     def terms(self) -> list[tuple[int, Fraction]]:
         """Canonically ordered (kernel, coefficient) pairs."""
-        return [(k, Fraction(num, den)) for k, (num, den) in sorted(self._terms.items())]
+        items = self._canonical()._terms.items()
+        return [(k, Fraction(num, den)) for k, (num, den) in sorted(items)]
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._terms or not self._canonical()._terms
 
     def __add__(self, other: "RadicalSum") -> "RadicalSum":
         if not isinstance(other, RadicalSum):
@@ -378,18 +308,22 @@ class RadicalSum:
         return RadicalSum._from_terms([(-n, d, k) for k, (n, d) in self._terms.items()])
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, RadicalSum) and self._terms == other._terms
+        if not isinstance(other, RadicalSum):
+            return False
+        return self._terms == other._terms or (self - other).is_zero()
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self._terms.items())))
+        # Each canonical term is one square class; its signed square does not depend on the base.
+        items = self._canonical()._terms.items()
+        return hash(frozenset(Fraction(n * abs(n) * k, d * d) for k, (n, d) in items))
 
     def to_mpf(self, precision_bits: int = 200) -> mpmath.mpf:
-        """Float rendering: mpf(num) / den * sqrt(mpf(k)) summed by magnitude at bits + 20."""
+        """Canonical terms mpf(num) / den * sqrt(mpf(k)), summed by magnitude at bits + 20."""
         if precision_bits < 53:
             raise ValueError("precision_bits must be at least 53")
         # The libmp calls that mpf arithmetic makes under workprec(prec), with no context entered.
         prec, rnd, vals = precision_bits + 20, "n", []  # "n": round to nearest
-        for k, (num, den) in self._terms.items():
+        for k, (num, den) in self._canonical()._terms.items():
             q = mpf_div(from_int(num, prec, rnd), from_int(den), prec, rnd)
             vals.append(mpf_mul(q, mpf_sqrt(from_int(k, prec, rnd), prec, rnd), prec, rnd))
         # No term is zero; (top bit, mantissa aligned to prec bits) orders by magnitude.
@@ -437,7 +371,7 @@ def dot(p: dict[int, tuple[int, int, int]], q: dict[int, tuple[int, int, int]]) 
 
 
 def squarefree_fold(factors, s: int = 1, k: int = 1) -> tuple[int, int]:
-    """(s', k') with s'^2 k' = s^2 k prod(factors), k and k' square-free."""
+    """(s', k') with s'^2 k' = s^2 k prod(factors), k' a kernel as ``_squarefree_int`` makes."""
     for x in factors:
         sx, kx = _squarefree_int(x)
         g = gcd(k, kx)

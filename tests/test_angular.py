@@ -94,8 +94,8 @@ class TestClebschGordan:
                             assert value.radicand == Fraction(int(square.p), int(square.q))
                             count += 1
         assert count == 1887
-        # Racah sums with a factor that Pollard rho cannot split within its budget; only the
-        # ratio of binomials is factorized.
+        # Racah sums with a large composite factor, all its primes above 1000; only the
+        # ratio of binomials is split.
         for labels in (
             (348, 371, 493, -198, -23, -221),
             (464, 499, 387, 282, -175, 107),

@@ -126,34 +126,35 @@ class TestConstructVerify:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
-    def test_unfactorable_radicand_exits_two(self, tmp_path):
-        # Two 19-digit prime factors are beyond the Pollard rho budget, here
-        # cut to 2^12 steps so the budget is reached quickly; the subprocess
-        # timeout keeps a regression from hanging the suite.
-        data = fixtures()["J7half"].to_dict()
-        data["basis"][0][0]["radicand_num"] = str(1000000000000000003 * 2000000000000000057)
+    @staticmethod
+    def _verify_in_subprocess(tmp_path, radicand_num: str):
+        """``verify --t 1`` on J7half with its first radicand replaced; a timeout bounds a hang."""
         path = tmp_path / "hard.json"
-        path.write_text(json.dumps(data))
+        path.write_text(json.dumps(_j7half_with(radicand_num=radicand_num)))
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])
         ))
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import sys; from aecodes import cli, exactnum; "
-                "exactnum._RHO_STEP_BUDGET = 1 << 12; sys.exit(cli.main(sys.argv[1:]))",
-                "verify",
-                str(path),
-                "--t",
-                "1",
-            ],
+        script = "import sys; from aecodes import cli; sys.exit(cli.main(sys.argv[1:]))"
+        return subprocess.run(
+            [sys.executable, "-c", script, "verify", str(path), "--t", "1"],
             capture_output=True, text=True, env=env, timeout=60,
         )
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+    def test_two_large_prime_radicand_gets_a_verdict(self, tmp_path):
+        # Two 19-digit prime factors stay whole in one kernel: the zero test refines
+        # cofactors to a coprime base instead of factoring them, so the changed code
+        # is decided, and fails, rather than exiting 2 on a factoring budget.
+        proc = self._verify_in_subprocess(tmp_path, str(1000000000000000003 * 2000000000000000057))
+        assert proc.returncode == 1, proc.stderr
+        assert json.loads(proc.stdout)["report"]["pass"] is False
+
+    def test_four_thousand_digit_radicand_gets_a_verdict(self, tmp_path):
+        # 10^4000 - 1, below Python's 4,300-digit limit: its cofactor after trial
+        # division has about 13,000 bits and is never searched for roots or factors.
+        proc = self._verify_in_subprocess(tmp_path, "9" * 4000)
+        assert proc.returncode == 1, proc.stderr
+        assert json.loads(proc.stdout)["report"]["pass"] is False
 
     @pytest.mark.parametrize(
         "data",
@@ -166,6 +167,8 @@ class TestConstructVerify:
             _j7half_with(sign=True),
             _j7half_with(two_J=7.9),
             _j7half_with(two_J=True),
+            _j7half_with(label=5),
+            _j7half_with(label=[1]),
         ],
         ids=[
             "basis-not-list",
@@ -176,6 +179,8 @@ class TestConstructVerify:
             "bool-sign",
             "float-two-j",
             "bool-two-j",
+            "int-label",
+            "list-label",
         ],
     )
     def test_malformed_schema_exits_two(self, tmp_path, capsys, data):
@@ -558,9 +563,9 @@ class TestOtherCommands:
         status, report = run(capsys, "cg", *argv)
         assert status == 0 and report["manifest"]["verdicts"]["sign"] != 0
 
-    def test_cg_racah_sum_past_pollard_rho(self, capsys):
-        # The Racah sum has a composite factor 288244105768484777466276392194453 that rho
-        # cannot split within its budget; only the ratio of binomials is factorized.
+    def test_cg_racah_sum_with_large_composite_factor(self, capsys):
+        # The Racah sum has a composite factor 288244105768484777466276392194453 whose
+        # prime factors all lie above 1000; only the ratio of binomials is split.
         argv = ["--j1", "174", "--m1=-99", "--j2", "371/2", "--m2=-23/2", "--J", "493/2"]
         status, report = run(capsys, "cg", *argv, "--M=-221/2")
         expected = clebsch_gordan_t(348, -198, 371, -23, 493, -221)

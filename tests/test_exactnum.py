@@ -14,8 +14,6 @@ from hypothesis import strategies as st
 from aecodes.exactnum import (
     RadicalSum,
     SqrtRational,
-    _is_probable_prime,
-    factorize,
     sqrt_rational_from_json,
     sqrt_rational_to_json,
 )
@@ -64,41 +62,21 @@ class TestSquarefreeDecompose:
 
 
 class TestFactorize:
+    """Radicands holding powers of a prime above the trial-division bound."""
+
     @pytest.mark.parametrize("power", [2, 3, 6])
     def test_power_of_large_prime(self, power):
-        # 10**18 + 3 is prime, far past the Pollard rho budget; the power is
-        # split by its exact integer root instead.
+        # 10**18 + 3 is prime.  An even power is a perfect square after trial division
+        # and moves into the coefficient; an odd one stays whole in the kernel, where a
+        # sum's coprime base splits it.
         p = 10**18 + 3
-        assert factorize(p**power) == {p: power}
-        assert factorize(6 * p**power) == {2: 1, 3: 1, p: power}
-        assert storage(SqrtRational.sqrt(p**power)) == (p ** (power // 2), 1, p ** (power % 2))
-
-
-# The least strong pseudoprimes to all prime bases up to 37 and up to 41
-# (Sorenson & Webster, Math. Comp. 86 (2017) 985), with their factors.
-PSI_12 = (318665857834031151167461, 399165290221, 798330580441)
-PSI_13 = (3317044064679887385961981, 1287836182261, 2575672364521)
-
-
-class TestPrimality:
-    def test_psi12_is_composite(self):
-        psi, p, q = PSI_12
-        assert psi == p * q and _is_probable_prime(p) and _is_probable_prime(q)
-        assert not _is_probable_prime(psi)
-
-    def test_psi13_is_the_documented_bound(self):
-        # Composite, yet it passes every witness: the test is exact only below it.
-        psi, p, q = PSI_13
-        assert psi == p * q and _is_probable_prime(p) and _is_probable_prime(q)
-        assert _is_probable_prime(psi)
-
-    def test_witnesses_are_prime(self):
-        assert all(_is_probable_prime(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41))
-
-    def test_kernel_of_p_squared_q_is_squarefree(self):
-        # p * p * q = psi_12 * p: taking psi_12 for a prime left the kernel p * q * p.
-        _, p, q = PSI_12
-        assert storage(SqrtRational.sqrt(p * p * q)) == (p, 1, q)
+        whole = (p ** (power // 2), 1, 1) if power % 2 == 0 else (1, 1, p**power)
+        assert storage(SqrtRational.sqrt(p**power)) == whole
+        root = SqrtRational.sqrt(6 * p**power)
+        split = SqrtRational.sqrt(6 * p ** (power % 2)).scaled(p ** (power // 2))
+        assert root == split and hash(root) == hash(split)
+        assert RadicalSum.total([root, -split]).is_zero()
+        assert RadicalSum.total([root]) == RadicalSum.total([split])
 
 
 def _sq(sign, num, den):
@@ -271,6 +249,68 @@ class TestSqrtAgainstDecompose:
         assert SqrtRational.sqrt(Decimal("0.125")) == SqrtRational.sqrt(Fraction(1, 8))
         with pytest.raises(ValueError, match="square root of negative rational"):
             SqrtRational.sqrt(-0.5)
+
+
+_LARGE_PRIMES = (1000003, 10**12 + 39, 2**61 - 1)
+# Products of up to four factors, repeats included, so squares and higher powers occur.
+_MIXED_RADICANDS = st.lists(st.sampled_from((2, 3, 5, 7, 997) + _LARGE_PRIMES), max_size=4).map(
+    math.prod
+)
+_VALUES = st.tuples(
+    st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool),
+    _MIXED_RADICANDS,
+    st.sampled_from((1,) + _LARGE_PRIMES),
+    st.booleans(),
+)
+
+
+def _built(c: Fraction, r: int, a: int, via_a: bool) -> SqrtRational:
+    """c sqrt(r), directly or as c sqrt(r a) sqrt(1/a), which can leave a square in the kernel."""
+    if not via_a:
+        return SqrtRational.sqrt(r).scaled(c)
+    return (SqrtRational.sqrt(r * a) * SqrtRational.sqrt(Fraction(1, a))).scaled(c)
+
+
+def _factorint_kernel(r: int) -> tuple[int, int]:
+    """(s, k) with r = s**2 k and k square-free, by sympy's factorization."""
+    sympy = pytest.importorskip("sympy")
+    s = k = 1
+    for p, e in sympy.factorint(r).items():
+        s, k = s * p ** (e // 2), k * p ** (e % 2)
+    return s, k
+
+
+class TestZeroTestAgainstFactorint:
+    """``is_zero``, ``==`` and ``hash`` of sums whose kernels keep cofactors, against sympy."""
+
+    @given(
+        values=st.lists(_VALUES, min_size=1, max_size=6),
+        cancel=st.booleans(),
+        keep=st.integers(0, 2),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_zero_equality_and_hash(self, values, cancel, keep):
+        signed = [_built(*v) for v in values]
+        for (c, r, a, via_a), v in zip(values, signed):
+            other_way = _built(c, r, a, not via_a)
+            assert v == other_way and hash(v) == hash(other_way) and v.radicand == c * c * r
+        if cancel:  # all but the first `keep` values less themselves, built the other way round
+            signed += [_built(-c, r, a, not via_a) for c, r, a, via_a in values[keep:]]
+        expected: dict[int, Fraction] = {}
+        for c, r, _, _ in values[:keep] if cancel else values:
+            s, k = _factorint_kernel(r)
+            expected[k] = expected.get(k, Fraction(0)) + c * s
+        expected = {k: c for k, c in expected.items() if c}
+        total = RadicalSum.total(signed)
+        assert total.is_zero() == (not expected) == (total.to_mpf(200) == 0)
+        reference = RadicalSum.total([SqrtRational.sqrt(k).scaled(c) for k, c in expected.items()])
+        assert total == reference and hash(total) == hash(reference)
+        assert (total - reference).is_zero()
+        other = reference + RadicalSum.total([SqrtRational.sqrt(_LARGE_PRIMES[1] ** 3)])
+        assert total != other and not (total - other).is_zero()
+        # terms() is a canonical form: its pairs rebuild the same value.
+        rebuilt = RadicalSum.total([SqrtRational.sqrt(k).scaled(c) for k, c in total.terms()])
+        assert rebuilt == total and len(total.terms()) == len(expected)
 
 
 def canonical_sum(s: RadicalSum) -> RadicalSum:
