@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
+from math import comb, prod
 
-from .combinatorics import binom
-from .exactnum import SqrtRational, sqrt_rational_from_json, sqrt_rational_to_json
+from .exactnum import SqrtRational, sqrt_ratio, sqrt_rational_from_json, sqrt_rational_to_json
 from .jsonfmt import int_field, to_json
 
 
@@ -155,27 +154,24 @@ class GmdeParams:
         return 2 * self.g * self.m + self.delta + 1
 
 
-def _gmde_amplitudes(p: GmdeParams) -> list[Fraction]:
-    """Squared amplitudes (gamma*b_l)^2 for l = 0..m; raises on bad radicands."""
+def _gmde_amplitudes(p: GmdeParams) -> list[tuple[int, int]]:
+    """Squared amplitudes (gamma*b_l)^2 for l = 0..m, each as ints (num, den).
+
+    gamma^2 = C(n/2g, m)(n - 2gm)/(g(m+1)) and b_l^2 = C(m, l)/C(n/g - l, m+1)
+    reduce to C(m, l) prod_{i=0..m}(n - 2gi) / (2^m prod_{i=0..m}(n - g(l+i))).
+    Every factor is at least n - 2gm = delta + 1 >= 1, so each is positive.
+    """
     g, m, n = p.g, p.m, p.n
     if g == 0:
         raise ValueError("g must be positive (the construction divides by g)")
-    gamma_sq = binom(Fraction(n, 2 * g), m) * Fraction(n - 2 * g * m, g * (m + 1))
-    if gamma_sq <= 0:
-        raise ValueError(f"nonpositive radicand in the normalizer for {p}")
-    out = []
-    for l in range(m + 1):
-        den = binom(Fraction(n, g) - l, m + 1)
-        if den <= 0:
-            raise ValueError(f"nonpositive radicand in amplitude l={l} for {p}")
-        b_sq = binom(m, l) / den
-        out.append(gamma_sq * b_sq)
-    return out
+    top = prod(n - 2 * g * i for i in range(m + 1))
+    return [(comb(m, l) * top, prod(n - g * (l + i) for i in range(m + 1)) << m)
+            for l in range(m + 1)]
 
 
 def _construct_gmde(p: GmdeParams, kind: CodeKind) -> CodeBasis:
     n = p.n
-    amp = [SqrtRational.sqrt(a2) for a2 in _gmde_amplitudes(p)]
+    amp = [SqrtRational._make(*sqrt_ratio(*a2)) for a2 in _gmde_amplitudes(p)]
     c0: dict[int, SqrtRational] = {}
     c1: dict[int, SqrtRational] = {}
     for l in range(p.m + 1):
@@ -237,7 +233,7 @@ def map_f(c: CodeBasis) -> CodeBasis:
 
 
 def _sq(num: int, den: int) -> SqrtRational:
-    return SqrtRational.sqrt(Fraction(num, den))
+    return SqrtRational._make(*sqrt_ratio(num, den))
 
 
 def fixtures() -> dict[str, CodeBasis]:

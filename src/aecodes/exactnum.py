@@ -20,6 +20,10 @@ denominator) pair per kernel; ``RadicalSum()`` is the empty sum.  Every sum,
 ``klverify`` included, goes through one int accumulator, ``_from_terms``, and
 ``image`` takes its weights as the same triples; ``terms()`` hands ``Fraction``s
 to writers, ``squarefree_fold`` kernels to the triples ``errors`` stores.
+``sqrt_ratio(p, q)`` is the one square root of a ratio of ints, the triple
+``sqrt`` stores, so the family amplitudes and the condition weights make no
+``Fraction``.  Most sums have a single kernel: ``_from_terms`` adds those in
+two local ints and keeps a dict per kernel only once a second one turns up.
 
 All values here are immutable and all operations are pure, so they can be
 shared freely between threads or tasks.
@@ -67,6 +71,21 @@ def _squarefree_int(n: int) -> tuple[int, int]:
         s, k = s * p ** (e // 2), k * p ** (e % 2)
     r = math.isqrt(n)
     return (s * r, k) if r * r == n else (s, k * n)
+
+
+def sqrt_ratio(p: int, q: int) -> tuple[int, int, int]:
+    """sqrt(p/q) for ints p >= 0, q > 0: the (num, den, kernel) that ``SqrtRational.sqrt`` stores."""
+    if q <= 0:
+        raise ValueError(f"denominator must be positive, got {q}")
+    if p < 0:
+        raise ValueError(f"square root of negative rational {Fraction(p, q)}")
+    if not p:
+        return 0, 1, 1
+    g = gcd(p, q)
+    q //= g
+    s, kernel = _squarefree_int(p // g * q)
+    g = gcd(s, q)
+    return s // g, q // g, kernel
 
 
 def _coprime_base(xs: Iterable[int]) -> list[int]:
@@ -142,14 +161,7 @@ class SqrtRational:
         """The nonnegative square root of p/q: (s/q) sqrt(k) where p*q = s**2 * k."""
         if not isinstance(q, (int, Fraction)):
             q = Fraction(q)
-        num, den = q.numerator, q.denominator
-        if num < 0:
-            raise ValueError(f"square root of negative rational {q}")
-        if not num:
-            return SqrtRational.zero()
-        s, kernel = _squarefree_int(num * den)
-        g = math.gcd(s, den)
-        return SqrtRational._make(s // g, den // g, kernel)
+        return SqrtRational._make(*sqrt_ratio(q.numerator, q.denominator))
 
     # -- views --------------------------------------------------------------
 
@@ -247,11 +259,20 @@ class RadicalSum:
         """Sum of (num / den) sqrt(kernel) triples: per kernel ints over an lcm, reduced once."""
         if not terms:
             return _EMPTY
-        acc: dict[int, tuple[int, int]] = {}
-        for num, den, k in terms:
-            n0, d0 = acc.get(k, (0, 1))
-            g = math.gcd(d0, den)
-            acc[k] = (n0 * (den // g) + num * (d0 // g), d0 // g * den)
+        k0, n0, d0 = terms[0][2], 0, 1
+        it = iter(terms)
+        for num, den, k in it:
+            if k != k0:
+                acc = {k0: (n0, d0), k: (num, den)}
+                for num, den, k in it:
+                    n1, d1 = acc.get(k, (0, 1))
+                    g = gcd(d1, den)
+                    acc[k] = (n1 * (den // g) + num * (d1 // g), d1 // g * den)
+                break
+            g = gcd(d0, den)
+            n0, d0 = n0 * (den // g) + num * (d0 // g), d0 // g * den
+        else:  # one kernel throughout
+            acc = {k0: (n0, d0)}
         out = object.__new__(RadicalSum)
         out._terms = {k: (n // g, d // g) for k, (n, d) in acc.items() if n and (g := gcd(n, d))}
         return out

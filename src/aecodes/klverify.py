@@ -31,13 +31,12 @@ checks run sequentially and deterministically, which fixes the report order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 from .codes import CodeBasis
 from .errors import ErrorSet, build_ae_error_set
-from .exactnum import RadicalSum, SqrtRational, dot, image, radical_sum_to_json
+from .exactnum import RadicalSum, dot, image, radical_sum_to_json, sqrt_ratio
 
 
 @dataclass(frozen=True)
@@ -147,9 +146,8 @@ def _condition_image(vector, n: int, t: int, a: int) -> dict[int, tuple[int, int
     if not t:  # then a = 0 and every weight is 1
         return vector
     m = n - 2 * t
-    ratios = {x: Fraction(comb(m, x - a), comb(n, x)) for x in vector if a <= x <= a + m}
-    roots = {x: SqrtRational.sqrt(q) for x, q in ratios.items()}
-    return image(vector, {x: (s.num, s.den, s.kernel) for x, s in roots.items()}, -a)
+    weights = {x: sqrt_ratio(comb(m, x - a), comb(n, x)) for x in vector if a <= x <= a + m}
+    return image(vector, weights, -a)
 
 
 def _check_block(left, right, on: bool, off: bool, labels, violations) -> RadicalSum:

@@ -11,6 +11,7 @@ from aecodes.codes import (
     CodeBasis,
     CodeKind,
     GmdeParams,
+    _gmde_amplitudes,
     construct_ae_gmde,
     construct_pi_gmde,
     fixtures,
@@ -19,6 +20,7 @@ from aecodes.codes import (
     map_h,
     vector_from_entries,
 )
+from aecodes.combinatorics import binom
 from aecodes.exactnum import SqrtRational, dot
 from aecodes.klverify import _vectors, check_conditions
 from aecodes.search import enumerate_and_search
@@ -97,6 +99,50 @@ class TestConstruction:
                     for eps in (-1, 1):
                         p = GmdeParams(g, m, delta, eps)
                         assert map_e(construct_pi_gmde(p)).basis == construct_ae_gmde(p).basis
+
+
+def binom_amplitudes(p: GmdeParams) -> list[Fraction]:
+    """Oracle: (gamma b_l)^2 = C(n/2g, m) (n - 2gm)/(g(m+1)) C(m, l) / C(n/g - l, m+1)."""
+    g, m, n = p.g, p.m, p.n
+    gamma_sq = binom(Fraction(n, 2 * g), m) * Fraction(n - 2 * g * m, g * (m + 1))
+    return [gamma_sq * binom(m, l) / binom(Fraction(n, g) - l, m + 1) for l in range(m + 1)]
+
+
+class TestClosedFormAmplitudes:
+    """``_gmde_amplitudes`` in ints against the generalized-binomial formula."""
+
+    @staticmethod
+    def check(p: GmdeParams) -> None:
+        pairs = _gmde_amplitudes(p)
+        assert all(isinstance(x, int) and x > 0 for pair in pairs for x in pair)
+        assert [Fraction(num, den) for num, den in pairs] == binom_amplitudes(p), p
+
+    def test_every_instance_up_to_n_60(self):
+        # epsilon does not enter the amplitudes; g is capped at 60 when m = 0
+        params = [
+            GmdeParams(g, m, delta, -1)
+            for g in range(1, 61)
+            for m in range(0, 59 // (2 * g) + 1)
+            for delta in range(0, 60 - 2 * g * m)
+        ]
+        assert len(params) > 3600 and max(p.n for p in params) == 60
+        for p in params:
+            self.check(p)
+
+    @pytest.mark.parametrize(
+        "g, m, delta", [(1, 255, 1), (2, 127, 3), (4, 63, 7), (5, 50, 10), (255, 1, 1), (128, 2, 0)]
+    )
+    def test_near_two_j_512(self, g, m, delta):
+        p = GmdeParams(g, m, delta, 1)
+        assert 510 <= p.n <= 513
+        self.check(p)
+        assert construct_ae_gmde(p).basis == construct_pi_gmde(p).basis
+
+    def test_g_zero_still_raises(self):
+        for p in (GmdeParams(0, 1, 2, -1), GmdeParams(0, 0, 0, 1)):
+            for build in (_gmde_amplitudes, construct_ae_gmde, construct_pi_gmde):
+                with pytest.raises(ValueError, match="g must be positive"):
+                    build(p)
 
 
 class TestMaps:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from aecodes.exactnum import (
     RadicalSum,
     SqrtRational,
+    sqrt_ratio,
     sqrt_rational_from_json,
     sqrt_rational_to_json,
 )
@@ -359,6 +360,85 @@ class TestRadicalSumAgainstFractionDicts:
         assert (sx == sy) == (self.expected(x) == self.expected(y))
         assert (sx != sy) == (self.expected(x) != self.expected(y))
         assert (sx - sx).is_zero() and sx - sx == RadicalSum.zero()
+
+
+_COFACTOR = 10**18 + 3
+_TERM_KERNELS = st.sampled_from((1, 2, 3, 6, _COFACTOR, 2 * _COFACTOR))
+_TERMS = st.lists(
+    st.tuples(st.integers(-20, 20), st.integers(1, 30), _TERM_KERNELS), min_size=1, max_size=8
+)
+
+
+def fraction_terms(terms: list[tuple[int, int, int]]) -> list[tuple[int, tuple[int, int]]]:
+    """Oracle: per-kernel Fraction sums of (num, den, kernel), nonzero ones in first-seen order."""
+    acc: dict[int, Fraction] = {}
+    for num, den, k in terms:
+        acc[k] = acc.get(k, Fraction(0)) + Fraction(num, den)
+    return [(k, (c.numerator, c.denominator)) for k, c in acc.items() if c]
+
+
+class TestFromTermsAgainstFractions:
+    """``_from_terms``, one-kernel path and dict path, against Fraction sums, int for int."""
+
+    @staticmethod
+    def check(terms):
+        total = canonical_sum(RadicalSum._from_terms(terms))
+        assert list(total._terms.items()) == fraction_terms(terms)
+        assert total.is_zero() == (not fraction_terms(terms))
+
+    @given(terms=_TERMS, one_kernel=st.booleans(), cancel_first=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_oracle(self, terms, one_kernel, cancel_first):
+        k0 = terms[0][2]
+        if one_kernel:
+            terms = [(num, den, k0) for num, den, _ in terms]
+        if cancel_first:  # the first kernel's terms less themselves, interleaved with the rest
+            terms = [x for num, den, k in terms for x in ((num, den, k), (-num, den, k0))]
+        self.check(terms)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [(1, 2, 2), (1, 3, 3), (1, 6, 2)],  # interleaved k0, k1, k0
+            [(1, 2, 2), (-3, 6, 2), (1, 3, 3)],  # the first kernel cancels
+            [(1, 2, 2), (1, 3, 3), (-1, 2, 2)],  # ... after a second kernel turns up
+            [(0, 5, 7), (0, 1, 7)],  # zero numerators only
+            [(0, 5, 7), (4, 6, 3), (0, 2, 3)],
+            [(6, 4, 5)],  # a single term, reduced
+            [(1, 1, _COFACTOR), (2, 3, 7), (-1, 1, _COFACTOR), (1, 3, 7 * _COFACTOR)],
+            [(1, 4, _COFACTOR), (1, 4, _COFACTOR)],
+        ],
+    )
+    def test_named_cases(self, terms):
+        self.check(terms)
+
+
+class TestSqrtRatio:
+    """``sqrt_ratio(p, q)`` is the storage of ``SqrtRational.sqrt(Fraction(p, q))``."""
+
+    @given(
+        a=st.integers(0, 10**4),
+        b=st.integers(1, 10**4),
+        common=st.integers(1, 10**3),
+        big=st.sampled_from((1, _COFACTOR, _COFACTOR**2, 3 * (2**61 - 1))),
+        into=st.sampled_from(("p", "q", "both")),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_sqrt_of_fraction(self, a, b, common, big, into):
+        p = a * common * (big if into != "q" else 1)
+        q = b * common * (big if into != "p" else 1)
+        assert sqrt_ratio(p, q) == storage(SqrtRational.sqrt(Fraction(p, q)))
+
+    def test_edges(self):
+        assert sqrt_ratio(0, 12) == (0, 1, 1)
+        assert sqrt_ratio(12, 8) == (1, 2, 6)  # sqrt(3/2) = sqrt(6)/2
+        assert sqrt_ratio(_COFACTOR * 4, _COFACTOR) == (2, 1, 1)
+        assert sqrt_ratio(_COFACTOR**3, 9) == (1, 3, _COFACTOR**3)  # the cofactor stays whole
+        with pytest.raises(ValueError, match="square root of negative rational -1/2"):
+            sqrt_ratio(-2, 4)
+        for q in (0, -3):
+            with pytest.raises(ValueError, match="denominator must be positive"):
+                sqrt_ratio(1, q)
 
 
 class TestRadicalSum:
