@@ -36,7 +36,7 @@ from math import comb
 import mpmath
 
 from .combinatorics import binom
-from .exactnum import SqrtRational
+from .exactnum import SqrtRational, sqrt_ratio
 
 
 @dataclass(frozen=True)
@@ -58,35 +58,24 @@ class HalfInt:
 
 def clebsch_gordan_t(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> SqrtRational:
     """Exact C^{J,M}_{j1,m1;j2,m2} from doubled labels; zero when selection rules fail."""
-    if tm1 + tm2 != tM:
+    if (
+        tm1 + tm2 != tM
+        or min(tj1, tj2, tJ) < 0
+        or abs(tm1) > tj1 or abs(tm2) > tj2 or abs(tM) > tJ
+        # m must differ from j by an integer, and the triangle must close on an integer total
+        or (tj1 + tm1) % 2 or (tj2 + tm2) % 2 or (tJ + tM) % 2 or (tj1 + tj2 + tJ) % 2
+        or not abs(tj1 - tj2) <= tJ <= tj1 + tj2
+    ):
         return SqrtRational.zero()
-    if min(tj1, tj2, tJ) < 0:
-        return SqrtRational.zero()
-    if abs(tm1) > tj1 or abs(tm2) > tj2 or abs(tM) > tJ:
-        return SqrtRational.zero()
-    # m must differ from j by an integer, and the triangle must close on an
-    # integer total.
-    if (tj1 + tm1) % 2 or (tj2 + tm2) % 2 or (tJ + tM) % 2:
-        return SqrtRational.zero()
-    if (tj1 + tj2 + tJ) % 2:
-        return SqrtRational.zero()
-    if not abs(tj1 - tj2) <= tJ <= tj1 + tj2:
-        return SqrtRational.zero()
-
     a, p, q = (tj1 + tj2 - tJ) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2
     b, c = (tj1 - tj2 + tJ) // 2, (tj2 - tj1 + tJ) // 2
     total = sum(
         (-1) ** z * comb(a, z) * comb(b, p - z) * comb(c, q - z)
         for z in range(max(0, p - b, q - c), min(a, p, q) + 1)
     )
-    ratio = Fraction(
-        comb(tj1, a) * comb(tj2, a),
-        comb((tj1 + tj2 + tJ) // 2 + 1, a)
-        * comb(tj1, p)
-        * comb(tj2, (tj2 - tm2) // 2)
-        * comb(tJ, (tJ - tM) // 2),
-    )
-    return SqrtRational.sqrt(ratio).scaled(total)
+    num = comb(tj1, a) * comb(tj2, a)
+    den = comb((tj1 + tj2 + tJ) // 2 + 1, a) * comb(tj1, p) * comb(tj2, (tj2 - tm2) // 2)
+    return SqrtRational._make(*sqrt_ratio(num, den * comb(tJ, (tJ - tM) // 2))).scaled(total)
 
 
 # ---------------------------------------------------------------------------

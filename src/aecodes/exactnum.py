@@ -145,7 +145,7 @@ class SqrtRational:
 
     @staticmethod
     def zero() -> "SqrtRational":
-        return SqrtRational._make(0, 1, 1)
+        return _ZERO
 
     @staticmethod
     def one() -> "SqrtRational":
@@ -226,6 +226,9 @@ class SqrtRational:
         if self.num == self.den == 1:
             return f"sqrt({self.kernel})"
         return f"{self.coeff}*sqrt({self.kernel})"
+
+
+_ZERO = SqrtRational._make(0, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -417,18 +420,20 @@ def sqrt_rational_to_json(s: SqrtRational) -> dict:
 
 
 def sqrt_rational_from_json(d: dict) -> SqrtRational:
+    """A code file's coefficient, sign * sqrt(radicand_num / radicand_den), with every check on
+    its fields; the two ints go to ``sqrt_ratio`` with no ``Fraction``, and 0 to the shared zero."""
     den = int_field(d, "radicand_den")
     if den == 0:
         raise ValueError("radicand_den must be nonzero")
-    radicand, sign = Fraction(int_field(d, "radicand_num"), den), int_field(d, "sign")
+    num, sign = int_field(d, "radicand_num"), int_field(d, "sign")
     if sign not in (-1, 0, 1):
         raise ValueError(f"sign must be -1, 0, or +1, got {sign}")
-    if radicand < 0:
+    if num * den < 0:
         raise ValueError("radicand must be nonnegative")
-    if (sign == 0) != (radicand == 0):
+    if (sign == 0) != (num == 0):
         raise ValueError("sign is 0 exactly when the radicand is 0")
-    root = SqrtRational.sqrt(radicand)
-    return root if sign >= 0 else -root
+    s, q, k = sqrt_ratio(abs(num), abs(den))
+    return SqrtRational._make(sign * s, q, k) if num else _ZERO
 
 
 def radical_sum_to_json(v: RadicalSum) -> dict:

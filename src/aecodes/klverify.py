@@ -37,6 +37,10 @@ from math import comb
 from .codes import CodeBasis
 from .errors import ErrorSet, build_ae_error_set
 from .exactnum import RadicalSum, dot, image, radical_sum_to_json, sqrt_ratio
+from .jsonfmt import to_json
+
+# The text of a zero value in a Gram entry as ``KLReport.write_json`` writes it.
+_ZERO_VALUE = to_json(radical_sum_to_json(RadicalSum.zero()), "\n        ")
 
 
 @dataclass(frozen=True)
@@ -74,6 +78,19 @@ class KLReport:
                 for key, val in sorted(self.gram.items())
             ],
         }
+
+    def write_json(self, write) -> None:
+        """``to_json(self.to_dict(), "\\n  ")``, one ``write`` per Gram entry."""
+        sep, inner = '{\n    "gram": [', "\n        "  # inner: the indent of an entry's keys
+        for key in sorted(self.gram):
+            val, ops = self.gram[key], to_json(list(key), inner)
+            value = _ZERO_VALUE if val.is_zero() else to_json(radical_sum_to_json(val), inner)
+            write(f'{sep}\n      {{\n        "ops": {ops},\n        "value": {value}\n      }}')
+            sep = ","
+        write("\n    ]" if self.gram else sep + "]")
+        violations = [v.to_dict() for v in self.violations]
+        rest = to_json({"mode": self.mode, "pass": self.passed, "violations": violations}, "\n  ")
+        write("," + rest[1:])  # the keys after "gram", but for to_json's "{"
 
 
 @dataclass(frozen=True)

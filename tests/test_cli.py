@@ -407,8 +407,26 @@ class TestOtherCommands:
                 1,
                 "07099141467cc092b05e0bbb023c1999a8034476dc624ed9a1c8822160be3e86",
             ),
+            (
+                "family86",
+                ["--t", "4", "--mode", "detect"],
+                0,
+                "879bdc3adfbb2cc44a9128e402a54ed45c7f9dfb280494f6310746e0ce572026",
+            ),
+            (
+                "J7half",
+                ["--t", "3", "--mode", "detect"],
+                1,
+                "164b8884037a6ec4d2ff5b743dd66afc08f60a42205065db82ce216e8ed95bb8",
+            ),
         ],
-        ids=["86-4-correct-gram", "7-2-correct-residuals", "7-2-conditions-residuals"],
+        ids=[
+            "86-4-correct-gram",
+            "7-2-correct-residuals",
+            "7-2-conditions-residuals",
+            "86-4-detect-gram",
+            "7-3-detect-residuals",
+        ],
     )
     def test_verify_stdout_pinned(self, tmp_path, capsys, monkeypatch, code, flags, status, digest):
         # The gram decimals of a passing code and the residual decimals of a

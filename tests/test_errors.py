@@ -81,18 +81,19 @@ class TestAmplitudes:
 
     @pytest.mark.parametrize("build", [build_ae_error_set, build_spin_error_set])
     def test_matches_general_clebsch_gordan(self, build):
-        # The general Racah routine is independent of the operator builder.
-        for two_J in range(41):
-            for t in range(min(3, two_J // 2) + 1):
-                for op in build(two_J, t).ops:
-                    amps = op.amplitudes()
-                    for j in range(two_J + 1):
-                        tm = 2 * j - two_J
-                        expected = clebsch_gordan_t(
-                            two_J, tm, 2 * op.r, 2 * op.delta_m,
-                            op.target_two_J, tm + 2 * op.delta_m,
-                        )
-                        assert amps.get(j, SqrtRational.zero()) == expected, (op, j)
+        # The general Racah routine is independent of the operator builder; t up to 6
+        # steps Hahn polynomials of degree up to 12 by their forward differences.
+        cases = [(two_J, t) for two_J in range(41) for t in range(min(3, two_J // 2) + 1)]
+        for two_J, t in cases + [(two_J, t) for two_J in (12, 13, 25) for t in (4, 5, 6)]:
+            for op in build(two_J, t).ops:
+                amps = op.amplitudes()
+                for j in range(two_J + 1):
+                    tm = 2 * j - two_J
+                    expected = clebsch_gordan_t(
+                        two_J, tm, 2 * op.r, 2 * op.delta_m,
+                        op.target_two_J, tm + 2 * op.delta_m,
+                    )
+                    assert amps.get(j, SqrtRational.zero()) == expected, (op, j)
 
     def test_out_of_range_targets_absent(self):
         eset = build_ae_error_set(7, 1)

@@ -552,3 +552,78 @@ class TestSerialization:
     def test_decimal_strings(self):
         d = sqrt_rational_to_json(_sq(-1, 3, 10))
         assert d == {"sign": -1, "radicand_num": "3", "radicand_den": "10"}
+
+
+def fraction_reader(d: dict) -> SqrtRational:
+    """The code file reader as written over ``Fraction`` and ``SqrtRational.sqrt``: the oracle."""
+    den = int(d["radicand_den"])
+    if den == 0:
+        raise ValueError("radicand_den must be nonzero")
+    radicand, sign = Fraction(int(d["radicand_num"]), den), int(d["sign"])
+    if sign not in (-1, 0, 1):
+        raise ValueError(f"sign must be -1, 0, or +1, got {sign}")
+    if radicand < 0:
+        raise ValueError("radicand must be nonnegative")
+    if (sign == 0) != (radicand == 0):
+        raise ValueError("sign is 0 exactly when the radicand is 0")
+    root = SqrtRational.sqrt(radicand)
+    return root if sign >= 0 else -root
+
+
+def _outcome(read, d: dict):
+    try:
+        return storage(read(d))
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestReaderAgainstFraction:
+    """``sqrt_rational_from_json`` reads what the ``Fraction`` reader reads, and fails alike."""
+
+    @given(
+        sign=st.integers(-2, 2),
+        a=st.integers(0, 10**4),
+        b=st.integers(0, 10**4),
+        common=st.sampled_from((1, 2, 12, 997, _COFACTOR, 6 * _COFACTOR)),
+        big=st.sampled_from((1, _COFACTOR, _COFACTOR**2, _COFACTOR**3)),
+        negate=st.sampled_from(("", "num", "den", "both")),
+        text=st.booleans(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_fraction_reader(self, sign, a, b, common, big, negate, text):
+        # unreduced ratios share `common`; `big` puts a 10**18+3 cofactor in the numerator
+        num = a * common * big * (-1 if negate in ("num", "both") else 1)
+        den = b * common * (-1 if negate in ("den", "both") else 1)
+        field = str if text else int
+        d = {"sign": sign, "radicand_num": field(num), "radicand_den": field(den)}
+        got, expected = _outcome(sqrt_rational_from_json, d), _outcome(fraction_reader, d)
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "sign, num, den",
+        [
+            (1, -3, -7),  # both negative: a positive ratio
+            (-1, -12, -8),
+            (1, 6, 4),  # unreduced
+            (-1, 4 * _COFACTOR, 9 * _COFACTOR),
+            (1, _COFACTOR, 1),
+            (1, _COFACTOR**3, 2),
+            (0, 0, -5),
+            (0, 0, 1),
+            (1, 3, 0),  # each invalid class, as the Fraction reader words it
+            (2, 1, 1),
+            (-2, 0, 1),
+            (1, -3, 7),
+            (-1, 3, -7),
+            (0, 1, 2),
+            (1, 0, 3),
+            (-1, 0, -3),
+        ],
+    )
+    def test_named_cases(self, sign, num, den):
+        d = {"sign": sign, "radicand_num": str(num), "radicand_den": str(den)}
+        assert _outcome(sqrt_rational_from_json, d) == _outcome(fraction_reader, d)
+
+    def test_zero_is_shared(self):
+        d = {"sign": 0, "radicand_num": "0", "radicand_den": "-4"}
+        assert sqrt_rational_from_json(d) is SqrtRational.zero()

@@ -30,7 +30,10 @@ from aecodes.codes import (
 )
 from aecodes.errors import apply, build_ae_error_set
 from aecodes.exactnum import RadicalSum, SqrtRational, dot, image
+from aecodes.jsonfmt import to_json
 from aecodes.klverify import (
+    KLReport,
+    KLViolation,
     _condition_image,
     _vectors,
     check_conditions,
@@ -470,13 +473,9 @@ def test_image_matches_sqrt_rational_products(v, weights, w, shift):
 REPORT_DIGEST = "ddba16e646536c8b7eb78de737f8a63b62fd7d95e6aa6f0240d84308efb35def"
 
 
-def report_digest() -> str:
-    """SHA-256 over the sorted-key JSON of every report on a fixed slice.
-
-    The slice is every 50th family-sweep instance plus the criterion-12
-    perturbations of the four fixtures; each goes through the conditions at
-    t' = 2t and t' = t, direct correction and detection.
-    """
+def _report_slice() -> list:
+    """(code, t) for every 50th family-sweep instance plus the criterion-12
+    perturbations of the four fixtures."""
     cases = [
         (construct_ae_gmde(GmdeParams(g, m, delta, eps)), t)
         for g, m, delta, eps, t in family_sweep_params()[::50]
@@ -485,8 +484,17 @@ def report_digest() -> str:
     for name, code in fixtures().items():
         for vi in range(code.dim):
             cases += [(perturb(code, vi, ci), orders[name]) for ci in code.support(vi)]
+    return cases
+
+
+def report_digest() -> str:
+    """SHA-256 over the sorted-key JSON of every report on a fixed slice.
+
+    Each case of ``_report_slice`` goes through the conditions at t' = 2t and
+    t' = t, direct correction and detection.
+    """
     digest = hashlib.sha256()
-    for code, t in cases:
+    for code, t in _report_slice():
         eset = build_ae_error_set(code.two_J, t)
         for report in (
             check_conditions(code, t, 2 * t),
@@ -500,3 +508,30 @@ def report_digest() -> str:
 
 def test_reports_byte_identical():
     assert report_digest() == REPORT_DIGEST
+
+
+def _written(report) -> str:
+    parts: list[str] = []
+    report.write_json(parts.append)
+    return "".join(parts)
+
+
+def test_kl_writer_matches_to_dict():
+    # The text cmd_verify streams is the generic writer's text of to_dict, on the digest's slice.
+    kinds = set()
+    for code, t in _report_slice():
+        eset = build_ae_error_set(code.two_J, t)
+        for report in (check_kl_correct(code, eset), check_kl_detect(code, eset)):
+            assert _written(report) == to_json(report.to_dict(), "\n  "), (code.label, t)
+            kinds.add((report.mode, report.passed))
+    assert kinds == {("correct", True), ("correct", False), ("detect", True), ("detect", False)}
+
+
+def test_kl_writer_edge_reports():
+    one = RadicalSum.from_rational(1)
+    violation = KLViolation(0, 1, "E[r=0,dJ=+0,dm=+0]", "", one)
+    for report in (
+        KLReport("detect", True, (), {}),
+        KLReport("correct", False, (violation,), {("a", "b"): RadicalSum.zero(), ("a", "a"): one}),
+    ):
+        assert _written(report) == to_json(report.to_dict(), "\n  ")
