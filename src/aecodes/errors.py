@@ -108,9 +108,9 @@ def _build_op(n: int, r: int, delta_J: int, delta_m: int, folds: list) -> ErrorO
     downs = (*range(n + 1, n2 + 1), comb(2 * r, r - delta_m), *range(n + c - a + 2, n + c + 2))
     s0, k0 = squarefree_fold(ups + downs)
     c0 = prod(range(n - a + 1, n + 1)) * prod(downs)  # (n)_a and the constant's denominator
-    qs = [sum(wz * prod(range(n - j - z + 1, n - j + 1)) * prod(range(j - a + z + 1, j + 1))
+    q0 = [sum(wz * prod(range(n - j - z + 1, n - j + 1)) * prod(range(j - a + z + 1, j + 1))
               for z, wz in enumerate(w)) for j in range(a + 1)]  # Q(0..a)
-    diffs = [sum((-1) ** (i - k) * comb(i, k) * qs[k] for k in range(i + 1)) for i in range(a + 1)]
+    diffs = [sum((-1) ** (i - k) * comb(i, k) * q0[k] for k in range(i + 1)) for i in range(a + 1)]
     qs = repeat(diffs[a])  # each row of differences is its start plus partial sums of the next
     for start in reversed(diffs[:a]):
         qs = accumulate(qs, initial=start)
@@ -138,8 +138,8 @@ def _build_set(two_J: int, t: int, spin: bool) -> ErrorSet:
         raise ValueError("t must be nonnegative")
     if two_J < 2 * t:
         raise ValueError(f"two_J={two_J} too small for order t={t} (need two_J >= 2t)")
-    ops, runs = {}, [[(1, 1, 1)] * (two_J + 1)]  # runs[k][u] = (s, kernel, x): x = s**2 kernel
-    for k in range(1, 2 * t + 1):  # = (u+1)(u+2)...(u+k), k <= 2t and u <= 2J
+    ops, runs = {}, [[(1, 1, 1)] * (two_J + 1)]  # runs[k][u] = (s, kernel, x), x = s**2 kernel
+    for k in range(1, 2 * t + 1):  # the product (u+1)(u+2)...(u+k), for k <= 2t and u <= 2J
         runs.append([(*squarefree_fold((u + k,), s, sk), x * (u + k))
                      for u, (s, sk, x) in enumerate(runs[-1])])
     for dJ in (0,) if spin else range(-t, t + 1):
