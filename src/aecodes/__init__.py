@@ -2,7 +2,6 @@
 
 from .exactnum import RadicalSum, SqrtRational
 from .combinatorics import (
-    FCoeffArgs,
     binom,
     check_corollary_B3,
     check_identity_B2,
@@ -47,7 +46,6 @@ __version__ = "0.1.0"
 __all__ = [
     "RadicalSum",
     "SqrtRational",
-    "FCoeffArgs",
     "binom",
     "check_corollary_B3",
     "check_identity_B2",

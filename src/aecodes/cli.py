@@ -8,26 +8,24 @@ carries a manifest (command, input digests, parameters, verdict summary,
 tool version) that is byte-for-byte reproducible for identical inputs and
 parameters.
 
-The AECODES_PRECISION_BITS environment variable (default 200) sets the
-precision of ``cg``'s decimal and the default precision of ``covariance``,
-which ``--bits`` overrides.  Either must lie between 53 and
+``covariance --bits`` (default 200) must lie between 53 and
 MAX_PRECISION_BITS (4096) bits; other values exit 2 before any work.  The
-decimals of ``verify`` and of every other report are rendered at a fixed
+decimals of ``cg``, ``verify`` and every other report are rendered at a fixed
 200 bits, so a report stays reproducible from a manifest that records no
 precision.
 Likewise ``errors --two-j`` must lie between 0 and MAX_TWO_J (512), and so
 must the ``two_J`` of a code file given to ``verify``, ``map`` or
 ``covariance``, the n = 2gm + delta + 1 of ``construct``, and twice the
 absolute value of each ``cg`` label (the slowest admitted call found, of
-13,000 random label sets at 4096 bits, took about 0.1 s on 2 cores);
+13,000 random label sets, took about 4 ms on 2 cores);
 the order ``--t`` of ``errors``, ``verify`` and ``search`` must lie between
 0 and MAX_T (6).  ``search`` also needs 2t+1 <= ``--n`` <= MAX_TWO_J,
 1 <= ``--max-size`` <= n+1 and ``--limit`` >= 0, and it solves at most
 MAX_SEARCH_PAIRS (100,000) staggered support pairs (``support_pair_count``).
-``covariance --full-group`` checks every element of the closure, of order
-8b for ``bd``, 48 for ``2o`` and 120 for ``2i``; it exits 2 before any work
-when the order exceeds MAX_CLOSURE_ORDER (4096), or order x (2J+1)^2 x
-(bits + 2J + 32) exceeds MAX_FULL_GROUP_WORK (7 x 10^8).
+``covariance --full-group`` checks every element of the closure, as many as
+the group's ``order``; it exits 2 before any work when the order exceeds
+MAX_CLOSURE_ORDER (4096), or order x (2J+1)^2 x (bits + 2J + 32) exceeds
+MAX_FULL_GROUP_WORK (7 x 10^8).
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ import argparse
 import functools
 import hashlib
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -83,11 +80,11 @@ MAX_T = 6
 # every n is admitted.
 MAX_SEARCH_PAIRS = 100_000
 
-# `covariance --full-group` checks each of the closure's 8b (BD), 48 (2O) or
-# 120 (2I) elements with O((2J+1)^2) products of S-bit ints, S = bits + 2J + 32,
-# so it is bounded on order * (2J+1)^2 * S.  The slowest runs admitted, 2I on
-# 2J = 36 at 4096 bits and on 2J = 126 at 200 bits, take 35 s and 12 s end to
-# end (2-core machine, Python 3.11).
+# `covariance --full-group` checks each of the closure's `order` elements with
+# O((2J+1)^2) products of S-bit ints, S = bits + 2J + 32, so it is bounded on
+# order * (2J+1)^2 * S.  The slowest runs admitted, 2I on 2J = 36 at 4096 bits
+# and on 2J = 126 at 200 bits, take 35 s and 12 s end to end (2-core machine,
+# Python 3.11).
 MAX_FULL_GROUP_WORK = 7 * 10**8
 
 
@@ -95,18 +92,6 @@ def _bounded(name: str, value: int, low: int, high: int) -> int:
     if not low <= value <= high:
         raise ValueError(f"{name} must be between {low} and {high}, got {value}")
     return value
-
-
-def precision_bits(flag: int | None = None) -> int:
-    """Working precision: ``flag`` if given, else AECODES_PRECISION_BITS, else 200."""
-    source, bits = "--bits", flag
-    if flag is None:
-        source, raw = "AECODES_PRECISION_BITS", os.environ.get("AECODES_PRECISION_BITS", "200")
-        try:
-            bits = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"{source} must be an integer, got {raw!r}") from exc
-    return _bounded(source, bits, 53, MAX_PRECISION_BITS)
 
 
 def _digest(data: bytes) -> str:
@@ -136,7 +121,11 @@ def _parse_halfint(text: str) -> HalfInt:
 def _load_code(path) -> tuple[CodeBasis, str]:
     """The code in ``path`` and the digest of its bytes, read once."""
     data = Path(path).read_bytes()
-    code = CodeBasis.from_dict(json.loads(data.decode("utf-8")))
+    try:
+        raw = json.loads(data.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("the code file nests too deeply to parse") from None
+    code = CodeBasis.from_dict(raw)
     _bounded("two_J", code.two_J, 1, MAX_TWO_J)
     return code, _digest(data)
 
@@ -215,10 +204,9 @@ def cmd_errors(args) -> int:
 
 
 def cmd_cg(args) -> int:
-    bits = precision_bits()
     labels = (args.j1, args.m1, args.j2, args.m2, args.J, args.M)
     value = clebsch_gordan_t(*(_parse_halfint(x).twice_value for x in labels))
-    decimal = mpmath.nstr(value.to_mpf(bits), int(bits / 3.32) + 2)
+    decimal = mpmath.nstr(value.to_mpf(200), 62)  # the digits of a 200-bit report decimal
     _emit(
         {
             "value": sqrt_rational_to_json(value),
@@ -309,24 +297,24 @@ def cmd_search(args) -> int:
 
 
 def cmd_covariance(args) -> int:
-    bits = precision_bits(args.bits)
+    bits = _bounded("--bits", args.bits, 53, MAX_PRECISION_BITS)
     code, digest = _load_code(args.code_file)
+    group = {
+        "bd": functools.partial(binary_dihedral_group, args.b),
+        "2o": binary_octahedral_group,
+        "2i": binary_icosahedral_group,
+    }[args.group](bits)
     if args.full_group:
-        order = {"bd": 8 * args.b, "2o": 48, "2i": 120}[args.group]
-        if order > MAX_CLOSURE_ORDER:
-            raise ValueError(f"--full-group closure order {order} exceeds {MAX_CLOSURE_ORDER}")
-        work = order * (code.two_J + 1) ** 2 * fixed_point_bits(code.two_J, bits)
+        if group.order > MAX_CLOSURE_ORDER:
+            raise ValueError(
+                f"--full-group closure order {group.order} exceeds {MAX_CLOSURE_ORDER}"
+            )
+        work = group.order * (code.two_J + 1) ** 2 * fixed_point_bits(code.two_J, bits)
         if work > MAX_FULL_GROUP_WORK:
             raise ValueError(
                 f"--full-group work order x (2J+1)^2 x (bits + 2J + 32) = {work}"
                 f" exceeds {MAX_FULL_GROUP_WORK}"
             )
-    if args.group == "bd":
-        group = binary_dihedral_group(args.b, bits)
-    elif args.group == "2o":
-        group = binary_octahedral_group(bits)
-    else:
-        group = binary_icosahedral_group(bits)
     report = check_covariance(code, group, args.tol, bits, full_group=args.full_group)
     _emit(
         {
@@ -436,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", choices=("2o", "2i", "bd"), required=True)
     p.add_argument("--b", type=int, default=4, help="b for the binary dihedral family")
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--bits", type=int, default=None)
+    p.add_argument("--bits", type=int, default=200)
     p.add_argument("--full-group", action="store_true")
     p.set_defaults(func=cmd_covariance)
 

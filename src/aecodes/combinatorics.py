@@ -14,7 +14,6 @@ used as oracles by the test suite and the ``identities`` CLI subcommand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import RationalLike
@@ -82,41 +81,18 @@ def check_corollary_B3(n: int, l: int, m: int, r: int) -> bool:
     return lhs == rhs
 
 
-@dataclass(frozen=True)
-class FCoeffArgs:
-    """Index bundle for the j-independent expansion coefficient f_{z1,z2}(u,v,w)."""
-
-    z1: int
-    z2: int
-    u: int
-    v: int
-    w: int
-    q: int
-    t: int
-    n: int
-
-    def __post_init__(self):
-        ok = (
-            0 <= self.z2 <= self.z1 <= self.q <= 2 * self.t
-            and self.n >= 2 * self.t
-            and 0 <= self.u <= self.z2
-            and 0 <= self.v <= self.q - self.z1
-            and 0 <= self.w <= self.z2 - self.u
-        )
-        if not ok:
-            raise ValueError(f"index bundle out of range: {self}")
-
-
-def f_coeff(args: FCoeffArgs) -> Fraction:
+def f_coeff(z1: int, z2: int, u: int, v: int, w: int, q: int, t: int, n: int) -> Fraction:
     """Expansion coefficient f_{z1,z2}(u,v,w), independent of the running index.
 
     The variable switch q -> q - z2 made during the derivation is already
     applied here, so that ``check_lemma_B4`` is a literal transcription of
     the expansion it certifies.  nbar = n - 2t + q.
     """
-    z1, z2, u, v, w = args.z1, args.z2, args.u, args.v, args.w
-    nbar = args.n - 2 * args.t + args.q
-    qs = args.q - z2
+    in_range = 0 <= z2 <= z1 <= q <= 2 * t <= n and min(u, v, w) >= 0
+    if not (in_range and v <= q - z1 and u + w <= z2):
+        raise ValueError(f"(z1, z2, u, v, w, q, t, n) = {z1, z2, u, v, w, q, t, n} out of range")
+    nbar = n - 2 * t + q
+    qs = q - z2
     num = (
         binom(z2, u)
         * binom(nbar, u + (z1 - z2))
@@ -144,7 +120,7 @@ def check_lemma_B4(n: int, q: int, z1: int, z2: int, t: int, j: int) -> bool:
     for u in range(z2 + 1):
         for v in range(q - z1 + 1):
             for w in range(z2 - u + 1):
-                coeff = f_coeff(FCoeffArgs(z1, z2, u, v, w, q, t, n))
+                coeff = f_coeff(z1, z2, u, v, w, q, t, n)
                 rhs += coeff * binom(n - 2 * t, j - v - w + z2)
     return lhs == rhs
 

@@ -148,10 +148,6 @@ class SqrtRational:
         return _ZERO
 
     @staticmethod
-    def one() -> "SqrtRational":
-        return SqrtRational._make(1, 1, 1)
-
-    @staticmethod
     def from_rational(q: RationalLike) -> "SqrtRational":
         q = Fraction(q)
         return SqrtRational._make(q.numerator, q.denominator, 1)

@@ -39,7 +39,7 @@ class TestClebschGordan:
             for j2 in ("1/2", 1, "5/2"):
                 total = Fraction(j1) + Fraction(j2)
                 top = cg(j1, j1, j2, j2, total, total)
-                assert top == SqrtRational.one()
+                assert top == SqrtRational.from_rational(1)
 
     def test_singlet_component(self):
         assert cg("1/2", "1/2", "1/2", "-1/2", 1, 0) == SqrtRational.sqrt(
@@ -51,7 +51,7 @@ class TestClebschGordan:
 
     def test_rank_zero_coupling_is_identity(self):
         for j, m in (("7/2", "3/2"), (2, -1), ("5/2", "-5/2")):
-            assert cg(j, m, 0, 0, j, m) == SqrtRational.one()
+            assert cg(j, m, 0, 0, j, m) == SqrtRational.from_rational(1)
 
     def test_triangle_violation_zero(self):
         assert cg(1, 0, 1, 0, 3, 0).is_zero()

@@ -32,6 +32,14 @@ def _must_not_run(*args, **kwargs):
     raise AssertionError("work started before the input was validated")
 
 
+class _Started(Exception):
+    """Raised by ``_start``, a stub for the work a command begins once its input is admitted."""
+
+
+def _start(*args, **kwargs):
+    raise _Started(*args)
+
+
 def _j7half_with(**fields):
     """The J7half code file with a top-level or first-coefficient field replaced."""
     data = fixtures()["J7half"].to_dict()
@@ -191,6 +199,23 @@ class TestConstructVerify:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--t", "1"],
+            ["map", "--via", "e", "--out", "out.json"],
+            ["covariance", "--group", "2i"],
+        ],
+        ids=["verify", "map", "covariance"],
+    )
+    def test_deeply_nested_file_exits_two(self, tmp_path, capsys, monkeypatch, argv):
+        # 1,500 nested arrays make json.loads raise RecursionError, not a schema error
+        monkeypatch.chdir(tmp_path)
+        Path("deep.json").write_text("[" * 1500 + "]" * 1500)
+        assert main([argv[0], "deep.json", *argv[1:]]) == 2
+        _assert_one_error_line(capsys)
+        assert not Path("out.json").exists()
 
     def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -360,9 +385,14 @@ class TestOtherCommands:
         assert main(["covariance", path, "--group", "2i", "--tol", tol]) == 2
         _assert_one_error_line(capsys)
 
-    def test_precision_bounds(self):
-        assert cli.precision_bits(53) == 53
-        assert cli.precision_bits(cli.MAX_PRECISION_BITS) == cli.MAX_PRECISION_BITS
+    def test_precision_bounds(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "q7.json")
+        fixtures()["J7half"].save(path)
+        monkeypatch.setattr(cli, "check_covariance", _start)
+        for bits in (53, cli.MAX_PRECISION_BITS):
+            with pytest.raises(_Started) as started:
+                main(["covariance", path, "--group", "2i", "--bits", str(bits)])
+            assert started.value.args[3] == bits  # check_covariance(code, group, tol, bits)
 
     @pytest.mark.parametrize("bits", ["0", "52", "4097", "100000000"])
     def test_bits_out_of_range_exits_two(self, tmp_path, capsys, monkeypatch, bits):
@@ -371,19 +401,6 @@ class TestOtherCommands:
         monkeypatch.setattr(cli, "check_covariance", _must_not_run)
         status = main(["covariance", path, "--group", "2i", "--bits", bits])
         assert status == 2
-        _assert_one_error_line(capsys)
-
-    @pytest.mark.parametrize("raw", ["52", "100000000", "many"])
-    def test_precision_env_out_of_range_exits_two(self, tmp_path, capsys, monkeypatch, raw):
-        path = str(tmp_path / "q7.json")
-        fixtures()["J7half"].save(path)
-        monkeypatch.setenv("AECODES_PRECISION_BITS", raw)
-        monkeypatch.setattr(cli, "check_covariance", _must_not_run)
-        monkeypatch.setattr(cli, "clebsch_gordan_t", _must_not_run)
-        assert main(["covariance", path, "--group", "2i"]) == 2
-        _assert_one_error_line(capsys)
-        cg_args = ["--j1", "1", "--m1", "0", "--j2", "1", "--m2", "0", "--J", "0", "--M", "0"]
-        assert main(["cg", *cg_args]) == 2
         _assert_one_error_line(capsys)
 
     @pytest.mark.parametrize(
@@ -441,16 +458,19 @@ class TestOtherCommands:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_verify_stdout_ignores_precision_env(self, tmp_path, capsys, monkeypatch):
-        # verify renders its decimals at a fixed 200 bits, as its manifest records no precision
+        # verify and cg render their decimals at a fixed 200 bits, as their manifests record
+        # no precision, so a precision in the environment leaves their bytes as they are
         path = str(tmp_path / "q7.json")
         fixtures()["J7half"].save(path)
-        monkeypatch.delenv("AECODES_PRECISION_BITS", raising=False)
-        assert main(["verify", path, "--t", "1"]) == 0
-        unset = capsys.readouterr().out
-        assert '"decimal"' in unset
-        monkeypatch.setenv("AECODES_PRECISION_BITS", "64")
-        assert main(["verify", path, "--t", "1"]) == 0
-        assert capsys.readouterr().out == unset
+        cg = ["cg", "--j1=1/2", "--m1=1/2", "--j2=1/2", "--m2=-1/2", "--J=1", "--M=0"]
+        for argv in (["verify", path, "--t", "1"], cg):
+            monkeypatch.delenv("AECODES_PRECISION_BITS", raising=False)
+            assert main(argv) == 0
+            unset = capsys.readouterr().out
+            assert '"decimal"' in unset
+            monkeypatch.setenv("AECODES_PRECISION_BITS", "64")
+            assert main(argv) == 0
+            assert capsys.readouterr().out == unset
 
     def test_order_bounds_admit_limits(self, capsys, monkeypatch):
         assert cli.MAX_TWO_J >= 243 and cli.MAX_T >= 4
@@ -485,7 +505,7 @@ class TestOtherCommands:
     @staticmethod
     def _code_file(tmp_path, two_j: int, kind: str) -> str:
         """A one-vector code file of spin two_j / 2: |j = 0>."""
-        vec = [SqrtRational.one()] + [SqrtRational.zero()] * two_j
+        vec = [SqrtRational.from_rational(1)] + [SqrtRational.zero()] * two_j
         path = str(tmp_path / f"{kind}{two_j}.json")
         CodeBasis(CodeKind(kind), two_j, (tuple(vec),)).save(path)
         return path
@@ -517,16 +537,8 @@ class TestOtherCommands:
     def test_full_group_work_out_of_range_exits_two(
         self, tmp_path, capsys, monkeypatch, group, b, order, bits
     ):
-        # the least spin over the bound exits 2 before any group is built; one less starts work
-        class Started(Exception):
-            pass
-
-        def start(*args, **kwargs):
-            raise Started
-
-        for name in ("binary_dihedral_group", "binary_octahedral_group", "binary_icosahedral_group"):
-            monkeypatch.setattr(cli, name, start)
-        monkeypatch.setattr(cli, "check_covariance", _must_not_run)
+        # the least spin over the bound exits 2 before any element is checked; one less starts work
+        monkeypatch.setattr(cli, "check_covariance", _start)
         work = [order * (n + 1) ** 2 * (bits + n + 32) for n in range(cli.MAX_TWO_J + 1)]
         n = next(n for n, w in enumerate(work) if w > cli.MAX_FULL_GROUP_WORK)
         argv = ["--group", group, "--b", str(b), "--bits", str(bits)]
@@ -534,24 +546,17 @@ class TestOtherCommands:
         assert main(["covariance", over, *argv, "--full-group"]) == 2
         _assert_one_error_line(capsys)
         for path, flags in ((over, []), (self._code_file(tmp_path, n - 1, "AE"), ["--full-group"])):
-            with pytest.raises(Started):
+            with pytest.raises(_Started):
                 main(["covariance", path, *argv, *flags])
 
     @pytest.mark.parametrize("b", [513, 1383])
     def test_full_group_closure_over_cap_exits_two(self, tmp_path, capsys, monkeypatch, b):
         # BD's closure has 8b elements: past the cap at b = 513 on any spin, while b = 512 starts
-        class Started(Exception):
-            pass
-
-        def start(*args, **kwargs):
-            raise Started
-
-        monkeypatch.setattr(cli, "binary_dihedral_group", start)
-        monkeypatch.setattr(cli, "check_covariance", _must_not_run)
+        monkeypatch.setattr(cli, "check_covariance", _start)
         path = self._code_file(tmp_path, 1, "AE")
         assert main(["covariance", path, "--group", "bd", "--b", str(b), "--full-group"]) == 2
         _assert_one_error_line(capsys)
-        with pytest.raises(Started):
+        with pytest.raises(_Started):
             main(["covariance", path, "--group", "bd", "--b", "512", "--full-group"])
 
     def test_loaded_spin_bound_admits_limit(self, tmp_path, capsys):

@@ -167,7 +167,7 @@ class TestMaps:
         spin = CodeBasis(
             CodeKind.SPIN,
             n,
-            (vector_from_entries(n, {n: SqrtRational.one()}),),
+            (vector_from_entries(n, {n: SqrtRational.from_rational(1)}),),
         )
         assert map_h(spin).support(0) == (0,)
 
@@ -250,4 +250,4 @@ class TestFileFormat:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            CodeBasis(CodeKind.AE, 5, ((SqrtRational.one(),),))
+            CodeBasis(CodeKind.AE, 5, ((SqrtRational.from_rational(1),),))

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aecodes.combinatorics import (
-    FCoeffArgs,
     binom,
     check_corollary_B3,
     check_identity_B2,
@@ -138,7 +137,7 @@ class TestFCoeff:
         n, t, q = 9, 2, 3
         nbar = n - 2 * t + q
         for v in range(q + 1):
-            got = f_coeff(FCoeffArgs(0, 0, 0, v, 0, q, t, n))
+            got = f_coeff(0, 0, 0, v, 0, q, t, n)
             expected = binom(nbar + v, v) * binom(q, v) / binom(nbar + q, q)
             assert got == expected
 
@@ -156,13 +155,13 @@ class TestFCoeff:
             / (binom(qs + z2, z1) * binom(nbar + qs + z2, qs + z2))
         )
         assert expected == Fraction(1, 56)  # 1 / (binom(2,1) * binom(8,2))
-        assert f_coeff(FCoeffArgs(z1, z2, u, v, w, q, t, n)) == expected
+        assert f_coeff(z1, z2, u, v, w, q, t, n) == expected
 
     def test_invariant_violation_rejected(self):
         with pytest.raises(ValueError):
-            FCoeffArgs(z1=1, z2=1, u=1, v=0, w=1, q=2, t=1, n=6)  # w > z2 - u
+            f_coeff(z1=1, z2=1, u=1, v=0, w=1, q=2, t=1, n=6)  # w > z2 - u
         with pytest.raises(ValueError):
-            FCoeffArgs(z1=2, z2=1, u=0, v=0, w=0, q=1, t=1, n=6)  # z1 > q
+            f_coeff(z1=2, z2=1, u=0, v=0, w=0, q=1, t=1, n=6)  # z1 > q
 
 
 class TestLemmaB4:

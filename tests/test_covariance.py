@@ -1,4 +1,4 @@
-"""Group covariance: generator sets, closure validation, residual checks."""
+"""Group covariance: generator sets, closure orders, residual checks."""
 
 import random
 from fractions import Fraction
@@ -95,20 +95,28 @@ def dense_residual(cols, two_J: int, u) -> mpmath.mpf:
         return max(abs(eigenvalues[i]) for i in range(eigenvalues.rows))
 
 
+def closure_order(group, bits: int) -> int:
+    return len(group_closure(group.generators, min(bits, 80)))
+
+
 class TestGroups:
+    # Each constructor states its group's order, by which `covariance --full-group`
+    # bounds its work before forming the closure; these tests are its only check.
     def test_octahedral_order(self):
-        group = binary_octahedral_group(120)  # order re-validated at build
-        assert len(group_closure(group.generators, 80)) == 48
+        for bits in (53, 200, 4096):
+            group = binary_octahedral_group(bits)
+            assert group.order == closure_order(group, bits) == 48
 
     def test_icosahedral_order(self):
-        group = binary_icosahedral_group(120)
-        assert len(group_closure(group.generators, 80)) == 120
+        for bits in (53, 200, 4096):
+            group = binary_icosahedral_group(bits)
+            assert group.order == closure_order(group, bits) == 120
 
     def test_dihedral_closure(self):
-        # order 8b, by which `covariance --full-group` bounds its work before building the closure
-        for b in range(1, 8):
-            group = binary_dihedral_group(b, 120)
-            assert len(group_closure(group.generators, 80)) == 8 * b
+        for bits in (53, 200, 4096):
+            for b in range(1, 9):
+                group = binary_dihedral_group(b, bits)
+                assert group.order == closure_order(group, bits) == 8 * b
 
     def test_generators_are_special_unitary(self):
         for group in (

@@ -27,7 +27,7 @@ class TestCounts:
         assert len(eset.ops) == 1
         op = eset.ops[0]
         assert (op.r, op.delta_J, op.delta_m) == (0, 0, 0)
-        assert all(amp == SqrtRational.one() for amp in op.amplitudes().values())
+        assert all(amp == SqrtRational.from_rational(1) for amp in op.amplitudes().values())
         assert len(op.entries) == 10
 
     @pytest.mark.parametrize("two_J", [*range(1, 65), 255, 511, 512])
@@ -35,7 +35,7 @@ class TestCounts:
         # the premise of cross_validate's docstring, by which search reports it from its KL guard
         op = build_ae_error_set(two_J, 0).ops[0]
         assert (op.r, op.delta_J, op.delta_m) == (0, 0, 0)
-        assert op.amplitudes() == {j: SqrtRational.one() for j in range(two_J + 1)}
+        assert op.amplitudes() == {j: SqrtRational.from_rational(1) for j in range(two_J + 1)}
 
     def test_order_one_count(self):
         assert len(build_ae_error_set(7, 1).ops) == 10
@@ -152,7 +152,7 @@ class TestApply:
     def test_raising_top_state_clips_to_zero(self):
         from aecodes.codes import vector_from_entries
 
-        vec = vector_from_entries(7, {7: SqrtRational.one()})
+        vec = vector_from_entries(7, {7: SqrtRational.from_rational(1)})
         raising = next(
             op
             for op in build_ae_error_set(7, 1).ops
@@ -163,7 +163,7 @@ class TestApply:
     def test_length_mismatch_rejected(self):
         op = build_ae_error_set(7, 1).ops[0]
         with pytest.raises(ValueError):
-            apply(op, [SqrtRational.one()] * 3)
+            apply(op, [SqrtRational.from_rational(1)] * 3)
 
     def test_target_sector_length(self):
         code = fixtures()["J7half"]

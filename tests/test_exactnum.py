@@ -48,7 +48,7 @@ class TestSquarefreeDecompose:
 
     def test_one(self):
         assert storage(SqrtRational.sqrt(1)) == (1, 1, 1)
-        assert SqrtRational.sqrt(Fraction(1)) == SqrtRational.one()
+        assert SqrtRational.sqrt(Fraction(1)) == SqrtRational.from_rational(1)
 
     @given(
         num=st.integers(min_value=1, max_value=10**6),
