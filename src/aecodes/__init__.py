@@ -21,7 +21,7 @@ from .codes import (
     map_f,
     map_h,
 )
-from .errors import ErrorOp, ErrorSet, apply, build_ae_error_set, build_spin_error_set
+from .errors import ErrorOp, ErrorSet, build_ae_error_set, build_spin_error_set
 from .klverify import (
     ConditionReport,
     KLReport,
@@ -67,7 +67,6 @@ __all__ = [
     "map_h",
     "ErrorOp",
     "ErrorSet",
-    "apply",
     "build_ae_error_set",
     "build_spin_error_set",
     "ConditionReport",

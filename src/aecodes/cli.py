@@ -74,8 +74,8 @@ MAX_T = 6
 # `search` solves every staggered support pair that can carry a vertex.  At
 # the largest n admitted for t <= 2 and max-size 2-4, the slowest runs are
 # (21, 1, 3), with 84,000 pairs, 36,596 codes and a 22 MB report, and
-# (24, 0, 2), with 90,300 pairs and codes and a 49 MB report; they take 10-16 s
-# end to end, and 18-22 s and 41-44 s with --out (2-core machine, Python 3.11).
+# (24, 0, 2), with 90,300 pairs and codes and a 49 MB report; they take 7-8 s and
+# 9 s end to end, and 16 s and 14-30 s with --out (2-core machine, Python 3.11).
 # At t = 2 and max-size 2 no pair has the 2t+2 indices a vertex needs, so
 # every n is admitted.
 MAX_SEARCH_PAIRS = 100_000

@@ -29,8 +29,8 @@ states, so per-operator scaling cancels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate, repeat
+from functools import cached_property, lru_cache
+from itertools import accumulate, combinations_with_replacement, repeat
 from math import comb, gcd, prod
 
 from .exactnum import SqrtRational, squarefree_fold
@@ -72,11 +72,24 @@ class ErrorSet:
     t: int
     ops: tuple[ErrorOp, ...]
 
-    def by_sector(self) -> dict[int, list[ErrorOp]]:
-        sectors: dict[int, list[ErrorOp]] = {}
-        for op in self.ops:
-            sectors.setdefault(op.delta_J, []).append(op)
-        return sectors
+    @cached_property
+    def plan(self) -> tuple:
+        """``block_plan`` of this set's keys: one object per key tuple, whatever 2J."""
+        return block_plan(tuple((op.label, op.delta_J, op.delta_m) for op in self.ops))
+
+
+@lru_cache(maxsize=64)
+def block_plan(keys: tuple[tuple[str, int, int], ...]) -> tuple:
+    """The pairs E_a^dagger E_b that correction dots, from each op's (label, dJ, dm): per dJ
+    sector, ascending, its ops' indices and a block (i, k, (label_i, label_k), dm_i - dm_k)
+    per pair i <= k of them, in ``combinations_with_replacement`` order."""
+    plan = []
+    for delta_J in sorted({dJ for _, dJ, _ in keys}):
+        sector = [(i, label, dm) for i, (label, dJ, dm) in enumerate(keys) if dJ == delta_J]
+        pairs = combinations_with_replacement(sector, 2)
+        plan.append((tuple(i for i, _, _ in sector),
+                     tuple((i, k, (a, b), dm_a - dm_b) for (i, a, dm_a), (k, b, dm_b) in pairs)))
+    return tuple(plan)
 
 
 def _folds(n: int, d: int, e: int, walked: int, runs) -> list:
@@ -166,25 +179,6 @@ def build_ae_error_set(two_J: int, t: int) -> ErrorSet:
 def build_spin_error_set(two_J: int, t: int) -> ErrorSet:
     """Rotation operators: the delta_J = 0 slice, sum_{r=0}^{t} (2r+1) of them."""
     return _build_set(two_J, t, spin=True)
-
-
-def apply(op: ErrorOp, v) -> list[SqrtRational]:
-    """Apply an operator to a coefficient vector; result lives in the target sector.
-
-    The output has length source_two_J + 2*delta_J + 1.  Each target index
-    receives at most one contribution because the operator is a diagonal
-    shift.
-    """
-    if len(v) != op.source_two_J + 1:
-        raise ValueError(
-            f"vector length {len(v)} does not match source dimension {op.source_two_J + 1}"
-        )
-    out = [SqrtRational.zero()] * (op.target_two_J + 1)
-    for j, amp in op.amplitudes().items():
-        tgt = j + op.delta_m + op.delta_J
-        if 0 <= tgt <= op.target_two_J and not v[j].is_zero():
-            out[tgt] = amp * v[j]
-    return out
 
 
 def write_operators_json(ops, write) -> None:

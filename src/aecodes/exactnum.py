@@ -13,17 +13,17 @@ with zero is decided by inspecting that form, with no primality test.
 Both kinds keep their coefficients as plain ints, and only this module
 splits a radicand or combines kernels: no constructor takes a kernel.  A
 ``SqrtRational`` stores (numerator, denominator, kernel) and comes from
-``zero``, ``one``, ``from_rational``, ``sqrt`` or arithmetic, through the
-trusted ``_make``.  A ``RadicalSum`` stores one reduced (numerator,
-denominator) pair per kernel; ``RadicalSum()`` is the empty sum.  Every sum,
-``dot`` of the (num, den, kernel) vectors that ``image`` builds for all of
-``klverify`` included, goes through one int accumulator, ``_from_terms``, and
-``image`` takes its weights as the same triples; ``terms()`` hands ``Fraction``s
-to writers, ``squarefree_fold`` kernels to the triples ``errors`` stores.
-``sqrt_ratio(p, q)`` is the one square root of a ratio of ints, the triple
-``sqrt`` stores, so the family amplitudes and the condition weights make no
-``Fraction``.  Most sums have a single kernel: ``_from_terms`` adds those in
-two local ints and keeps a dict per kernel only once a second one turns up.
+``zero``, ``from_rational``, ``sqrt`` or arithmetic, through the trusted
+``_make``.  A ``RadicalSum`` stores one reduced (numerator, denominator) pair
+per kernel; ``RadicalSum()`` is the empty sum.  Every sum goes through one
+int loop, ``_sum``: ``dot`` of sparse (num, den, kernel) vectors, as ``image``
+builds them for all of ``klverify``, multiplies and adds in it in one pass,
+and ``_from_terms`` (``total``, ``+``, ``-``) runs it against weight 1.  Most
+sums have one kernel, which it adds in two local ints; a dict per kernel
+starts only when a second turns up.  ``terms()`` hands ``Fraction``s to
+writers, ``squarefree_fold`` kernels to the triples ``errors`` stores, and
+``sqrt_ratio(p, q)`` is the one square root of a ratio of ints, so the
+family amplitudes and condition weights make no ``Fraction``.
 
 All values here are immutable and all operations are pure, so they can be
 shared freely between threads or tasks.
@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import gcd
 from typing import Iterable, Union
 
@@ -88,19 +89,36 @@ def sqrt_ratio(p: int, q: int) -> tuple[int, int, int]:
     return s // g, q // g, kernel
 
 
-def _coprime_base(xs: Iterable[int]) -> list[int]:
-    """Pairwise coprime non-squares of whose powers every x > 1 in xs is a product.
+@lru_cache(maxsize=1 << 10)
+def _perfect_root(a: int) -> int:
+    """r with r**k == a, k >= 2, or 0, for a > 1 with no prime factor below 1000 (so r > 2**9,
+    k <= bit_length(a) / 9 and r < 2**n, n = bit_length(a) // k + 1).  An odd k must pass the
+    k-th power residue test mod the primes q < 1000, q = 1 (mod k); as x -> x**k permutes the
+    odd residues mod 2**n, r can then only be a**(1/k) mod 2**n."""
+    r = math.isqrt(a)
+    if r * r == a:
+        return r
+    b = a.bit_length()
+    for k in range(3, b // 9 + 1, 2):
+        if all(pow(a, (q - 1) // k, q) == 1 for q in _SMALL_PRIMES if q % k == 1):
+            n = b // k + 1
+            if (r := pow(a, pow(k, -1, 1 << (n - 1)), 1 << n)) ** k == a:
+                return r
+    return 0
 
-    Naive refinement: a pair sharing g > 1 becomes a / g, g, b / g, and a
-    perfect square gives way to its root.  The product of the pending and
-    kept numbers drops at each step, so the loop ends.
+
+def _coprime_base(xs: Iterable[int]) -> list[int]:
+    """Pairwise coprime non-powers of whose powers every x > 1 in xs is a product.
+
+    Naive refinement of xs with no prime factor below 1000: a pair sharing g > 1
+    becomes a / g, g, b / g, and a perfect power gives way to its root (so p**3 is p
+    in any sum).  The product of the pending and kept numbers drops at each step.
     """
     base: list[int] = []
     todo = [x for x in xs if x > 1]
     while todo:
         a = todo.pop()
-        r = math.isqrt(a)
-        if r * r == a:
+        if r := _perfect_root(a):
             todo.append(r)
             continue
         for i, b in enumerate(base):
@@ -240,7 +258,7 @@ class RadicalSum:
     no kernel holds a cofactor the kernels are square-free, and the sum is
     zero iff no term is stored, by the linear independence over Q of square
     roots of distinct square-free integers.  Otherwise ``_canonical`` first
-    rewrites the cofactors over a coprime base of non-squares (Bernstein,
+    rewrites the cofactors over a coprime base of non-powers (Bernstein,
     J. Algorithms 54 (2005) 1); square roots of distinct products of such a
     base are again independent (Besicovitch, J. London Math. Soc. 15 (1940)
     3).  So ``is_zero``, ``==``, ``terms()`` and ``to_mpf`` see a zero as
@@ -255,26 +273,8 @@ class RadicalSum:
 
     @staticmethod
     def _from_terms(terms: list[tuple[int, int, int]]) -> "RadicalSum":
-        """Sum of (num / den) sqrt(kernel) triples: per kernel ints over an lcm, reduced once."""
-        if not terms:
-            return _EMPTY
-        k0, n0, d0 = terms[0][2], 0, 1
-        it = iter(terms)
-        for num, den, k in it:
-            if k != k0:
-                acc = {k0: (n0, d0), k: (num, den)}
-                for num, den, k in it:
-                    n1, d1 = acc.get(k, (0, 1))
-                    g = gcd(d1, den)
-                    acc[k] = (n1 * (den // g) + num * (d1 // g), d1 // g * den)
-                break
-            g = gcd(d0, den)
-            n0, d0 = n0 * (den // g) + num * (d0 // g), d0 // g * den
-        else:  # one kernel throughout
-            acc = {k0: (n0, d0)}
-        out = object.__new__(RadicalSum)
-        out._terms = {k: (n // g, d // g) for k, (n, d) in acc.items() if n and (g := gcd(n, d))}
-        return out
+        """Sum of (num / den) sqrt(kernel) triples: ``dot``'s loop against weight 1 at index 0."""
+        return _sum(zip(repeat(0), terms), {0: (1, 1, 1)})
 
     @staticmethod
     def zero() -> "RadicalSum":
@@ -381,13 +381,34 @@ def image(vector, weights, shift: int) -> dict[int, tuple[int, int, int]]:
 
 def dot(p: dict[int, tuple[int, int, int]], q: dict[int, tuple[int, int, int]]) -> RadicalSum:
     """sum_y p[y] q[y] over {y: (num, den, kernel)}: products as in ``SqrtRational.__mul__``."""
-    terms = []
-    for y, (num, den, k) in p.items():
+    return _sum(p.items(), q)
+
+
+def _sum(items, q) -> RadicalSum:
+    """The one accumulator: sum of p[y] q[y] over (y, p[y]) in items, per kernel over an lcm;
+    the first kernel's sum stays in two local ints, any other's in a dict, all reduced once."""
+    n0, d0, k0, rest = 0, 1, 0, {}  # k0 = 0: no term yet (every kernel is positive)
+    for y, (num, den, k) in items:
         b = q.get(y)
-        if b is not None:
-            g = gcd(k, b[2])
-            terms.append((num * b[0] * g, den * b[1], k // g * (b[2] // g)))
-    return RadicalSum._from_terms(terms)
+        if b is None:
+            continue
+        g = gcd(k, b[2])
+        num, den, k = num * b[0] * g, den * b[1], k // g * (b[2] // g)
+        if k != k0:
+            if k0:
+                n1, d1 = rest.get(k, (0, 1))
+                g = gcd(d1, den)
+                rest[k] = (n1 * (den // g) + num * (d1 // g), d1 // g * den)
+                continue
+            k0 = k
+        g = gcd(d0, den)
+        n0, d0 = n0 * (den // g) + num * (d0 // g), d0 // g * den
+    out = object.__new__(RadicalSum)
+    out._terms = {k0: (n0 // g, d0 // g)} if n0 and (g := gcd(n0, d0)) else {}
+    for k, (n, d) in rest.items():
+        if n and (g := gcd(n, d)):
+            out._terms[k] = (n // g, d // g)
+    return out
 
 
 def squarefree_fold(factors, s: int = 1, k: int = 1) -> tuple[int, int]:

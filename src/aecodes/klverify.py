@@ -12,8 +12,9 @@ entries by one kernel, ``exactnum.dot``, with no ``SqrtRational`` or
 * the basis vectors c_i themselves;
 * operator images E|c_i> = {j + delta_m: amp[j] c_i[j]}, keyed alike across a
   delta_J sector.  Correction is <E_a c_i, E_b c_j> within a sector (sectors
-  act into orthogonal total-momentum sectors and are never paired), and
-  detection is <c_i, E c_j>;
+  act into orthogonal total-momentum sectors and are never paired), over the
+  blocks of ``eset.plan``, one object per (r, delta_J, delta_m) key tuple
+  whatever 2J (``errors.block_plan``).  Detection is <c_i, E c_j>;
 * condition images Z_a(v)[j] = v[j+a] sqrt(C(n-2t, j) / C(n, j+a)) for
   0 <= j <= n-2t, so that (C3) is <Z_a v_i, Z_b v_k> and (C4) the difference
   of <Z_a v_i, Z_b v_i> and <Z_a v_k, Z_b v_k>.
@@ -31,7 +32,7 @@ checks run sequentially and deterministically, which fixes the report order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, product
 from math import comb
 
 from .codes import CodeBasis
@@ -173,16 +174,15 @@ def _check_block(left, right, on: bool, off: bool, labels, violations) -> Radica
     Dots the diagonal only if ``on``, the rest only if ``off``.  Appends a violation
     per failing element and returns the first diagonal element, the Gram entry.
     """
-    if not (on or off):
-        return RadicalSum.zero()
     diag0 = None
     for i, p in enumerate(left):
         for j, q in enumerate(right):
-            val = dot(p, q) if (on if i == j else off) else RadicalSum.zero()
             if i != j:
-                if not val.is_zero():
+                if off and not (val := dot(p, q)).is_zero():
                     violations.append(KLViolation(i, j, *labels, val))
-            elif diag0 is None:
+                continue
+            val = dot(p, q) if on else RadicalSum.zero()
+            if diag0 is None:
                 diag0 = val
             elif val != diag0:
                 violations.append(KLViolation(i, j, *labels, val - diag0))
@@ -200,12 +200,13 @@ def check_kl_correct(code: CodeBasis, eset: ErrorSet) -> KLReport:
     same, other = _shifts(vectors, 2 * eset.t)
     violations: list[KLViolation] = []
     gram: dict[tuple[str, ...], RadicalSum] = {}
-    for _, ops in sorted(eset.by_sector().items()):
-        images = [(op.label, op.delta_m, [image(v, op.entries, op.delta_m) for v in vectors])
-                  for op in ops]
-        for (a, dm_a, left), (b, dm_b, right) in combinations_with_replacement(images, 2):
-            labels, d = (a, b), dm_a - dm_b
-            gram[labels] = _check_block(left, right, d in same, d in other, labels, violations)
+    for positions, blocks in eset.plan:
+        images = {i: [image(v, eset.ops[i].entries, eset.ops[i].delta_m) for v in vectors]
+                  for i in positions}
+        for i, k, labels, d in blocks:
+            on, off = d in same, d in other  # neither: d meets no support, the empty sum
+            gram[labels] = (_check_block(images[i], images[k], on, off, labels, violations)
+                            if on or off else RadicalSum.zero())
     return KLReport("correct", not violations, tuple(violations), gram)
 
 

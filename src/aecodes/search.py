@@ -80,19 +80,32 @@ def _lex_min_vertex(s0: tuple[int, ...], s1: tuple[int, ...], t: int) -> list | 
     so z = 0; on 2t+2 their kernel is the divided difference, whose weight
     1/prod |j - i| at j alternates in sign.  So a vertex sits on 2t+2 indices
     whose sides alternate in ascending order, with those weights scaled so
-    each side sums to 1.  Zero entries stay int 0 while candidates compare.
-    """
+    each side sums to 1: entry j is q / (d_j p), p/q = sum over side 0 of 1/d_j.
+    Candidates compare as ints (q, p, [d_j or 0 per index]); only the winner's
+    nonzero entries become ``Fraction``s."""
     side = dict.fromkeys(s0, 0) | dict.fromkeys(s1, 1)
-    best = None
+    order, best = s0 + s1, None
     for sub in combinations(sorted(side), 2 * t + 2):
         if any(side[a] == side[b] for a, b in zip(sub, sub[1:])):
             continue
         d = {j: prod(abs(j - i) for i in sub if i != j) for j in sub}
-        mass = sum(Fraction(1, d[j]) for j in sub if not side[j])
-        vertex = [Fraction(mass.denominator, d[j] * mass.numerator) if j in d else 0 for j in s0 + s1]
-        if best is None or vertex < best:
+        q = prod(d[j] for j in sub if not side[j])
+        p = sum(q // d[j] for j in sub if not side[j])
+        vertex = (q, p, [d.get(j, 0) for j in order])
+        if best is None or _precedes(vertex, best):
             best = vertex
-    return best
+    if best is None:
+        return None
+    q, p, ds = best
+    return [Fraction(q, dj * p) if dj else 0 for dj in ds]
+
+
+def _precedes(u: tuple, v: tuple) -> bool:
+    """Whether vertex u is lexicographically below v, both as ``_lex_min_vertex`` holds them."""
+    (qu, pu, du), (qv, pv, dv) = u, v
+    # entries qu / (a pu) and qv / (b pv) cross-multiplied, or whether each is nonzero
+    pairs = ((qu * b * pv, qv * a * pu) if a and b else (a > 0, b > 0) for a, b in zip(du, dv))
+    return next((x < y for x, y in pairs if x != y), False)
 
 
 def solve_staggered(spec: SearchSpec) -> SearchResult:

@@ -159,7 +159,8 @@ class TestConstructVerify:
 
     def test_four_thousand_digit_radicand_gets_a_verdict(self, tmp_path):
         # 10^4000 - 1, below Python's 4,300-digit limit: its cofactor after trial
-        # division has about 13,000 bits and is never searched for roots or factors.
+        # division has about 13,000 bits and is never searched for factors; its
+        # perfect-power test mostly ends at residues mod primes below 1000.
         proc = self._verify_in_subprocess(tmp_path, "9" * 4000)
         assert proc.returncode == 1, proc.stderr
         assert json.loads(proc.stdout)["report"]["pass"] is False

@@ -12,13 +12,13 @@ from aecodes.cli import main
 from aecodes.codes import fixtures
 from aecodes.errors import (
     ErrorOp,
-    apply,
     build_ae_error_set,
     build_spin_error_set,
     write_operators_json,
 )
 from aecodes.exactnum import SqrtRational, sqrt_rational_to_json
 from aecodes.jsonfmt import to_json
+from oracles import apply
 
 
 class TestCounts:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from aecodes.exactnum import (
     RadicalSum,
+    _perfect_root,
     SqrtRational,
     sqrt_ratio,
     sqrt_rational_from_json,
@@ -312,6 +313,57 @@ class TestZeroTestAgainstFactorint:
         # terms() is a canonical form: its pairs rebuild the same value.
         rebuilt = RadicalSum.total([SqrtRational.sqrt(k).scaled(c) for k, c in total.terms()])
         assert rebuilt == total and len(total.terms()) == len(expected)
+
+
+# Primes above 1000, so that trial division leaves them in the cofactor.
+_COFACTOR_PRIMES = (1009, 1013, 10**6 + 3, 10**9 + 7, 10**18 + 3)
+
+
+class TestTermsOverRepeatedCofactorPrimes:
+    """``terms()`` when a cofactor holds a prime above 1000 more than once: equal sums print alike."""
+
+    def test_cube_of_a_large_prime(self):
+        p = 10**18 + 3
+        cube = RadicalSum.total([SqrtRational.sqrt(p**3)])
+        assert cube.terms() == RadicalSum.total([SqrtRational.sqrt(p).scaled(p)]).terms() == [(p, p)]
+
+    @given(
+        primes=st.sets(st.sampled_from(_COFACTOR_PRIMES), min_size=1, max_size=3),
+        k=st.integers(1, 40),
+        other=st.sampled_from((1,) + _COFACTOR_PRIMES),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_perfect_root_against_sympy(self, primes, k, other):
+        sympy = pytest.importorskip("sympy")
+        for a in (math.prod(primes) ** k, math.prod(primes) ** k * other):
+            r, x, e = _perfect_root(a), a, 0
+            assert bool(r) == bool(sympy.perfect_power(a))
+            while r > 1 and x % r == 0:
+                x, e = x // r, e + 1
+            assert not r or x == 1 and e >= 2
+
+    @given(
+        terms=st.lists(
+            st.tuples(
+                st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool),
+                st.sets(st.sampled_from(_COFACTOR_PRIMES), min_size=1, max_size=3),
+                st.integers(1, 7),
+                st.sampled_from((1, 2, 12, 997)),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_kernels_match_factorint(self, terms):
+        # Each radicand is a power of a product of distinct large primes times a smooth int.
+        values, expected = [], {}
+        for c, primes, e, smooth in terms:
+            r = math.prod(primes) ** e * smooth
+            values.append(SqrtRational.sqrt(r).scaled(c))
+            s, k = _factorint_kernel(r)
+            expected[k] = expected.get(k, Fraction(0)) + c * s
+        assert RadicalSum.total(values).terms() == sorted((k, c) for k, c in expected.items() if c)
 
 
 def canonical_sum(s: RadicalSum) -> RadicalSum:

@@ -28,7 +28,7 @@ from aecodes.codes import (
     fixtures,
     vector_from_entries,
 )
-from aecodes.errors import apply, build_ae_error_set
+from aecodes.errors import build_ae_error_set, build_spin_error_set
 from aecodes.exactnum import RadicalSum, SqrtRational, dot, image
 from aecodes.jsonfmt import to_json
 from aecodes.klverify import (
@@ -41,6 +41,7 @@ from aecodes.klverify import (
     check_kl_detect,
     cross_validate,
 )
+from oracles import apply
 
 
 class TestDirectKL:
@@ -303,16 +304,25 @@ def dense_inner(u, v) -> RadicalSum:
     return RadicalSum.total(x * y for x, y in zip(u, v))
 
 
+def oracle_blocks(eset) -> list:
+    """The correction blocks ((label_a, label_b), E_a, E_b): per delta_J sector in
+    ascending order, each pair a <= b of the sector's operators in set order."""
+    sectors = {}
+    for op in eset.ops:
+        sectors.setdefault(op.delta_J, []).append(op)
+    return [
+        ((a.label, b.label), a, b)
+        for _, ops in sorted(sectors.items())
+        for ai, a in enumerate(ops)
+        for b in ops[ai:]
+    ]
+
+
 def oracle_kl(code: CodeBasis, eset, mode: str):
     """Expected (violations, gram) from explicit operator images."""
     violations, gram = [], {}
     if mode == "correct":
-        blocks = [
-            ((a.label, b.label), a, b)
-            for _, ops in sorted(eset.by_sector().items())
-            for ai, a in enumerate(ops)
-            for b in ops[ai:]
-        ]
+        blocks = oracle_blocks(eset)
     else:
         blocks = [((op.label, ""), None, op) for op in eset.ops if op.delta_J == 0]
         gram.update({(op.label,): RadicalSum.zero() for op in eset.ops if op.delta_J != 0})
@@ -407,6 +417,28 @@ class TestMatrixElementOracle:
             assert [(f.a, f.b, f.pair, f.residual) for f in report.c4_failures] == c4
 
 
+class TestBlockPlan:
+    """``ErrorSet.plan``: one object per (r, delta_J, delta_m) key tuple, in the oracle's order."""
+
+    @pytest.mark.parametrize("build", [build_ae_error_set, build_spin_error_set])
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_sets_of_one_shape_share_a_plan(self, build, t):
+        small, large = build(2 * t + 1, t), build(2 * t + 12, t)
+        assert small is not large and small.plan is large.plan
+        assert small.plan is not build(2 * t + 3, t + 1).plan
+
+    @pytest.mark.parametrize("build", [build_ae_error_set, build_spin_error_set])
+    @pytest.mark.parametrize("t", range(4))
+    def test_blocks_and_labels_match_oracle(self, build, t):
+        eset = build(2 * t + 5, t)
+        got = []
+        for positions, blocks in eset.plan:
+            assert len({eset.ops[i].delta_J for i in positions}) == 1
+            assert {i for i, k, _, _ in blocks} | {k for i, k, _, _ in blocks} == set(positions)
+            got += [(labels, eset.ops[i], eset.ops[k], d) for i, k, labels, d in blocks]
+        assert got == [(labels, a, b, a.delta_m - b.delta_m) for labels, a, b in oracle_blocks(eset)]
+
+
 # ---------------------------------------------------------------------------
 # The fused dot against sums of SqrtRational products
 # ---------------------------------------------------------------------------
@@ -445,6 +477,47 @@ def test_dot_matches_product_total(p, q):
     p2 = p | {y + 100: c for y, c in p.items()}
     q2 = q | {y + 100: -c for y, c in q.items()}
     assert dot(as_ints(p2), as_ints(q2)).is_zero() and product_total(p2, q2).is_zero()
+
+
+def assert_lowest_terms(total: RadicalSum) -> RadicalSum:
+    """total, after asserting that every stored pair is in lowest terms with den > 0, num != 0."""
+    for k, (num, den) in total._terms.items():
+        assert k > 0 and num != 0 and den > 0 and math.gcd(num, den) == 1
+    return total
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        ({0: (2, 3, 2), 1: (4, 6, 2), 2: (1, 1, 3)}, {0: (3, 4, 1), 1: (9, 3, 1), 2: (1, 2, 3)}),
+        ({0: (2, 3, 2), 1: (1, 3, 3), 2: (5, 2, 6)}, {0: (3, 4, 1), 1: (6, 4, 1), 2: (2, 3, 1)}),
+        ({0: (1, 2, 2), 1: (1, 2, 3)}, {0: (2, 1, 2), 1: (4, 1, 3)}),  # two kernels, one each
+        ({0: (1, 2, 2), 1: (-1, 2, 2), 2: (1, 3, 5)}, {0: (1, 1, 1), 1: (1, 1, 1), 2: (-1, 1, 5)}),
+        ({0: (1, 2, 2), 1: (1, 3, 3)}, {0: (-1, 1, 2), 1: (1, 1, 3), 2: (1, 1, 1)}),
+        ({0: (1, 2, 2), 1: (1, 3, 3), 2: (1, 2, 2)}, {0: (1, 1, 1), 1: (0, 1, 1), 2: (-1, 1, 1)}),
+    ],
+    ids=["one-kernel", "multi-kernel", "two-kernels", "cancels", "cancels-late", "first-cancels"],
+)
+def test_dot_stores_lowest_terms(p, q):
+    expected = RadicalSum.total(
+        [SqrtRational._make(*a) * SqrtRational._make(*q[y]) for y, a in p.items() if y in q]
+    )
+    got = assert_lowest_terms(dot(p, q))
+    assert got == expected and got.is_zero() == (not got._terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=_SPARSE, q=_SPARSE, v=_SPARSE, shift=st.integers(-3, 3))
+def test_dot_stores_lowest_terms_on_random_and_image_inputs(p, q, v, shift):
+    p, q, v = as_ints(p), as_ints(q), as_ints(v)
+    assert_lowest_terms(dot(p, q))
+    # p against -p on disjoint copies cancels to the empty sum.
+    assert not assert_lowest_terms(dot(p | {y + 100: a for y, a in p.items()},
+                                       q | {y + 100: (-b[0], b[1], b[2]) for y, b in q.items()}))._terms
+    # images carry unreduced (num, den): each weight's den also multiplies num.
+    scaled = {y: (b[0] * 6, b[1] * 6, b[2]) for y, b in q.items()}
+    assert_lowest_terms(dot(image(p, scaled, shift), v))
+    assert_lowest_terms(dot(image(p, scaled, 0), image(v, scaled, 0)))
 
 
 # Basis vectors, amplitudes and condition weights hold no zero entry.
