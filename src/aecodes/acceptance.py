@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 
 import mpmath
 
-from .angular import cg_transition, cg_transition_general, clebsch_gordan_t
+from .angular import cg_transition, clebsch_gordan_t
 from .codes import (
     CodeBasis,
     CodeKind,
@@ -41,8 +41,8 @@ SWEEP_N_MAX = 60
 SWEEP_G_CAP = 60  # bounds g when m = 0 leaves it unconstrained by n
 
 
-def family_sweep_params(n_max: int = SWEEP_N_MAX) -> list[tuple[int, int, int, int, int]]:
-    """All (g, m, delta, epsilon, t) meeting the sufficiency conditions, n <= n_max.
+def family_sweep_params() -> list[tuple[int, int, int, int, int]]:
+    """All (g, m, delta, epsilon, t) meeting the sufficiency conditions, n <= SWEEP_N_MAX.
 
     Admission: m >= t, delta >= 2t, and g >= 2t with epsilon = -1 or
     g >= 2t+1 with epsilon = +1 (g >= 1 always, since the construction
@@ -53,18 +53,18 @@ def family_sweep_params(n_max: int = SWEEP_N_MAX) -> list[tuple[int, int, int, i
         for eps in (-1, 1):
             g_min = max(1, 2 * t) if eps == -1 else 2 * t + 1
             for g in range(g_min, SWEEP_G_CAP + 1):
-                m_hi = (n_max - 2 * t - 1) // (2 * g)
+                m_hi = (SWEEP_N_MAX - 2 * t - 1) // (2 * g)
                 for m in range(t, m_hi + 1):
-                    for delta in range(2 * t, n_max - 2 * g * m):
+                    for delta in range(2 * t, SWEEP_N_MAX - 2 * g * m):
                         params.append((g, m, delta, eps, t))
     return params
 
 
-@lru_cache(maxsize=4)
-def _family_sweep(n_max: int = SWEEP_N_MAX):
+@cache
+def _family_sweep():
     """Verification results over the whole family; cached across criteria."""
     entries = []
-    for g, m, delta, eps, t in family_sweep_params(n_max):
+    for g, m, delta, eps, t in family_sweep_params():
         code = construct_ae_gmde(GmdeParams(g, m, delta, eps))
         eset = build_ae_error_set(code.two_J, t)
         cond_2t = check_conditions(code, t, 2 * t).all_pass
@@ -277,9 +277,13 @@ def criterion_9() -> dict:
                     for q in range(t - r, t + r + 1):
                         for j in range(-min(a, q) - 2, n - max(a, 2 * t - q) + 3):
                             checked += 1
-                            if cg_transition(n, t, r, a, q, j) != cg_transition_general(
-                                n, t, r, a, q, j
-                            ):
+                            # C_{r,a}^q(j) at doubled labels: j1 = n/2, m1 = j+a-n/2, j2 = r,
+                            # m2 = t-a, J = n/2-t+q, M = j-n/2+t
+                            general = clebsch_gordan_t(
+                                n, 2 * (j + a) - n, 2 * r, 2 * (t - a),
+                                n - 2 * t + 2 * q, 2 * (j + t) - n,
+                            )
+                            if cg_transition(n, t, r, a, q, j) != general:
                                 mismatch += 1
     ortho_bad = 0
     for tj1 in range(0, 9):

@@ -9,11 +9,12 @@ is a plain int of ``math.comb`` products, and the coefficient is that sum
 times the square root of a ratio of binomials.  Only the ratio, whose primes
 are below j1 + j2 + J + 2, goes to the square-free split; the sum scales it.
 
-It serves the ``cg`` command and is the independent oracle for the error
-operators, which ``errors`` builds from small ints without calling it.
-``cg_transition`` implements the paper's specialized closed form for the
-coupling pattern of transition error operators; criterion 9 and the test
-suite sweep it against both the general routine and the operator builder.
+It is the one general CG routine: it serves the ``cg`` command and is the
+independent oracle for the error operators, which ``errors`` builds from
+small ints without calling it.  ``cg_transition`` implements the paper's
+specialized closed form for the coupling pattern of transition error
+operators; criterion 9 sweeps it against ``clebsch_gordan_t`` at the
+relabelled arguments, and the test suite also against the operator builder.
 
 Wigner D matrices are float-only at a configurable binary precision.  They
 are the dense oracle for the covariance checks, which form D(u)·C by the same
@@ -83,14 +84,6 @@ def clebsch_gordan_t(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -
 # ---------------------------------------------------------------------------
 
 
-def _check_transition_indices(n: int, t: int, r: int, a: int, q: int) -> None:
-    if not (0 <= t - r <= min(a, q) and max(a, q) <= t + r <= 2 * t and n >= 2 * t):
-        raise ValueError(
-            f"requires 0 <= t-r <= a,q <= t+r <= 2t and n >= 2t, "
-            f"got n={n}, t={t}, r={r}, a={a}, q={q}"
-        )
-
-
 def cg_transition(n: int, t: int, r: int, a: int, q: int, j: int) -> SqrtRational:
     """C^{n/2-t+q, j-n/2+t}_{n/2, j+a-n/2; r, t-a} via its binomial closed form.
 
@@ -101,7 +94,11 @@ def cg_transition(n: int, t: int, r: int, a: int, q: int, j: int) -> SqrtRationa
     guard); the raw closed form is off by the j-independent factor
     (-1)^(t+r+a+q).
     """
-    _check_transition_indices(n, t, r, a, q)
+    if not (0 <= t - r <= min(a, q) and max(a, q) <= t + r <= 2 * t and n >= 2 * t):
+        raise ValueError(
+            f"requires 0 <= t-r <= a,q <= t+r <= 2t and n >= 2t, "
+            f"got n={n}, t={t}, r={r}, a={a}, q={q}"
+        )
     if not -min(a, q) <= j <= n - max(a, 2 * t - q):
         return SqrtRational.zero()
     nbar = n - 2 * t + q
@@ -120,19 +117,6 @@ def cg_transition(n: int, t: int, r: int, a: int, q: int, j: int) -> SqrtRationa
         * binom(nbar + q, j + q)
     )
     return SqrtRational.sqrt(pref).scaled(total)
-
-
-def cg_transition_general(n: int, t: int, r: int, a: int, q: int, j: int) -> SqrtRational:
-    """The same coefficient through the general Racah routine (cross-check)."""
-    _check_transition_indices(n, t, r, a, q)
-    return clebsch_gordan_t(
-        n,
-        2 * (j + a) - n,
-        2 * r,
-        2 * (t - a),
-        n - 2 * t + 2 * q,
-        2 * (j + t) - n,
-    )
 
 
 # ---------------------------------------------------------------------------

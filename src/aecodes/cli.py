@@ -113,7 +113,12 @@ def _emit(report: dict) -> None:
 
 
 def _parse_halfint(text: str) -> HalfInt:
-    value = HalfInt.make(Fraction(text))
+    if "e" in text.lower():  # Fraction would build 10**exponent before the bound applies
+        raise ValueError(f"label {text} has an exponent; write an integer or a/2")
+    try:
+        value = HalfInt.make(Fraction(text))
+    except ZeroDivisionError:
+        raise ValueError(f"label {text} has a zero denominator") from None
     _bounded(f"twice |{text}|", abs(value.twice_value), 0, MAX_TWO_J)
     return value
 

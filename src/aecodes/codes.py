@@ -30,7 +30,8 @@ class CodeKind(str, enum.Enum):
 
 
 Vector = tuple[SqrtRational, ...]
-# ``CodeBasis.save`` writes ``to_json(to_dict())`` a coefficient at a time; a zero's is this text.
+# ``CodeBasis.save`` writes the sorted, indented JSON of the code a coefficient at a time;
+# a zero coefficient's text is this.
 _ZERO_JSON = to_json(sqrt_rational_to_json(SqrtRational.zero()), "\n      ")
 
 
@@ -72,14 +73,6 @@ class CodeBasis:
 
     # -- file format ---------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "two_J": self.two_J,
-            "label": self.label,
-            "basis": [[sqrt_rational_to_json(c) for c in vec] for vec in self.basis],
-        }
-
     @staticmethod
     def from_dict(d: dict) -> "CodeBasis":
         if not isinstance(d, dict):
@@ -116,12 +109,8 @@ def _coefficient_json(c: SqrtRational) -> str:
     return to_json(sqrt_rational_to_json(c), "\n      ") if c.num else _ZERO_JSON
 
 
-def _zero_vector(n: int) -> list[SqrtRational]:
-    return [SqrtRational.zero()] * (n + 1)
-
-
 def vector_from_entries(n: int, entries: dict[int, SqrtRational]) -> Vector:
-    vec = _zero_vector(n)
+    vec = [SqrtRational.zero()] * (n + 1)
     for j, c in entries.items():
         vec[j] = c
     return tuple(vec)

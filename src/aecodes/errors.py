@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, combinations_with_replacement, repeat
 from math import comb, gcd, prod
 
-from .exactnum import SqrtRational, squarefree_fold
+from .exactnum import squarefree_fold
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,8 @@ class ErrorOp:
 
     ``entries`` maps source index j (projection m = j - J) to the amplitude
     attached to the target |J + delta_J, m + delta_m>, as ints (num, den, kernel)
-    under ``SqrtRational``'s invariants; ``amplitudes()`` is their one reader.
-    Zero amplitudes and out-of-range targets are absent.
+    under ``SqrtRational``'s invariants, which the dots and the report writer
+    read as they are.  Zero amplitudes and out-of-range targets are absent.
     """
 
     r: int
@@ -52,16 +52,9 @@ class ErrorOp:
     source_two_J: int
     entries: dict[int, tuple[int, int, int]]
 
-    def amplitudes(self) -> dict[int, SqrtRational]:
-        return {j: SqrtRational._make(*amp) for j, amp in self.entries.items()}
-
     @property
     def label(self) -> str:
         return f"E[r={self.r},dJ={self.delta_J:+d},dm={self.delta_m:+d}]"
-
-    @property
-    def target_two_J(self) -> int:
-        return self.source_two_J + 2 * self.delta_J
 
     def __repr__(self) -> str:
         return self.label

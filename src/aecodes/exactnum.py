@@ -180,11 +180,6 @@ class SqrtRational:
     # -- views --------------------------------------------------------------
 
     @property
-    def coeff(self) -> Fraction:
-        """The rational factor num / den in front of sqrt(kernel)."""
-        return Fraction(self.num, self.den)
-
-    @property
     def sign(self) -> int:
         return (self.num > 0) - (self.num < 0)
 
@@ -235,11 +230,12 @@ class SqrtRational:
             return val * mpmath.sqrt(mpmath.mpf(self.kernel))
 
     def __repr__(self) -> str:
+        coeff = Fraction(self.num, self.den)
         if self.kernel == 1:
-            return f"{self.coeff}"
+            return f"{coeff}"
         if self.num == self.den == 1:
             return f"sqrt({self.kernel})"
-        return f"{self.coeff}*sqrt({self.kernel})"
+        return f"{coeff}*sqrt({self.kernel})"
 
 
 _ZERO = SqrtRational._make(0, 1, 1)

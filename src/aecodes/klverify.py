@@ -69,29 +69,23 @@ class KLReport:
     violations: tuple[KLViolation, ...]
     gram: dict[tuple[str, ...], RadicalSum]
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "pass": self.passed,
-            "violations": [v.to_dict() for v in self.violations],
-            "gram": [
-                {"ops": list(key), "value": radical_sum_to_json(val)}
-                for key, val in sorted(self.gram.items())
-            ],
-        }
-
     def write_json(self, write) -> None:
-        """``to_json(self.to_dict(), "\\n  ")``, one ``write`` per Gram entry."""
+        """The report's JSON as ``to_json(..., "\\n  ")`` writes it, one ``write`` per Gram entry
+        and per violation: "gram" ({"ops", "value"} per entry, by ops), "mode", "pass" and
+        "violations" (each ``KLViolation.to_dict``)."""
         sep, inner = '{\n    "gram": [', "\n        "  # inner: the indent of an entry's keys
         for key in sorted(self.gram):
             val, ops = self.gram[key], to_json(list(key), inner)
             value = _ZERO_VALUE if val.is_zero() else to_json(radical_sum_to_json(val), inner)
             write(f'{sep}\n      {{\n        "ops": {ops},\n        "value": {value}\n      }}')
             sep = ","
-        write("\n    ]" if self.gram else sep + "]")
-        violations = [v.to_dict() for v in self.violations]
-        rest = to_json({"mode": self.mode, "pass": self.passed, "violations": violations}, "\n  ")
-        write("," + rest[1:])  # the keys after "gram", but for to_json's "{"
+        mode, passed = to_json(self.mode), to_json(self.passed)
+        sep = ("\n    ]" if self.gram else sep + "]") + (
+            f',\n    "mode": {mode},\n    "pass": {passed},\n    "violations": [')
+        for v in self.violations:
+            write(sep + "\n      " + to_json(v.to_dict(), "\n      "))
+            sep = ","
+        write(("\n    ]" if self.violations else sep + "]") + "\n  }")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,18 @@
-"""Dense oracles that the tests check the sparse program paths against."""
+"""Dense oracles and test-only readers that the tests check the program paths against."""
 
+from aecodes.codes import CodeBasis
 from aecodes.errors import ErrorOp
-from aecodes.exactnum import SqrtRational
+from aecodes.exactnum import SqrtRational, radical_sum_to_json, sqrt_rational_to_json
+from aecodes.klverify import KLReport
+
+
+def amplitudes(op: ErrorOp) -> dict[int, SqrtRational]:
+    """The operator's entries as exact scalars, keyed by source index j."""
+    return {j: SqrtRational._make(*amp) for j, amp in op.entries.items()}
+
+
+def target_two_J(op: ErrorOp) -> int:
+    return op.source_two_J + 2 * op.delta_J
 
 
 def apply(op: ErrorOp, v) -> list[SqrtRational]:
@@ -15,9 +26,32 @@ def apply(op: ErrorOp, v) -> list[SqrtRational]:
         raise ValueError(
             f"vector length {len(v)} does not match source dimension {op.source_two_J + 1}"
         )
-    out = [SqrtRational.zero()] * (op.target_two_J + 1)
-    for j, amp in op.amplitudes().items():
+    out = [SqrtRational.zero()] * (target_two_J(op) + 1)
+    for j, amp in amplitudes(op).items():
         tgt = j + op.delta_m + op.delta_J
-        if 0 <= tgt <= op.target_two_J and not v[j].is_zero():
+        if 0 <= tgt <= target_two_J(op) and not v[j].is_zero():
             out[tgt] = amp * v[j]
     return out
+
+
+def kl_report_dict(report: KLReport) -> dict:
+    """The dict whose ``to_json`` text ``KLReport.write_json`` streams."""
+    return {
+        "mode": report.mode,
+        "pass": report.passed,
+        "violations": [v.to_dict() for v in report.violations],
+        "gram": [
+            {"ops": list(key), "value": radical_sum_to_json(val)}
+            for key, val in sorted(report.gram.items())
+        ],
+    }
+
+
+def code_dict(code: CodeBasis) -> dict:
+    """The dict whose sorted, indented JSON ``CodeBasis.save`` writes; ``from_dict`` reads it."""
+    return {
+        "kind": code.kind.value,
+        "two_J": code.two_J,
+        "label": code.label,
+        "basis": [[sqrt_rational_to_json(c) for c in vec] for vec in code.basis],
+    }

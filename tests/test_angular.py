@@ -7,13 +7,7 @@ from math import factorial
 import mpmath
 import pytest
 
-from aecodes.angular import (
-    HalfInt,
-    cg_transition,
-    cg_transition_general,
-    clebsch_gordan_t,
-    wigner_D,
-)
+from aecodes.angular import HalfInt, cg_transition, clebsch_gordan_t, wigner_D
 from aecodes.combinatorics import binom
 from aecodes.exactnum import RadicalSum, SqrtRational
 
@@ -22,6 +16,14 @@ H = HalfInt.make
 
 def cg(j1, m1, j2, m2, J, M):
     return clebsch_gordan_t(*(H(x).twice_value for x in (j1, m1, j2, m2, J, M)))
+
+
+def cg_transition_general(n, t, r, a, q, j):
+    """C_{r,a}^q(j) through the general routine: j1 = n/2, m1 = j+a-n/2, j2 = r, m2 = t-a,
+    J = n/2-t+q, M = j-n/2+t, as doubled labels."""
+    return clebsch_gordan_t(
+        n, 2 * (j + a) - n, 2 * r, 2 * (t - a), n - 2 * t + 2 * q, 2 * (j + t) - n
+    )
 
 
 class TestHalfInt:

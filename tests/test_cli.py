@@ -20,6 +20,7 @@ from aecodes.codes import CodeBasis, CodeKind, GmdeParams, construct_ae_gmde, fi
 from aecodes.errors import ErrorSet
 from aecodes.exactnum import SqrtRational, sqrt_rational_to_json
 from aecodes.search import StaggeringFailure, enumerate_and_search, support_pair_count
+from oracles import code_dict
 
 
 def run(capsys, *argv):
@@ -42,7 +43,7 @@ def _start(*args, **kwargs):
 
 def _j7half_with(**fields):
     """The J7half code file with a top-level or first-coefficient field replaced."""
-    data = fixtures()["J7half"].to_dict()
+    data = code_dict(fixtures()["J7half"])
     for key, value in fields.items():
         (data if key in data else data["basis"][0][0])[key] = value
     return data
@@ -52,6 +53,7 @@ def _assert_one_error_line(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 class TestConstructVerify:
@@ -119,20 +121,15 @@ class TestConstructVerify:
             ["covariance", str(path), "--group", "bd"],
         ):
             assert main(argv) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith("error:") and captured.err.count("\n") == 1
-            assert "Traceback" not in captured.err
+            _assert_one_error_line(capsys)
 
     def test_zero_radicand_denominator_exits_two(self, tmp_path, capsys):
-        data = fixtures()["J7half"].to_dict()
+        data = code_dict(fixtures()["J7half"])
         data["basis"][0][0] = {"sign": 1, "radicand_num": "1", "radicand_den": "0"}
         path = tmp_path / "zero_den.json"
         path.write_text(json.dumps(data))
         assert main(["verify", str(path), "--t", "1"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        _assert_one_error_line(capsys)
 
     @staticmethod
     def _verify_in_subprocess(tmp_path, radicand_num: str):
@@ -196,10 +193,7 @@ class TestConstructVerify:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         assert main(["verify", str(path), "--t", "1"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
-        assert "Traceback" not in captured.err
+        _assert_one_error_line(capsys)
 
     @pytest.mark.parametrize(
         "argv",
@@ -437,6 +431,12 @@ class TestOtherCommands:
                 1,
                 "164b8884037a6ec4d2ff5b743dd66afc08f60a42205065db82ce216e8ed95bb8",
             ),
+            (
+                "J7half",
+                ["--t", "1", "--mode", "cross"],
+                0,
+                "26e84f224c87f6710980f68dbf7dbc47307948b7172402a293fb74cb764d10a9",
+            ),
         ],
         ids=[
             "86-4-correct-gram",
@@ -444,6 +444,7 @@ class TestOtherCommands:
             "7-2-conditions-residuals",
             "86-4-detect-gram",
             "7-3-detect-residuals",
+            "7-1-cross",
         ],
     )
     def test_verify_stdout_pinned(self, tmp_path, capsys, monkeypatch, code, flags, status, digest):
@@ -572,7 +573,10 @@ class TestOtherCommands:
         assert status == 1 and report["report"]["per_generator"]["iX"].startswith("1.0")
 
     @pytest.mark.parametrize("position", range(6))
-    @pytest.mark.parametrize("value", [str(cli.MAX_TWO_J // 2 + 1), "-2000", "2001/2"])
+    @pytest.mark.parametrize(
+        "value",
+        [str(cli.MAX_TWO_J // 2 + 1), "-2000", "2001/2", "1/0", "1/3", "x", "1e10000000"],
+    )
     def test_cg_label_out_of_range_exits_two(self, capsys, monkeypatch, position, value):
         monkeypatch.setattr(cli, "clebsch_gordan_t", _must_not_run)
         labels = ["1", "0", "1", "0", "1", "0"]
@@ -778,7 +782,7 @@ def _fuzz_call(draw):
 @st.composite
 def _fuzz_code_file(draw):
     """The J7half or J11half code file, perhaps with one field set, dropped or added."""
-    data = fixtures()[draw(st.sampled_from(["J7half", "J11half"]))].to_dict()
+    data = code_dict(fixtures()[draw(st.sampled_from(["J7half", "J11half"]))])
     if draw(st.booleans()):
         coeff = data["basis"][draw(st.integers(0, 1))][draw(st.integers(0, 3))]
         target = draw(st.sampled_from([data, coeff]))

@@ -24,6 +24,7 @@ from aecodes.combinatorics import binom
 from aecodes.exactnum import SqrtRational, dot
 from aecodes.klverify import _vectors, check_conditions
 from aecodes.search import enumerate_and_search
+from oracles import code_dict
 
 
 def sq(num, den):
@@ -231,7 +232,7 @@ class TestFileFormat:
             assert loaded == code
 
     def test_file_is_indented_sorted_json(self, tmp_path):
-        # save writes the text itself, a coefficient at a time, not through to_dict
+        # save writes the text itself, a coefficient at a time, not through code_dict
         codes = list(fixtures().values()) + [r.code for r in enumerate_and_search(9, 1, 2)]
         labels = ("J21half \u00bd", "", 'quote " backslash \\ newline \n []')
         for code, kind, label in itertools.product(codes, CodeKind, labels):
@@ -239,10 +240,10 @@ class TestFileFormat:
             path = tmp_path / "q.json"
             code.save(path)
             text = path.read_text(encoding="utf-8")
-            assert text == json.dumps(code.to_dict(), indent=2, sort_keys=True) + "\n"
+            assert text == json.dumps(code_dict(code), indent=2, sort_keys=True) + "\n"
 
     def test_dict_shape(self):
-        d = fixtures()["J7half"].to_dict()
+        d = code_dict(fixtures()["J7half"])
         assert d["kind"] == "AE" and d["two_J"] == 7
         entry = d["basis"][0][0]
         assert set(entry) == {"sign", "radicand_num", "radicand_den"}

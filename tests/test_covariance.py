@@ -7,6 +7,7 @@ from math import isqrt
 import mpmath
 import pytest
 
+from aecodes.acceptance import _random_rational_subspace
 from aecodes.codes import CodeBasis, CodeKind, construct_pi_gmde, GmdeParams, fixtures
 from aecodes.covariance import (
     binary_dihedral_group,
@@ -26,24 +27,6 @@ from aecodes.klverify import check_conditions
 
 BITS = 200
 TOL = 1e-10
-
-
-def random_subspace(n: int, seed: int) -> CodeBasis:
-    rng = random.Random(seed)
-    v = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n + 1)]
-    w = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n + 1)]
-    nv = sum(x * x for x in v)
-    ip = sum(a * b for a, b in zip(v, w))
-    w = [wi - (ip / nv) * vi for wi, vi in zip(w, v)]
-    nw = sum(x * x for x in w)
-    return CodeBasis(
-        CodeKind.AE,
-        n,
-        (
-            tuple(SqrtRational.from_rational(x) * SqrtRational.sqrt(1 / nv) for x in v),
-            tuple(SqrtRational.from_rational(x) * SqrtRational.sqrt(1 / nw) for x in w),
-        ),
-    )
 
 
 def slowly_converging_subspace() -> CodeBasis:
@@ -157,12 +140,12 @@ class TestCovariance:
 
     def test_random_subspace_fails(self):
         report = check_covariance(
-            random_subspace(11, seed=7), binary_dihedral_group(4, BITS), TOL, BITS
+            _random_rational_subspace(11, seed=7), binary_dihedral_group(4, BITS), TOL, BITS
         )
         assert not report.passed and report.max_residual > mpmath.mpf("1e-3")
 
     def test_identity_residual_is_zero(self):
-        for code in (fixtures()["J7half"], random_subspace(7, seed=3)):
+        for code in (fixtures()["J7half"], _random_rational_subspace(7, seed=3)):
             c = code_columns(code, BITS)
             residual, _ = covariance_residual(c, code.two_J, mpmath.eye(2), BITS)
             assert residual < mpmath.mpf(2) ** (10 - BITS)
@@ -199,7 +182,7 @@ class TestCovariance:
 
     def test_verdicts_stable_under_precision_doubling(self):
         code_good = fixtures()["J11half"]
-        code_bad = random_subspace(11, seed=7)
+        code_bad = _random_rational_subspace(11, seed=7)
         group = binary_dihedral_group(4, 400)
         for code, expected in ((code_good, True), (code_bad, False)):
             at200 = check_covariance(code, binary_dihedral_group(4, 200), TOL, 200)
@@ -207,13 +190,13 @@ class TestCovariance:
             assert at200.passed == at400.passed == expected
 
     def test_non_orthonormal_spanning_set_is_orthonormalized(self):
-        # random_subspace draws these two vectors and orthonormalizes them exactly
+        # _random_rational_subspace draws these two vectors and orthonormalizes them exactly
         rng = random.Random(8)
         v, w = ([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(12)] for _ in "vw")
         raw = CodeBasis(
             CodeKind.AE, 11, tuple(tuple(map(SqrtRational.from_rational, vec)) for vec in (v, w))
         )
-        exact = code_columns(random_subspace(11, seed=8), BITS)
+        exact = code_columns(_random_rational_subspace(11, seed=8), BITS)
         for u in binary_octahedral_group(BITS).generators:
             r_raw, _ = covariance_residual(code_columns(raw, BITS), 11, u, BITS)
             r_exact, _ = covariance_residual(exact, 11, u, BITS)
@@ -292,11 +275,11 @@ class TestDenseOracle:
     @pytest.mark.parametrize(
         "code, group",
         [
-            (random_subspace(11, seed=7), binary_dihedral_group(4, BITS)),
-            (random_subspace(11, seed=8), binary_octahedral_group(BITS)),
-            (random_subspace(11, seed=9), binary_icosahedral_group(BITS)),
+            (_random_rational_subspace(11, seed=7), binary_dihedral_group(4, BITS)),
+            (_random_rational_subspace(11, seed=8), binary_octahedral_group(BITS)),
+            (_random_rational_subspace(11, seed=9), binary_icosahedral_group(BITS)),
             (slowly_converging_subspace(), binary_dihedral_group(4, BITS)),
-            (random_subspace(27, seed=1), binary_octahedral_group(BITS)),
+            (_random_rational_subspace(27, seed=1), binary_octahedral_group(BITS)),
         ],
         ids=["2J11-BD8", "2J11-2O", "2J11-2I", "2J15-BD8", "2J27-2O"],
     )

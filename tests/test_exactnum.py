@@ -59,7 +59,8 @@ class TestSquarefreeDecompose:
     def test_roundtrip_and_squarefree(self, num, den):
         r = Fraction(num, den)
         root = SqrtRational.sqrt(r)
-        assert root.coeff * root.coeff * root.kernel == r == root.radicand
+        coeff = Fraction(root.num, root.den)
+        assert coeff * coeff * root.kernel == r == root.radicand
         assert brute_squarefree(root.kernel)
 
 
@@ -179,7 +180,7 @@ _signed_radicands = st.tuples(
 
 def canonical_view(v: SqrtRational) -> tuple[int, Fraction]:
     """(sign, radicand) of v, after asserting its int storage is canonical."""
-    c = v.coeff
+    c = Fraction(v.num, v.den)
     assert isinstance(c, Fraction) and math.gcd(c.numerator, c.denominator) == 1
     assert (v.num, v.den) == (c.numerator, c.denominator) and v.den > 0
     assert v.kernel == 1 if v.num == 0 else brute_squarefree(v.kernel)

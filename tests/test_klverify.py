@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aecodes.acceptance import _random_rational_subspace, family_sweep_params
+from aecodes.acceptance import _perturbed, _random_rational_subspace, family_sweep_params
 from aecodes.codes import (
     CodeBasis,
     CodeKind,
@@ -41,7 +41,7 @@ from aecodes.klverify import (
     check_kl_detect,
     cross_validate,
 )
-from oracles import apply
+from oracles import amplitudes, apply, kl_report_dict
 
 
 class TestDirectKL:
@@ -98,7 +98,7 @@ class TestDirectKL:
         op = next(o for o in build_ae_error_set(n, 1).ops if o.label == viol.op_a)
         vi = [float(c.to_mpf(80)) for c in code.basis[viol.i]]
         vj = [float(c.to_mpf(80)) for c in code.basis[viol.j]]
-        amp = {j: float(a.to_mpf(80)) for j, a in op.amplitudes().items()}
+        amp = {j: float(a.to_mpf(80)) for j, a in amplitudes(op).items()}
         direct = sum(
             vi[j + op.delta_m] * amp.get(j, 0.0) * vj[j]
             for j in range(n + 1)
@@ -262,16 +262,6 @@ def qubit_kl_max_violation(code: CodeBasis) -> float:
     return worst
 
 
-def perturb(code: CodeBasis, vec_idx: int, coeff_idx: int) -> CodeBasis:
-    vec = list(code.basis[vec_idx])
-    vec[coeff_idx] = vec[coeff_idx].scaled(Fraction(1001, 1000))
-    norm_sq = sum((c.radicand for c in vec), Fraction(0))
-    rescale = SqrtRational.sqrt(1 / norm_sq)
-    basis = list(code.basis)
-    basis[vec_idx] = tuple(c * rescale for c in vec)
-    return CodeBasis(code.kind, code.two_J, tuple(basis), code.label)
-
-
 class TestPermutationInvariantEquivalence:
     """Conditions at t' = 2t match genuine single-error correctability."""
 
@@ -282,7 +272,7 @@ class TestPermutationInvariantEquivalence:
 
     def test_perturbed_code_fails_both(self):
         pi = construct_pi_gmde(GmdeParams(2, 1, 2, -1))
-        bent = perturb(pi, 0, 0)
+        bent = _perturbed(pi, 0, 0)
         assert not check_conditions(bent, 1, 2).all_pass
         assert qubit_kl_max_violation(bent) > 1e-6
 
@@ -290,7 +280,7 @@ class TestPermutationInvariantEquivalence:
         pi = construct_pi_gmde(GmdeParams(3, 1, 2, -1))
         assert check_conditions(pi, 1, 2).all_pass
         assert qubit_kl_max_violation(pi) < 1e-9
-        bent = perturb(pi, 1, pi.support(1)[0])
+        bent = _perturbed(pi, 1, pi.support(1)[0])
         assert not check_conditions(bent, 1, 2).all_pass
         assert qubit_kl_max_violation(bent) > 1e-6
 
@@ -358,7 +348,7 @@ def oracle_cases():
     base = fixtures()
     j7 = base["J7half"]
     cases = [(code, t) for code in base.values() for t in (1, 2)]
-    cases.append((perturb(j7, 0, j7.support(0)[0]), 1))
+    cases.append((_perturbed(j7, 0, j7.support(0)[0]), 1))
     cases.append((CodeBasis(j7.kind, j7.two_J, (j7.basis[0], j7.basis[0])), 1))
     # Every index 0..n is nonzero: images are clipped at both ends and every
     # operator pair overlaps.
@@ -531,7 +521,7 @@ def test_image_matches_sqrt_rational_products(v, weights, w, shift):
     got = image(as_ints(v), as_ints(weights), shift)
     # Entries may carry a common factor in num and den; kernels are already canonical.
     assert {y: (Fraction(num, den), k) for y, (num, den, k) in got.items()} == {
-        y: (c.coeff, c.kernel) for y, c in products.items()
+        y: (Fraction(c.num, c.den), c.kernel) for y, c in products.items()
     }
     # Unreduced entries still dot to the canonical sum.
     assert dot(got, as_ints(w)) == product_total(products, w)
@@ -556,7 +546,7 @@ def _report_slice() -> list:
     orders = {"J7half": 1, "J21half": 2, "J27half": 1, "J11half": 1}
     for name, code in fixtures().items():
         for vi in range(code.dim):
-            cases += [(perturb(code, vi, ci), orders[name]) for ci in code.support(vi)]
+            cases += [(_perturbed(code, vi, ci), orders[name]) for ci in code.support(vi)]
     return cases
 
 
@@ -570,12 +560,12 @@ def report_digest() -> str:
     for code, t in _report_slice():
         eset = build_ae_error_set(code.two_J, t)
         for report in (
-            check_conditions(code, t, 2 * t),
-            check_conditions(code, t, t),
-            check_kl_correct(code, eset),
-            check_kl_detect(code, eset),
+            check_conditions(code, t, 2 * t).to_dict(),
+            check_conditions(code, t, t).to_dict(),
+            kl_report_dict(check_kl_correct(code, eset)),
+            kl_report_dict(check_kl_detect(code, eset)),
         ):
-            digest.update(json.dumps(report.to_dict(), sort_keys=True).encode())
+            digest.update(json.dumps(report, sort_keys=True).encode())
     return digest.hexdigest()
 
 
@@ -586,16 +576,19 @@ def test_reports_byte_identical():
 def _written(report) -> str:
     parts: list[str] = []
     report.write_json(parts.append)
+    # one write per Gram entry and per violation, and one for the closing text
+    assert len(parts) == len(report.gram) + len(report.violations) + 1
     return "".join(parts)
 
 
 def test_kl_writer_matches_to_dict():
-    # The text cmd_verify streams is the generic writer's text of to_dict, on the digest's slice.
+    # The text cmd_verify streams is the generic writer's text of kl_report_dict, on the
+    # digest's slice.
     kinds = set()
     for code, t in _report_slice():
         eset = build_ae_error_set(code.two_J, t)
         for report in (check_kl_correct(code, eset), check_kl_detect(code, eset)):
-            assert _written(report) == to_json(report.to_dict(), "\n  "), (code.label, t)
+            assert _written(report) == to_json(kl_report_dict(report), "\n  "), (code.label, t)
             kinds.add((report.mode, report.passed))
     assert kinds == {("correct", True), ("correct", False), ("detect", True), ("detect", False)}
 
@@ -603,8 +596,12 @@ def test_kl_writer_matches_to_dict():
 def test_kl_writer_edge_reports():
     one = RadicalSum.from_rational(1)
     violation = KLViolation(0, 1, "E[r=0,dJ=+0,dm=+0]", "", one)
+    other = KLViolation(1, 1, "E[r=1,dJ=+0,dm=+1]", "E[r=0,dJ=+0,dm=+0]", -one)
+    gram = {("a", "b"): RadicalSum.zero(), ("a", "a"): one}
     for report in (
         KLReport("detect", True, (), {}),
-        KLReport("correct", False, (violation,), {("a", "b"): RadicalSum.zero(), ("a", "a"): one}),
+        KLReport("correct", False, (violation,), gram),
+        KLReport("correct", False, (violation, other), gram),
+        KLReport("detect", False, (violation, other, violation), {}),
     ):
-        assert _written(report) == to_json(report.to_dict(), "\n  ")
+        assert _written(report) == to_json(kl_report_dict(report), "\n  ")
