@@ -43,6 +43,7 @@ import mpmath
 from . import __version__, acceptance
 from .angular import HalfInt, clebsch_gordan_t
 from .codes import CodeBasis, GmdeParams, construct_ae_gmde, construct_pi_gmde, map_e, map_f, map_h
+from .combinatorics import run_identity_sweeps
 from .covariance import (
     MAX_CLOSURE_ORDER,
     binary_dihedral_group,
@@ -337,8 +338,6 @@ def cmd_covariance(args) -> int:
 
 
 def cmd_identities(args) -> int:
-    from .combinatorics import run_identity_sweeps
-
     results = run_identity_sweeps()
     _emit(
         {

@@ -130,7 +130,7 @@ def check_lemma_B4(n: int, q: int, z1: int, z2: int, t: int, j: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def sweep_lemma_B1(n_max: int = 20) -> bool:
+def sweep_lemma_B1(n_max: int) -> bool:
     return all(
         check_lemma_B1(n, k, r, a)
         for n in range(n_max + 1)
@@ -140,7 +140,7 @@ def sweep_lemma_B1(n_max: int = 20) -> bool:
     )
 
 
-def sweep_identity_B2(arg_max: int = 6) -> bool:
+def sweep_identity_B2(arg_max: int) -> bool:
     rng = range(arg_max + 1)
     return all(
         check_identity_B2(a, b, c, d, e)
@@ -148,7 +148,7 @@ def sweep_identity_B2(arg_max: int = 6) -> bool:
     )
 
 
-def sweep_corollary_B3(nlm_max: int = 8, r_min: int = -2, r_max: int = 10) -> bool:
+def sweep_corollary_B3(nlm_max: int, r_min: int, r_max: int) -> bool:
     return all(
         check_corollary_B3(n, l, m, r)
         for n in range(1, nlm_max + 1)
@@ -158,7 +158,7 @@ def sweep_corollary_B3(nlm_max: int = 8, r_min: int = -2, r_max: int = 10) -> bo
     )
 
 
-def sweep_lemma_B4(n_max: int = 8, t_max: int = 2) -> bool:
+def sweep_lemma_B4(n_max: int, t_max: int) -> bool:
     for n in range(n_max + 1):
         for t in range(t_max + 1):
             if n < 2 * t:
@@ -173,16 +173,19 @@ def sweep_lemma_B4(n_max: int = 8, t_max: int = 2) -> bool:
     return True
 
 
+IDENTITY_SWEEPS = (
+    ("lemma_B1", sweep_lemma_B1, {"n_max": 20}),
+    ("identity_B2", sweep_identity_B2, {"arg_max": 6}),
+    ("corollary_B3", sweep_corollary_B3, {"nlm_max": 8, "r_min": -2, "r_max": 10}),
+    ("lemma_B4", sweep_lemma_B4, {"n_max": 8, "t_max": 2}),
+)
+
+
 def run_identity_sweeps() -> dict:
-    """All four identity sweeps at their documented ranges."""
+    """All four identity sweeps, each at its ranges in ``IDENTITY_SWEEPS``."""
     results = {
-        "lemma_B1": {"params": {"n_max": 20}, "passed": sweep_lemma_B1(20)},
-        "identity_B2": {"params": {"arg_max": 6}, "passed": sweep_identity_B2(6)},
-        "corollary_B3": {
-            "params": {"nlm_max": 8, "r_min": -2, "r_max": 10},
-            "passed": sweep_corollary_B3(8, -2, 10),
-        },
-        "lemma_B4": {"params": {"n_max": 8, "t_max": 2}, "passed": sweep_lemma_B4(8, 2)},
+        name: {"params": params, "passed": sweep(**params)}
+        for name, sweep, params in IDENTITY_SWEEPS
     }
-    results["all_passed"] = all(v["passed"] for v in results.values() if isinstance(v, dict))
+    results["all_passed"] = all(v["passed"] for v in results.values())
     return results

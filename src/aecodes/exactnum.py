@@ -18,12 +18,12 @@ splits a radicand or combines kernels: no constructor takes a kernel.  A
 per kernel; ``RadicalSum()`` is the empty sum.  Every sum goes through one
 int loop, ``_sum``: ``dot`` of sparse (num, den, kernel) vectors, as ``image``
 builds them for all of ``klverify``, multiplies and adds in it in one pass,
-and ``_from_terms`` (``total``, ``+``, ``-``) runs it against weight 1.  Most
-sums have one kernel, which it adds in two local ints; a dict per kernel
-starts only when a second turns up.  ``terms()`` hands ``Fraction``s to
-writers, ``squarefree_fold`` kernels to the triples ``errors`` stores, and
-``sqrt_ratio(p, q)`` is the one square root of a ratio of ints, so the
-family amplitudes and condition weights make no ``Fraction``.
+and ``_from_terms`` (``from_rational``, ``+``, ``-``) runs it against
+weight 1.  Most sums have one kernel, which it adds in two local ints; a dict
+per kernel starts only when a second turns up.  ``terms()`` hands
+``Fraction``s to writers, ``squarefree_fold`` kernels to the triples
+``errors`` stores, and ``sqrt_ratio(p, q)`` is the one square root of a ratio
+of ints, so the family amplitudes and condition weights make no ``Fraction``.
 
 All values here are immutable and all operations are pure, so they can be
 shared freely between threads or tasks.
@@ -280,11 +280,6 @@ class RadicalSum:
     def from_rational(q: RationalLike) -> "RadicalSum":
         q = Fraction(q)
         return RadicalSum._from_terms([(q.numerator, q.denominator, 1)])
-
-    @staticmethod
-    def total(values: Iterable[SqrtRational]) -> "RadicalSum":
-        """Sum of signed square roots."""
-        return RadicalSum._from_terms([(v.num, v.den, v.kernel) for v in values])
 
     def _canonical(self) -> "RadicalSum":
         """This sum with its kernels' cofactors, k // gcd(k, _PRIMORIAL), over a coprime base."""

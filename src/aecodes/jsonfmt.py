@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from json.encoder import encode_basestring_ascii
 
 
@@ -24,8 +25,16 @@ def to_json(v, indent: str = "\n") -> str:
 
 
 def int_field(d: dict, key: str) -> int:
-    """``d[key]`` as a JSON int or a decimal-integer string; a float or bool is an error."""
+    """``d[key]`` as a JSON int or a decimal-integer string; anything else is an error that
+    names the key, and a string past Python's int-string digit limit is not echoed."""
     value = d[key]
+    must = f"{key} must be an integer or a decimal-integer string"
     if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"{key} must be an integer or a decimal-integer string, got {value!r}")
-    return int(value)
+        raise ValueError(f"{must}, got {value!r}")
+    try:
+        return int(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        if not limit or len(value) <= limit:
+            raise ValueError(f"{must}, got {value!r}") from None
+        raise ValueError(f"{must} of at most {limit} digits, got {len(value)} characters") from None

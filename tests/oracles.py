@@ -1,14 +1,21 @@
 """Dense oracles and test-only readers that the tests check the program paths against."""
 
+from collections.abc import Iterable
+
 from aecodes.codes import CodeBasis
 from aecodes.errors import ErrorOp
-from aecodes.exactnum import SqrtRational, radical_sum_to_json, sqrt_rational_to_json
+from aecodes.exactnum import RadicalSum, SqrtRational, radical_sum_to_json, sqrt_rational_to_json
 from aecodes.klverify import KLReport
 
 
 def amplitudes(op: ErrorOp) -> dict[int, SqrtRational]:
     """The operator's entries as exact scalars, keyed by source index j."""
     return {j: SqrtRational._make(*amp) for j, amp in op.entries.items()}
+
+
+def total(values: Iterable[SqrtRational]) -> RadicalSum:
+    """Sum of signed square roots."""
+    return RadicalSum._from_terms([(v.num, v.den, v.kernel) for v in values])
 
 
 def target_two_J(op: ErrorOp) -> int:

@@ -54,6 +54,7 @@ def _assert_one_error_line(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+    return captured.err
 
 
 class TestConstructVerify:
@@ -194,6 +195,22 @@ class TestConstructVerify:
         path.write_text(json.dumps(data))
         assert main(["verify", str(path), "--t", "1"]) == 2
         _assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        ("key", "value"),
+        [("two_J", "7.0"), ("radicand_num", "1.5"), ("radicand_num", "1" * 5000)],
+        ids=["two-j", "radicand-num", "radicand-num-past-digit-limit"],
+    )
+    def test_bad_integer_string_names_its_field(self, tmp_path, capsys, key, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_j7half_with(**{key: value})))
+        assert main(["verify", str(path), "--t", "1"]) == 2
+        err = _assert_one_error_line(capsys)
+        assert f"{key} must be an integer or a decimal-integer string" in err
+        if len(value) > sys.get_int_max_str_digits():
+            assert f"at most {sys.get_int_max_str_digits()} digits" in err and value not in err
+        else:
+            assert repr(value) in err
 
     @pytest.mark.parametrize(
         "argv",

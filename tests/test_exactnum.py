@@ -19,6 +19,7 @@ from aecodes.exactnum import (
     sqrt_rational_from_json,
     sqrt_rational_to_json,
 )
+from oracles import total
 
 
 def brute_squarefree(n: int) -> bool:
@@ -78,8 +79,8 @@ class TestFactorize:
         root = SqrtRational.sqrt(6 * p**power)
         split = SqrtRational.sqrt(6 * p ** (power % 2)).scaled(p ** (power // 2))
         assert root == split and hash(root) == hash(split)
-        assert RadicalSum.total([root, -split]).is_zero()
-        assert RadicalSum.total([root]) == RadicalSum.total([split])
+        assert total([root, -split]).is_zero()
+        assert total([root]) == total([split])
 
 
 def _sq(sign, num, den):
@@ -150,7 +151,7 @@ class TestKernelInvariant:
             with pytest.raises(TypeError):
                 make(*args)
         assert RadicalSum() == RadicalSum.zero()
-        assert RadicalSum.total([SqrtRational.sqrt(4)]) == RadicalSum.from_rational(2)
+        assert total([SqrtRational.sqrt(4)]) == RadicalSum.from_rational(2)
 
     def test_public_constructor_roundtrips_through_radicand(self):
         v = SqrtRational.sqrt(6).scaled(Fraction(2, 3))
@@ -215,9 +216,9 @@ class TestAgainstFractionReference:
         for v in signed:
             kernel, coeff = reference_root(v.sign, v.radicand)
             expected[kernel] = expected.get(kernel, Fraction(0)) + coeff
-        total = RadicalSum.total(signed)
-        assert total.terms() == sorted((k, c) for k, c in expected.items() if c)
-        assert all(isinstance(c, Fraction) for _, c in total.terms())
+        summed = total(signed)
+        assert summed.terms() == sorted((k, c) for k, c in expected.items() if c)
+        assert all(isinstance(c, Fraction) for _, c in summed.terms())
 
 
 class TestSqrtAgainstDecompose:
@@ -304,16 +305,16 @@ class TestZeroTestAgainstFactorint:
             s, k = _factorint_kernel(r)
             expected[k] = expected.get(k, Fraction(0)) + c * s
         expected = {k: c for k, c in expected.items() if c}
-        total = RadicalSum.total(signed)
-        assert total.is_zero() == (not expected) == (total.to_mpf(200) == 0)
-        reference = RadicalSum.total([SqrtRational.sqrt(k).scaled(c) for k, c in expected.items()])
-        assert total == reference and hash(total) == hash(reference)
-        assert (total - reference).is_zero()
-        other = reference + RadicalSum.total([SqrtRational.sqrt(_LARGE_PRIMES[1] ** 3)])
-        assert total != other and not (total - other).is_zero()
+        summed = total(signed)
+        assert summed.is_zero() == (not expected) == (summed.to_mpf(200) == 0)
+        reference = total([SqrtRational.sqrt(k).scaled(c) for k, c in expected.items()])
+        assert summed == reference and hash(summed) == hash(reference)
+        assert (summed - reference).is_zero()
+        other = reference + total([SqrtRational.sqrt(_LARGE_PRIMES[1] ** 3)])
+        assert summed != other and not (summed - other).is_zero()
         # terms() is a canonical form: its pairs rebuild the same value.
-        rebuilt = RadicalSum.total([SqrtRational.sqrt(k).scaled(c) for k, c in total.terms()])
-        assert rebuilt == total and len(total.terms()) == len(expected)
+        rebuilt = total([SqrtRational.sqrt(k).scaled(c) for k, c in summed.terms()])
+        assert rebuilt == summed and len(summed.terms()) == len(expected)
 
 
 # Primes above 1000, so that trial division leaves them in the cofactor.
@@ -325,8 +326,8 @@ class TestTermsOverRepeatedCofactorPrimes:
 
     def test_cube_of_a_large_prime(self):
         p = 10**18 + 3
-        cube = RadicalSum.total([SqrtRational.sqrt(p**3)])
-        assert cube.terms() == RadicalSum.total([SqrtRational.sqrt(p).scaled(p)]).terms() == [(p, p)]
+        cube = total([SqrtRational.sqrt(p**3)])
+        assert cube.terms() == total([SqrtRational.sqrt(p).scaled(p)]).terms() == [(p, p)]
 
     @given(
         primes=st.sets(st.sampled_from(_COFACTOR_PRIMES), min_size=1, max_size=3),
@@ -364,7 +365,7 @@ class TestTermsOverRepeatedCofactorPrimes:
             values.append(SqrtRational.sqrt(r).scaled(c))
             s, k = _factorint_kernel(r)
             expected[k] = expected.get(k, Fraction(0)) + c * s
-        assert RadicalSum.total(values).terms() == sorted((k, c) for k, c in expected.items() if c)
+        assert total(values).terms() == sorted((k, c) for k, c in expected.items() if c)
 
 
 def canonical_sum(s: RadicalSum) -> RadicalSum:
@@ -377,7 +378,7 @@ def canonical_sum(s: RadicalSum) -> RadicalSum:
 
 def radical_sum(d: dict[int, Fraction]) -> RadicalSum:
     """sum_k d[k] sqrt(k) over square-free kernels k, built through the public API."""
-    return RadicalSum.total([SqrtRational.sqrt(k).scaled(c) for k, c in d.items()])
+    return total([SqrtRational.sqrt(k).scaled(c) for k, c in d.items()])
 
 
 _SMALL_KERNELS = st.sampled_from((1, 2, 3, 5, 6, 30, 1155))
@@ -496,20 +497,20 @@ class TestSqrtRatio:
 
 class TestRadicalSum:
     def test_cancellation(self):
-        s = RadicalSum.total([SqrtRational.sqrt(2)]) + RadicalSum.total([-SqrtRational.sqrt(2)])
+        s = total([SqrtRational.sqrt(2)]) + total([-SqrtRational.sqrt(2)])
         assert s.is_zero()
 
     def test_perfect_square_collapses(self):
         prod = SqrtRational.sqrt(Fraction(3, 10)) * SqrtRational.sqrt(Fraction(3, 10))
-        s = RadicalSum.total([prod]) + RadicalSum.from_rational(Fraction(-3, 10))
+        s = total([prod]) + RadicalSum.from_rational(Fraction(-3, 10))
         assert s.is_zero()
 
     def test_distinct_kernels_nonzero(self):
-        s = RadicalSum.total([SqrtRational.sqrt(2)]) + RadicalSum.total([SqrtRational.sqrt(3)])
+        s = total([SqrtRational.sqrt(2)]) + total([SqrtRational.sqrt(3)])
         assert not s.is_zero()
 
     def test_canonical_term_order(self):
-        s = RadicalSum.total([SqrtRational.sqrt(30)]) + RadicalSum.from_rational(2)
+        s = total([SqrtRational.sqrt(30)]) + RadicalSum.from_rational(2)
         assert [k for k, _ in s.terms()] == [1, 30]
 
 
@@ -518,7 +519,7 @@ class TestToFloat:
         # independent oracle: floor(sqrt(3/10 * 4^k)) / 2^k underestimates
         # sqrt(3/10) by < 2^-k
         bits = 200
-        val = RadicalSum.total([SqrtRational.sqrt(Fraction(3, 10))]).to_mpf(bits)
+        val = total([SqrtRational.sqrt(Fraction(3, 10))]).to_mpf(bits)
         k = 220
         low = math.isqrt(3 * 4**k // 10)
         with mpmath.workprec(bits + 40):
@@ -530,7 +531,7 @@ class TestToFloat:
 
     def test_rational_collapse(self):
         half_root4 = SqrtRational.sqrt(4).scaled(Fraction(1, 2))
-        assert RadicalSum.total([half_root4]).to_mpf(100) == 1
+        assert total([half_root4]).to_mpf(100) == 1
 
     def test_precision_floor(self):
         with pytest.raises(ValueError):
@@ -545,7 +546,7 @@ class TestToFloat:
                 radicand = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
                 coeff = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
                 terms.append(SqrtRational.sqrt(radicand).scaled(coeff))
-            s = RadicalSum.total(terms)
+            s = total(terms)
             # nonzero sums are detectably nonzero; exact negations vanish
             assert s.is_zero() == (abs(s.to_mpf(256)) < threshold)
             cancelled = s - s

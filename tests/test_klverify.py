@@ -41,7 +41,7 @@ from aecodes.klverify import (
     check_kl_detect,
     cross_validate,
 )
-from oracles import amplitudes, apply, kl_report_dict
+from oracles import amplitudes, apply, kl_report_dict, total
 
 
 class TestDirectKL:
@@ -291,7 +291,7 @@ class TestPermutationInvariantEquivalence:
 
 
 def dense_inner(u, v) -> RadicalSum:
-    return RadicalSum.total(x * y for x, y in zip(u, v))
+    return total(x * y for x, y in zip(u, v))
 
 
 def oracle_blocks(eset) -> list:
@@ -341,7 +341,7 @@ def oracle_condition_sum(code: CodeBasis, t: int, i: int, k: int, a: int, b: int
             math.comb(n - 2 * t, j) ** 2, math.comb(n, j + a) * math.comb(n, j + b) or 1
         )
         terms.append(vi[j + a] * vk[j + b] * SqrtRational.sqrt(weight_sq))
-    return RadicalSum.total(terms)
+    return total(terms)
 
 
 def oracle_cases():
@@ -441,7 +441,7 @@ def as_ints(vector) -> dict:
 
 def product_total(p, q) -> RadicalSum:
     """sum_y p[y] q[y] as a total of ``SqrtRational`` products, the oracle of ``dot``."""
-    return RadicalSum.total([a * q[y] for y, a in p.items() if y in q])
+    return total([a * q[y] for y, a in p.items() if y in q])
 
 
 # Small kernels make products of shared and of coprime kernels collide often.
@@ -489,7 +489,7 @@ def assert_lowest_terms(total: RadicalSum) -> RadicalSum:
     ids=["one-kernel", "multi-kernel", "two-kernels", "cancels", "cancels-late", "first-cancels"],
 )
 def test_dot_stores_lowest_terms(p, q):
-    expected = RadicalSum.total(
+    expected = total(
         [SqrtRational._make(*a) * SqrtRational._make(*q[y]) for y, a in p.items() if y in q]
     )
     got = assert_lowest_terms(dot(p, q))
