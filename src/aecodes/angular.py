@@ -36,7 +36,6 @@ from math import comb
 
 import mpmath
 
-from .combinatorics import binom
 from .exactnum import SqrtRational, sqrt_ratio
 
 
@@ -102,21 +101,14 @@ def cg_transition(n: int, t: int, r: int, a: int, q: int, j: int) -> SqrtRationa
     if not -min(a, q) <= j <= n - max(a, 2 * t - q):
         return SqrtRational.zero()
     nbar = n - 2 * t + q
-    total = Fraction(0)
-    for k in range(t - r, q + 1):
-        term = (
-            binom(q - (t - r), k - (t - r))
-            * binom(t + r - q, a - k)
-            * binom(nbar + (t - r), j + k)
-        )
-        total += -term if (k + t + r + a + q) % 2 else term
-    pref = (binom(n, t + r - q) * binom(2 * r, r + t - q)) / (
-        binom(n + q + r - t + 1, r + t - q)
-        * binom(n, j + a)
-        * binom(2 * r, a + r - t)
-        * binom(nbar + q, j + q)
+    total = sum(
+        (-1) ** (k + t + r + a + q)
+        * comb(q - t + r, k - t + r) * comb(t + r - q, a - k) * comb(nbar + t - r, j + k)
+        for k in range(max(t - r, -j), min(q, a) + 1)
     )
-    return SqrtRational.sqrt(pref).scaled(total)
+    num = comb(n, t + r - q) * comb(2 * r, r + t - q)
+    den = comb(n + q + r - t + 1, r + t - q) * comb(n, j + a) * comb(2 * r, a + r - t)
+    return SqrtRational._make(*sqrt_ratio(num, den * comb(nbar + q, j + q))).scaled(total)
 
 
 # ---------------------------------------------------------------------------

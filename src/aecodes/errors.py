@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, combinations_with_replacement, repeat
+from itertools import accumulate, repeat
 from math import comb, gcd, prod
 
 from .exactnum import squarefree_fold
@@ -52,7 +52,7 @@ class ErrorOp:
     source_two_J: int
     entries: dict[int, tuple[int, int, int]]
 
-    @property
+    @cached_property
     def label(self) -> str:
         return f"E[r={self.r},dJ={self.delta_J:+d},dm={self.delta_m:+d}]"
 
@@ -64,25 +64,6 @@ class ErrorOp:
 class ErrorSet:
     t: int
     ops: tuple[ErrorOp, ...]
-
-    @cached_property
-    def plan(self) -> tuple:
-        """``block_plan`` of this set's keys: one object per key tuple, whatever 2J."""
-        return block_plan(tuple((op.label, op.delta_J, op.delta_m) for op in self.ops))
-
-
-@lru_cache(maxsize=64)
-def block_plan(keys: tuple[tuple[str, int, int], ...]) -> tuple:
-    """The pairs E_a^dagger E_b that correction dots, from each op's (label, dJ, dm): per dJ
-    sector, ascending, its ops' indices and a block (i, k, (label_i, label_k), dm_i - dm_k)
-    per pair i <= k of them, in ``combinations_with_replacement`` order."""
-    plan = []
-    for delta_J in sorted({dJ for _, dJ, _ in keys}):
-        sector = [(i, label, dm) for i, (label, dJ, dm) in enumerate(keys) if dJ == delta_J]
-        pairs = combinations_with_replacement(sector, 2)
-        plan.append((tuple(i for i, _, _ in sector),
-                     tuple((i, k, (a, b), dm_a - dm_b) for (i, a, dm_a), (k, b, dm_b) in pairs)))
-    return tuple(plan)
 
 
 def _folds(n: int, d: int, e: int, walked: int, runs) -> list:

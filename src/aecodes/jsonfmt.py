@@ -25,13 +25,16 @@ def to_json(v, indent: str = "\n") -> str:
 
 
 def int_field(d: dict, key: str) -> int:
-    """``d[key]`` as a JSON int or a decimal-integer string; anything else is an error that
-    names the key, and a string past Python's int-string digit limit is not echoed."""
+    """``d[key]`` as a JSON int or a decimal-integer string, an optional ``-`` then ASCII digits;
+    anything else is an error that names the key, and a string past Python's int-string digit
+    limit is not echoed."""
     value = d[key]
     must = f"{key} must be an integer or a decimal-integer string"
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(f"{must}, got {value!r}")
     try:
+        if isinstance(value, str) and not (value.isascii() and value.removeprefix("-").isdigit()):
+            raise ValueError
         return int(value)
     except ValueError:
         limit = sys.get_int_max_str_digits()

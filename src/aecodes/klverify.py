@@ -11,10 +11,10 @@ entries by one kernel, ``exactnum.dot``, with no ``SqrtRational`` or
 
 * the basis vectors c_i themselves;
 * operator images E|c_i> = {j + delta_m: amp[j] c_i[j]}, keyed alike across a
-  delta_J sector.  Correction is <E_a c_i, E_b c_j> within a sector (sectors
-  act into orthogonal total-momentum sectors and are never paired), over the
-  blocks of ``eset.plan``, one object per (r, delta_J, delta_m) key tuple
-  whatever 2J (``errors.block_plan``).  Detection is <c_i, E c_j>;
+  delta_J sector.  Correction groups the operators by delta_J, ascending and
+  in set order within a sector, and dots <E_a c_i, E_b c_j> for each pair
+  a <= b of one sector (sectors act into orthogonal total-momentum sectors
+  and are never paired).  Detection is <c_i, E c_j>;
 * condition images Z_a(v)[j] = v[j+a] sqrt(C(n-2t, j) / C(n, j+a)) for
   0 <= j <= n-2t, so that (C3) is <Z_a v_i, Z_b v_k> and (C4) the difference
   of <Z_a v_i, Z_b v_i> and <Z_a v_k, Z_b v_k>.
@@ -194,13 +194,17 @@ def check_kl_correct(code: CodeBasis, eset: ErrorSet) -> KLReport:
     same, other = _shifts(vectors, 2 * eset.t)
     violations: list[KLViolation] = []
     gram: dict[tuple[str, ...], RadicalSum] = {}
-    for positions, blocks in eset.plan:
-        images = {i: [image(v, eset.ops[i].entries, eset.ops[i].delta_m) for v in vectors]
-                  for i in positions}
-        for i, k, labels, d in blocks:
-            on, off = d in same, d in other  # neither: d meets no support, the empty sum
-            gram[labels] = (_check_block(images[i], images[k], on, off, labels, violations)
-                            if on or off else RadicalSum.zero())
+    sectors: dict[int, list] = {}  # delta_J: (label, delta_m, images) per operator, in set order
+    for op in eset.ops:
+        images = [image(v, op.entries, op.delta_m) for v in vectors]
+        sectors.setdefault(op.delta_J, []).append((op.label, op.delta_m, images))
+    for _, row in sorted(sectors.items()):
+        for i, (a, dm_a, left) in enumerate(row):
+            for b, dm_b, right in row[i:]:  # each pair a <= b once
+                d, labels = dm_a - dm_b, (a, b)
+                on, off = d in same, d in other  # neither: d meets no support, the empty sum
+                gram[labels] = (_check_block(left, right, on, off, labels, violations)
+                                if on or off else RadicalSum.zero())
     return KLReport("correct", not violations, tuple(violations), gram)
 
 

@@ -198,8 +198,22 @@ class TestConstructVerify:
 
     @pytest.mark.parametrize(
         ("key", "value"),
-        [("two_J", "7.0"), ("radicand_num", "1.5"), ("radicand_num", "1" * 5000)],
-        ids=["two-j", "radicand-num", "radicand-num-past-digit-limit"],
+        [
+            ("two_J", "7.0"),
+            ("radicand_num", "1.5"),
+            ("radicand_num", "1" * 5000),
+            ("radicand_num", "1_0"),
+            ("two_J", " 7"),
+            ("two_J", "\uff17"),
+        ],
+        ids=[
+            "two-j",
+            "radicand-num",
+            "radicand-num-past-digit-limit",
+            "digit-separator",
+            "leading-space",
+            "fullwidth-digit",
+        ],
     )
     def test_bad_integer_string_names_its_field(self, tmp_path, capsys, key, value):
         path = tmp_path / "bad.json"

@@ -13,7 +13,7 @@ import pytest
     [
         ("__version__", ""),
         ("klverify", "codes errors exactnum jsonfmt klverify"),
-        ("covariance", "angular codes combinatorics covariance exactnum jsonfmt"),
+        ("covariance", "angular codes covariance exactnum jsonfmt"),
     ],
     ids=["version", "klverify", "covariance"],
 )

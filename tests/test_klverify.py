@@ -28,7 +28,7 @@ from aecodes.codes import (
     fixtures,
     vector_from_entries,
 )
-from aecodes.errors import build_ae_error_set, build_spin_error_set
+from aecodes.errors import build_ae_error_set
 from aecodes.exactnum import RadicalSum, SqrtRational, dot, image
 from aecodes.jsonfmt import to_json
 from aecodes.klverify import (
@@ -407,26 +407,15 @@ class TestMatrixElementOracle:
             assert [(f.a, f.b, f.pair, f.residual) for f in report.c4_failures] == c4
 
 
-class TestBlockPlan:
-    """``ErrorSet.plan``: one object per (r, delta_J, delta_m) key tuple, in the oracle's order."""
+class TestSectorWalk:
+    """``check_kl_correct`` walks the oracle's blocks in the oracle's order."""
 
-    @pytest.mark.parametrize("build", [build_ae_error_set, build_spin_error_set])
-    @pytest.mark.parametrize("t", [1, 2])
-    def test_sets_of_one_shape_share_a_plan(self, build, t):
-        small, large = build(2 * t + 1, t), build(2 * t + 12, t)
-        assert small is not large and small.plan is large.plan
-        assert small.plan is not build(2 * t + 3, t + 1).plan
-
-    @pytest.mark.parametrize("build", [build_ae_error_set, build_spin_error_set])
     @pytest.mark.parametrize("t", range(4))
-    def test_blocks_and_labels_match_oracle(self, build, t):
-        eset = build(2 * t + 5, t)
-        got = []
-        for positions, blocks in eset.plan:
-            assert len({eset.ops[i].delta_J for i in positions}) == 1
-            assert {i for i, k, _, _ in blocks} | {k for i, k, _, _ in blocks} == set(positions)
-            got += [(labels, eset.ops[i], eset.ops[k], d) for i, k, labels, d in blocks]
-        assert got == [(labels, a, b, a.delta_m - b.delta_m) for labels, a, b in oracle_blocks(eset)]
+    def test_blocks_and_labels_match_oracle(self, t):
+        eset = build_ae_error_set(2 * t + 5, t)
+        code = _random_rational_subspace(2 * t + 5, seed=t)
+        walked = list(check_kl_correct(code, eset).gram)
+        assert walked == [labels for labels, _, _ in oracle_blocks(eset)]
 
 
 # ---------------------------------------------------------------------------
