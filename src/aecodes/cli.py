@@ -35,13 +35,12 @@ import functools
 import hashlib
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 
 from . import __version__, acceptance
-from .angular import HalfInt, clebsch_gordan_t
+from .angular import clebsch_gordan_t
 from .codes import CodeBasis, GmdeParams, construct_ae_gmde, construct_pi_gmde, map_e, map_f, map_h
 from .combinatorics import run_identity_sweeps
 from .covariance import (
@@ -113,15 +112,14 @@ def _emit(report: dict) -> None:
     sys.stdout.write(to_json(report) + "\n")
 
 
-def _parse_halfint(text: str) -> HalfInt:
-    if "e" in text.lower():  # Fraction would build 10**exponent before the bound applies
-        raise ValueError(f"label {text} has an exponent; write an integer or a/2")
-    try:
-        value = HalfInt.make(Fraction(text))
-    except ZeroDivisionError:
-        raise ValueError(f"label {text} has a zero denominator") from None
-    _bounded(f"twice |{text}|", abs(value.twice_value), 0, MAX_TWO_J)
-    return value
+def _parse_twice(text: str) -> int:
+    """Twice the label ``text``: an optional ``-``, ASCII digits, then an optional ``/2``."""
+    whole = text.removesuffix("/2")
+    if not (whole.isascii() and whole.removeprefix("-").isdigit()):
+        raise ValueError(f"label {text!r} is not an integer or a/2")
+    twice = int(whole) if whole != text else 2 * int(whole)
+    _bounded(f"twice |{text}|", abs(twice), 0, MAX_TWO_J)
+    return twice
 
 
 def _load_code(path) -> tuple[CodeBasis, str]:
@@ -211,7 +209,7 @@ def cmd_errors(args) -> int:
 
 def cmd_cg(args) -> int:
     labels = (args.j1, args.m1, args.j2, args.m2, args.J, args.M)
-    value = clebsch_gordan_t(*(_parse_halfint(x).twice_value for x in labels))
+    value = clebsch_gordan_t(*(_parse_twice(x) for x in labels))
     decimal = mpmath.nstr(value.to_mpf(200), 62)  # the digits of a 200-bit report decimal
     _emit(
         {

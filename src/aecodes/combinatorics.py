@@ -1,14 +1,17 @@
-"""Generalized binomial coefficients and executable combinatorial identities.
+"""Binomial coefficients on ints and executable combinatorial identities.
 
-The binomial convention used throughout: for real (here rational) x and
-integer k,
+The binomial convention used throughout: for ints n >= 0 and k,
 
-    binom(x, k) = x(x-1)...(x-k+1)/k!   for k > 0,
-                  1                     for k = 0,
-                  0                     for k < 0.
+    binom(n, k) = C(n, k)   for 0 <= k <= n,
+                  0         for k < 0 or k > n.
 
-The ``check_*`` functions evaluate both sides of an identity exactly and are
-used as oracles by the test suite and the ``identities`` CLI subcommand.
+The generalized binomial with a rational upper argument, which the tests
+use as an oracle, is in ``tests/oracles.py``.
+
+The ``check_*`` functions evaluate both sides of an identity exactly, in
+ints; only ``f_coeff`` and the left side of Lemma B4, which are true ratios,
+are ``Fraction``s.  They are used as oracles by the test suite and the
+``identities`` CLI subcommand.
 """
 
 from __future__ import annotations
@@ -16,37 +19,22 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactnum import RationalLike
 
-
-def binom(x: RationalLike, k: int) -> Fraction:
-    """Generalized binomial coefficient with rational upper argument.
-
-    A nonnegative integer ``x`` (an int or a Fraction with denominator 1)
-    goes through ``math.comb``; any other ``x`` through the falling
-    factorial.
-    """
-    if k < 0:
-        return Fraction(0)
-    if isinstance(x, (int, Fraction)) and x.denominator == 1 and x.numerator >= 0:
-        return Fraction(math.comb(x.numerator, k))
-    if k == 0:
-        return Fraction(1)
-    x = Fraction(x)
-    num = Fraction(1)
-    for i in range(k):
-        num *= x - i
-        if num == 0:
-            return Fraction(0)
-    return num / math.factorial(k)
+def binom(n: int, k: int) -> int:
+    """C(n, k) for an int n >= 0: ``math.comb``, and 0 for k < 0."""
+    return math.comb(n, k) if k >= 0 else 0
 
 
 def check_lemma_B1(n: int, k: int, r: int, a: int) -> bool:
-    """binom(n-r,k-a)/binom(n,k) == binom(n-k,r-a)*binom(k,a)/(binom(n,r)*binom(r,a))."""
+    """binom(n-r,k-a)/binom(n,k) == binom(n-k,r-a)*binom(k,a)/(binom(n,r)*binom(r,a)).
+
+    All three denominators are positive on the admitted range, so the two
+    sides are compared cross-multiplied.
+    """
     if not (0 <= a <= r <= n and a <= k <= n):
         raise ValueError("requires n >= r >= a and n >= k >= a, all nonnegative")
-    lhs = binom(n - r, k - a) / binom(n, k)
-    rhs = binom(n - k, r - a) * binom(k, a) / (binom(n, r) * binom(r, a))
+    lhs = binom(n - r, k - a) * binom(n, r) * binom(r, a)
+    rhs = binom(n - k, r - a) * binom(k, a) * binom(n, k)
     return lhs == rhs
 
 
@@ -60,13 +48,10 @@ def check_identity_B2(a: int, b: int, c: int, d: int, e: int) -> bool:
     binom(b+c, i+c) are nonzero, i.e. max(-c, -d) <= i <= min(a, b).
     """
     lhs = binom(a + c + d + e, a + c) * binom(b + c + d + e, c + e)
-    rhs = Fraction(0)
-    for i in range(max(-c, -d), min(a, b) + 1):
-        rhs += (
-            binom(a + b + c + d + e - i, a + b + c + d)
-            * binom(a + d, i + d)
-            * binom(b + c, i + c)
-        )
+    rhs = sum(
+        binom(a + b + c + d + e - i, a + b + c + d) * binom(a + d, i + d) * binom(b + c, i + c)
+        for i in range(max(-c, -d), min(a, b) + 1)
+    )
     return lhs == rhs
 
 
@@ -74,9 +59,7 @@ def check_corollary_B3(n: int, l: int, m: int, r: int) -> bool:
     """binom(n+m+r, n+r)*binom(l+m, r) == sum_{i=0}^{m} binom(n+l+m+i, i)*binom(n+m, n+i)*binom(l, r-i)."""
     lhs = binom(n + m + r, n + r) * binom(l + m, r)
     rhs = sum(
-        (binom(n + l + m + i, i) * binom(n + m, n + i) * binom(l, r - i)
-         for i in range(m + 1)),
-        Fraction(0),
+        binom(n + l + m + i, i) * binom(n + m, n + i) * binom(l, r - i) for i in range(m + 1)
     )
     return lhs == rhs
 
@@ -101,7 +84,7 @@ def f_coeff(z1: int, z2: int, u: int, v: int, w: int, q: int, t: int, n: int) ->
         * binom(z2 - u, w)
     )
     den = binom(qs + z2, z1) * binom(nbar + qs + z2, qs + z2)
-    return num / den
+    return Fraction(num, den)
 
 
 def check_lemma_B4(n: int, q: int, z1: int, z2: int, t: int, j: int) -> bool:
@@ -115,13 +98,13 @@ def check_lemma_B4(n: int, q: int, z1: int, z2: int, t: int, j: int) -> bool:
     nbar = n - 2 * t + q
     num = binom(nbar, j + z1) * binom(nbar, j + z2)
     # Whenever the numerator is nonzero the denominator is too; treat 0/0 as 0.
-    lhs = num / binom(nbar + q, j + q) if num != 0 else Fraction(0)
-    rhs = Fraction(0)
-    for u in range(z2 + 1):
-        for v in range(q - z1 + 1):
-            for w in range(z2 - u + 1):
-                coeff = f_coeff(z1, z2, u, v, w, q, t, n)
-                rhs += coeff * binom(n - 2 * t, j - v - w + z2)
+    lhs = Fraction(num, binom(nbar + q, j + q)) if num != 0 else 0
+    rhs = sum(
+        f_coeff(z1, z2, u, v, w, q, t, n) * binom(n - 2 * t, j - v - w + z2)
+        for u in range(z2 + 1)
+        for v in range(q - z1 + 1)
+        for w in range(z2 - u + 1)
+    )
     return lhs == rhs
 
 

@@ -234,6 +234,8 @@ def check_conditions(code: CodeBasis, t: int, t_prime: int) -> ConditionReport:
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
+    if code.two_J < 2 * t:
+        raise ValueError(f"two_J={code.two_J} too small for order t={t} (need two_J >= 2t)")
     if t_prime not in (t, 2 * t):
         raise ValueError(f"t_prime must be t or 2t, got {t_prime}")
     vectors = _vectors(code)

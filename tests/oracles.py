@@ -1,11 +1,42 @@
 """Dense oracles and test-only readers that the tests check the program paths against."""
 
+import math
 from collections.abc import Iterable
+from fractions import Fraction
 
 from aecodes.codes import CodeBasis
 from aecodes.errors import ErrorOp
-from aecodes.exactnum import RadicalSum, SqrtRational, radical_sum_to_json, sqrt_rational_to_json
+from aecodes.exactnum import (
+    RadicalSum,
+    RationalLike,
+    SqrtRational,
+    radical_sum_to_json,
+    sqrt_rational_to_json,
+)
 from aecodes.klverify import KLReport
+
+
+def binom(x: RationalLike, k: int) -> Fraction:
+    """Generalized binomial coefficient with rational upper argument.
+
+    binom(x, k) = x(x-1)...(x-k+1)/k! for k > 0, 1 for k = 0 and 0 for k < 0.
+    A nonnegative integer ``x`` (an int or a Fraction with denominator 1)
+    goes through ``math.comb``; any other ``x`` through the falling
+    factorial.
+    """
+    if k < 0:
+        return Fraction(0)
+    if isinstance(x, (int, Fraction)) and x.denominator == 1 and x.numerator >= 0:
+        return Fraction(math.comb(x.numerator, k))
+    if k == 0:
+        return Fraction(1)
+    x = Fraction(x)
+    num = Fraction(1)
+    for i in range(k):
+        num *= x - i
+        if num == 0:
+            return Fraction(0)
+    return num / math.factorial(k)
 
 
 def amplitudes(op: ErrorOp) -> dict[int, SqrtRational]:

@@ -8,8 +8,8 @@ import mpmath
 import pytest
 
 from aecodes.angular import HalfInt, cg_transition, clebsch_gordan_t, wigner_D
-from aecodes.combinatorics import binom
 from aecodes.exactnum import RadicalSum, SqrtRational
+from oracles import binom
 
 H = HalfInt.make
 

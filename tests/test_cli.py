@@ -109,6 +109,14 @@ class TestConstructVerify:
         assert status == 0
         assert report["report"]["t_prime"] == 1
 
+    @pytest.mark.parametrize("extra", [[], ["--t-prime", "4"]])
+    def test_conditions_mode_order_above_spin_exits_two(self, tmp_path, capsys, extra):
+        # 2J = 7 < 2t = 8 leaves every condition image empty, which would pass vacuously
+        path = tmp_path / "q7.json"
+        fixtures()["J7half"].save(path)
+        assert main(["verify", str(path), "--t", "4", "--mode", "conditions", *extra]) == 2
+        _assert_one_error_line(capsys)
+
     def test_missing_file_exits_two(self, capsys):
         status = main(["verify", "/nonexistent/q.json", "--t", "1"])
         assert status == 2
@@ -606,7 +614,10 @@ class TestOtherCommands:
     @pytest.mark.parametrize("position", range(6))
     @pytest.mark.parametrize(
         "value",
-        [str(cli.MAX_TWO_J // 2 + 1), "-2000", "2001/2", "1/0", "1/3", "x", "1e10000000"],
+        [
+            str(cli.MAX_TWO_J // 2 + 1), "-2000", "2001/2", "1/0", "1/3", "x", "1e10000000",
+            "1_0", "１", " 1", "+1", "1.5",
+        ],
     )
     def test_cg_label_out_of_range_exits_two(self, capsys, monkeypatch, position, value):
         monkeypatch.setattr(cli, "clebsch_gordan_t", _must_not_run)

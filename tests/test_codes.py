@@ -20,11 +20,10 @@ from aecodes.codes import (
     map_h,
     vector_from_entries,
 )
-from aecodes.combinatorics import binom
 from aecodes.exactnum import SqrtRational, dot
 from aecodes.klverify import _vectors, check_conditions
 from aecodes.search import enumerate_and_search
-from oracles import code_dict
+from oracles import binom, code_dict
 
 
 def sq(num, den):

@@ -1,4 +1,8 @@
-"""Binomial convention and the combinatorial identity oracles."""
+"""Binomial convention and the combinatorial identity oracles.
+
+``binom`` here is the generalized binomial of ``tests/oracles.py``; the
+identities themselves run on ``aecodes.combinatorics.binom`` in ints.
+"""
 
 import math
 from fractions import Fraction
@@ -7,14 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aecodes import combinatorics
 from aecodes.combinatorics import (
-    binom,
     check_corollary_B3,
     check_identity_B2,
     check_lemma_B1,
     check_lemma_B4,
     f_coeff,
 )
+from oracles import binom
 
 
 class TestBinom:
@@ -188,3 +193,58 @@ class TestLemmaB4:
                         for z2 in range(z1 + 1):
                             for j in range(-q - 2 * t - 2, n - 2 * t + q + 3):
                                 assert check_lemma_B4(n, q, z1, z2, t, j)
+
+
+class TestIntRewrite:
+    """The int checks stay sensitive to their binomials and agree with the generalized ones."""
+
+    def test_binom_is_int_oracle(self):
+        for n in range(21):
+            for k in range(-3, 24):
+                got = combinatorics.binom(n, k)
+                assert type(got) is int and got == binom(n, k)
+
+    def test_off_by_one_binom_fails_every_identity(self, monkeypatch):
+        # a check that compared a side with itself would still pass
+        true_binom = combinatorics.binom
+        monkeypatch.setattr(combinatorics, "binom", lambda n, k: true_binom(n, k) + (k == 1))
+        rng = range(3)
+        assert not all(
+            check_lemma_B1(n, k, r, a)
+            for n in range(5) for r in range(n + 1) for k in range(n + 1)
+            for a in range(min(r, k) + 1)
+        )
+        assert not all(
+            check_identity_B2(a, b, c, d, e)
+            for a in rng for b in rng for c in rng for d in rng for e in rng
+        )
+        assert not all(
+            check_corollary_B3(n, l, m, r)
+            for n in range(1, 3) for l in range(1, 3) for m in range(1, 3) for r in range(-2, 4)
+        )
+        assert not all(
+            check_lemma_B4(n, q, z1, z2, t, j)
+            for n in range(5) for t in range(2) if n >= 2 * t
+            for q in range(2 * t + 1) for z1 in range(q + 1) for z2 in range(z1 + 1)
+            for j in range(-q - 2 * t - 2, n - 2 * t + q + 3)
+        )
+
+    def test_f_coeff_matches_oracle_expansion(self):
+        # the whole Lemma B4 sweep range of run_identity_sweeps: n <= 8, t <= 2
+        indices = [
+            (n, t, q, z1, z2, u, v, w)
+            for n in range(9) for t in range(3) if n >= 2 * t
+            for q in range(2 * t + 1) for z1 in range(q + 1) for z2 in range(z1 + 1)
+            for u in range(z2 + 1) for v in range(q - z1 + 1) for w in range(z2 - u + 1)
+        ]
+        for n, t, q, z1, z2, u, v, w in indices:
+            nbar, qs = n - 2 * t + q, q - z2
+            expected = (
+                binom(z2, u)
+                * binom(nbar, u + z1 - z2)
+                * binom(nbar - u + v, v)
+                * binom(qs, z1 - z2 + v)
+                * binom(z2 - u, w)
+                / (binom(qs + z2, z1) * binom(nbar + qs + z2, qs + z2))
+            )
+            assert f_coeff(z1, z2, u, v, w, q, t, n) == expected

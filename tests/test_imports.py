@@ -14,8 +14,9 @@ import pytest
         ("__version__", ""),
         ("klverify", "codes errors exactnum jsonfmt klverify"),
         ("covariance", "angular codes covariance exactnum jsonfmt"),
+        ("combinatorics", "combinatorics"),
     ],
-    ids=["version", "klverify", "covariance"],
+    ids=["version", "klverify", "covariance", "combinatorics"],
 )
 def test_import_loads_only_what_it_uses(name, loaded):
     src = str(Path(__file__).resolve().parents[1] / "src")
