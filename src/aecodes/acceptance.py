@@ -34,7 +34,7 @@ from .covariance import (
 )
 from .errors import build_ae_error_set
 from .exactnum import SqrtRational
-from .klverify import check_conditions, check_kl_correct, check_kl_detect, cross_validate
+from .klverify import check_conditions, check_kl_correct, check_kl_detect, cross_validate, cross_verdicts
 from .search import SearchSpec, enumerate_and_search, solve_staggered
 
 SWEEP_N_MAX = 60
@@ -66,11 +66,7 @@ def _family_sweep():
     entries = []
     for g, m, delta, eps, t in family_sweep_params():
         code = construct_ae_gmde(GmdeParams(g, m, delta, eps))
-        eset = build_ae_error_set(code.two_J, t)
-        cond_2t = check_conditions(code, t, 2 * t).all_pass
-        correct = check_kl_correct(code, eset).passed
-        cond_t = check_conditions(code, t, t).all_pass
-        detect = check_kl_detect(code, eset).passed if cond_t else None
+        cond_2t, correct, cond_t, detect = cross_verdicts(code, t)
         entries.append(
             {
                 "params": (g, m, delta, eps, t),

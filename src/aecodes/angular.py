@@ -31,7 +31,6 @@ angles and no per-entry factorial sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 import mpmath
@@ -44,16 +43,6 @@ class HalfInt:
     """An integer or half-integer j, stored as twice_value = 2j."""
 
     twice_value: int
-
-    @staticmethod
-    def make(value) -> "HalfInt":
-        """From an int, Fraction with denominator 1 or 2, or 'a/2' string."""
-        if isinstance(value, HalfInt):
-            return value
-        value = Fraction(value)
-        if value.denominator not in (1, 2):
-            raise ValueError(f"{value} is not an integer or half-integer")
-        return HalfInt(int(value * 2))
 
 
 def clebsch_gordan_t(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> SqrtRational:
@@ -153,7 +142,7 @@ def wigner_D(J: HalfInt, u, precision_bits: int = 200) -> mpmath.matrix:
     of x^a y^(N-a), times sqrt(binom(N, p) / binom(N, a)), is the entry in
     row N - a.
     """
-    n = HalfInt.make(J).twice_value
+    n = J.twice_value
     with mpmath.workprec(precision_bits):
         u = _as_mp_matrix(u)
         _require_special_unitary(u, mpmath.mpf(2) ** -40)

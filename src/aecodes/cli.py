@@ -26,6 +26,8 @@ MAX_SEARCH_PAIRS (100,000) staggered support pairs (``support_pair_count``).
 the group's ``order``; it exits 2 before any work when the order exceeds
 MAX_CLOSURE_ORDER (4096), or order x (2J+1)^2 x (bits + 2J + 32) exceeds
 MAX_FULL_GROUP_WORK (7 x 10^8).
+``verify --t-prime`` sets the order t' of ``--mode conditions`` (default 2t);
+with any other mode it exits 2 before any check, rather than go unused.
 """
 
 from __future__ import annotations
@@ -164,6 +166,8 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     _bounded("--t", args.t, 0, MAX_T)
+    if args.t_prime is not None and args.mode != "conditions":
+        raise ValueError(f"--t-prime applies only to --mode conditions, not --mode {args.mode}")
     code, digest = _load_code(args.code_file)
     params = {"file": str(args.code_file)} | {k: getattr(args, k) for k in ("t", "mode", "t_prime")}
     kl = None

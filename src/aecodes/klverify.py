@@ -27,6 +27,9 @@ for a vector with itself, one for two vectors.  A block whose d is in neither
 is skipped as the empty sum; elsewhere only elements whose set holds d are
 dotted, so staggered supports (``search``) dot only diagonals at d = 0.  The
 checks run sequentially and deterministically, which fixes the report order.
+Z_a depends on t alone and t' only bounds a, b and the shifts, so the (C1)-(C4)
+report at t' = t is the a, b <= t slice of the one at t' = 2t: the same c1 and
+c2, and those c3 and c4 failures in order.  ``cross_verdicts`` uses one pass.
 """
 
 from __future__ import annotations
@@ -261,12 +264,25 @@ def check_conditions(code: CodeBasis, t: int, t_prime: int) -> ConditionReport:
     return ConditionReport(t, t_prime, c1, c2, tuple(c3_failures), tuple(c4_failures))
 
 
+def cross_verdicts(code: CodeBasis, t: int) -> tuple[bool, bool | None, bool, bool | None]:
+    """(cond_2t, correct, cond_t, detect): one (C1)-(C4) pass at t' = 2t, cond_t from its
+    a, b <= t slice, and each KL check only where its conditions hold (else None)."""
+    r = check_conditions(code, t, 2 * t)
+    cond_t = r.c1 and r.c2 and all(max(f.a, f.b) > t for f in r.c3_failures + r.c4_failures)
+    eset = build_ae_error_set(code.two_J, t)
+    correct = check_kl_correct(code, eset).passed if r.all_pass else None
+    detect = check_kl_detect(code, eset).passed if cond_t else None
+    return r.all_pass, correct, cond_t, detect
+
+
 def cross_validate(code: CodeBasis, t: int) -> bool:
     """Check both implications between the simplified conditions and direct KL.
 
     Conditions at t' = 2t all passing must imply direct correction of every
     order <= t, and conditions at t' = t all passing must imply detection at
-    order t.  Vacuously true when the conditions fail.
+    order t.  Vacuously true when the conditions fail.  As Z_a does not depend
+    on t', the t' = t report is the a, b <= t slice of the t' = 2t one, so one
+    pass serves both (``cross_verdicts``).
 
     A code that passes ``check_kl_correct`` at (n, t) passes both halves, so
     ``aecodes search`` reports this verdict from its KL guard and only
@@ -278,11 +294,5 @@ def cross_validate(code: CodeBasis, t: int) -> bool:
     sector are the detection elements <c_i|E_b|c_j>, and those with
     dJ != 0 vanish by structure.
     """
-    eset = build_ae_error_set(code.two_J, t)
-    if check_conditions(code, t, 2 * t).all_pass:
-        if not check_kl_correct(code, eset).passed:
-            return False
-    if check_conditions(code, t, t).all_pass:
-        if not check_kl_detect(code, eset).passed:
-            return False
-    return True
+    _, correct, _, detect = cross_verdicts(code, t)
+    return correct is not False and detect is not False

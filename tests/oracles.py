@@ -4,6 +4,7 @@ import math
 from collections.abc import Iterable
 from fractions import Fraction
 
+from aecodes.angular import HalfInt
 from aecodes.codes import CodeBasis
 from aecodes.errors import ErrorOp
 from aecodes.exactnum import (
@@ -37,6 +38,14 @@ def binom(x: RationalLike, k: int) -> Fraction:
         if num == 0:
             return Fraction(0)
     return num / math.factorial(k)
+
+
+def half_int(value) -> HalfInt:
+    """From an int, Fraction with denominator 1 or 2, or 'a/2' string."""
+    value = Fraction(value)
+    if value.denominator not in (1, 2):
+        raise ValueError(f"{value} is not an integer or half-integer")
+    return HalfInt(int(value * 2))
 
 
 def amplitudes(op: ErrorOp) -> dict[int, SqrtRational]:

@@ -9,9 +9,9 @@ import pytest
 
 from aecodes.angular import HalfInt, cg_transition, clebsch_gordan_t, wigner_D
 from aecodes.exactnum import RadicalSum, SqrtRational
-from oracles import binom
+from oracles import binom, half_int
 
-H = HalfInt.make
+H = half_int
 
 
 def cg(j1, m1, j2, m2, J, M):

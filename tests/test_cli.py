@@ -117,6 +117,16 @@ class TestConstructVerify:
         assert main(["verify", str(path), "--t", "4", "--mode", "conditions", *extra]) == 2
         _assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("mode", ["correct", "detect", "cross"])
+    def test_t_prime_outside_conditions_mode_exits_two(self, tmp_path, capsys, monkeypatch, mode):
+        # the order t' sets only the conditions check; elsewhere it would go unused yet be recorded
+        path = tmp_path / "q7.json"
+        fixtures()["J7half"].save(path)
+        for name in ("build_ae_error_set", "check_kl_correct", "check_kl_detect", "cross_validate"):
+            monkeypatch.setattr(cli, name, _must_not_run)
+        assert main(["verify", str(path), "--t", "1", "--mode", mode, "--t-prime", "5"]) == 2
+        _assert_one_error_line(capsys)
+
     def test_missing_file_exits_two(self, capsys):
         status = main(["verify", "/nonexistent/q.json", "--t", "1"])
         assert status == 2

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aecodes import klverify
 from aecodes.acceptance import _perturbed, _random_rational_subspace, family_sweep_params
 from aecodes.codes import (
     CodeBasis,
@@ -40,6 +41,7 @@ from aecodes.klverify import (
     check_kl_correct,
     check_kl_detect,
     cross_validate,
+    cross_verdicts,
 )
 from oracles import amplitudes, apply, kl_report_dict, total
 
@@ -176,6 +178,44 @@ class TestConditions:
         assert check_conditions(flipped, 1, 2).all_pass
 
 
+def oracle_cases():
+    base = fixtures()
+    j7 = base["J7half"]
+    cases = [(code, t) for code in base.values() for t in (1, 2)]
+    cases.append((_perturbed(j7, 0, j7.support(0)[0]), 1))
+    cases.append((CodeBasis(j7.kind, j7.two_J, (j7.basis[0], j7.basis[0])), 1))
+    # Every index 0..n is nonzero: images are clipped at both ends and every
+    # operator pair overlaps.
+    dense = [_random_rational_subspace(n, seed=1) for n in (7, 11, 13)]
+    cases += [(code, t) for code in dense for t in (1, 2)]
+    # Supports whose index shifts sit at the edges of what correction can
+    # reach: two vectors meet only at the extreme shift 2t; two vectors stay
+    # 2t+1 apart, so they never meet; a vector's own support has a gap of 2t,
+    # so diagonal blocks at shifts +-2t carry terms.
+    for t in (1, 2):
+        meet = spaced_code(9 * t + 7, (1, 6 * t + 4), (2 * t + 1, 9 * t + 6))
+        apart = spaced_code(9 * t + 7, (1, 6 * t + 4), (2 * t + 2, 9 * t + 6))
+        own_gap = spaced_code(11 * t + 7, (1, 2 * t + 1, 8 * t + 4), (4 * t + 2, 11 * t + 6))
+        cases += [(meet, t), (apart, t), (own_gap, t)]
+    return cases
+
+
+def spaced_code(n: int, *supports) -> CodeBasis:
+    """A code, normalized or not, with coefficient sqrt(j + 1) at each support index j."""
+    vectors = [vector_from_entries(n, {j: SqrtRational.sqrt(j + 1) for j in s}) for s in supports]
+    return CodeBasis(CodeKind.AE, n, tuple(vectors), f"spaced{supports}")
+
+
+def slice_cases() -> list:
+    """``oracle_cases()`` and every 500th family-sweep instance."""
+    sweep = family_sweep_params()[::500]
+    return oracle_cases() + [(construct_ae_gmde(GmdeParams(*p[:4])), p[4]) for p in sweep]
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("a KL check ran although its conditions failed")
+
+
 class TestCrossValidation:
     def test_fixtures(self):
         for code in fixtures().values():
@@ -190,6 +230,44 @@ class TestCrossValidation:
                             continue
                         code = construct_ae_gmde(GmdeParams(g, m, delta, eps))
                         assert cross_validate(code, 1)
+
+    @pytest.mark.parametrize("case", range(len(slice_cases())))
+    def test_t_report_is_slice_of_2t_report(self, case):
+        code, t = slice_cases()[case]
+        direct, full = check_conditions(code, t, t), check_conditions(code, t, 2 * t)
+        assert (full.c1, full.c2) == (direct.c1, direct.c2)
+        for name in ("c3_failures", "c4_failures"):
+            sliced = [f for f in getattr(full, name) if max(f.a, f.b) <= t]
+            assert sliced == list(getattr(direct, name))
+        assert cross_verdicts(code, t)[2] == direct.all_pass
+
+    def test_one_condition_pass_per_code(self, monkeypatch):
+        orders = []
+
+        def counted(code, t, t_prime):
+            orders.append((t, t_prime))
+            return check_conditions(code, t, t_prime)
+
+        monkeypatch.setattr(klverify, "check_conditions", counted)
+        assert cross_validate(fixtures()["J7half"], 1)
+        assert orders == [(1, 2)]
+
+    @pytest.mark.parametrize("name", ["check_kl_correct", "check_kl_detect"])
+    def test_failing_kl_check_fails(self, monkeypatch, name):
+        code = fixtures()["J7half"]
+        assert cross_verdicts(code, 1) == (True, True, True, True)
+        failing = KLReport(name.removeprefix("check_kl_"), False, (), {})
+        monkeypatch.setattr(klverify, name, lambda code, eset: failing)
+        assert not cross_validate(code, 1)
+
+    def test_failing_conditions_run_no_kl_check(self, monkeypatch):
+        # J7half at t = 2 fails (C1)-(C4) at t' = 2 and t' = 4
+        code = fixtures()["J7half"]
+        assert not check_conditions(code, 2, 2).all_pass
+        for name in ("check_kl_correct", "check_kl_detect"):
+            monkeypatch.setattr(klverify, name, _must_not_run)
+        assert cross_verdicts(code, 2) == (False, None, False, None)
+        assert cross_validate(code, 2)
 
     def test_detection_monotonicity(self):
         # correcting at order t implies detecting at order t
@@ -342,34 +420,6 @@ def oracle_condition_sum(code: CodeBasis, t: int, i: int, k: int, a: int, b: int
         )
         terms.append(vi[j + a] * vk[j + b] * SqrtRational.sqrt(weight_sq))
     return total(terms)
-
-
-def oracle_cases():
-    base = fixtures()
-    j7 = base["J7half"]
-    cases = [(code, t) for code in base.values() for t in (1, 2)]
-    cases.append((_perturbed(j7, 0, j7.support(0)[0]), 1))
-    cases.append((CodeBasis(j7.kind, j7.two_J, (j7.basis[0], j7.basis[0])), 1))
-    # Every index 0..n is nonzero: images are clipped at both ends and every
-    # operator pair overlaps.
-    dense = [_random_rational_subspace(n, seed=1) for n in (7, 11, 13)]
-    cases += [(code, t) for code in dense for t in (1, 2)]
-    # Supports whose index shifts sit at the edges of what correction can
-    # reach: two vectors meet only at the extreme shift 2t; two vectors stay
-    # 2t+1 apart, so they never meet; a vector's own support has a gap of 2t,
-    # so diagonal blocks at shifts +-2t carry terms.
-    for t in (1, 2):
-        meet = spaced_code(9 * t + 7, (1, 6 * t + 4), (2 * t + 1, 9 * t + 6))
-        apart = spaced_code(9 * t + 7, (1, 6 * t + 4), (2 * t + 2, 9 * t + 6))
-        own_gap = spaced_code(11 * t + 7, (1, 2 * t + 1, 8 * t + 4), (4 * t + 2, 11 * t + 6))
-        cases += [(meet, t), (apart, t), (own_gap, t)]
-    return cases
-
-
-def spaced_code(n: int, *supports) -> CodeBasis:
-    """A code, normalized or not, with coefficient sqrt(j + 1) at each support index j."""
-    vectors = [vector_from_entries(n, {j: SqrtRational.sqrt(j + 1) for j in s}) for s in supports]
-    return CodeBasis(CodeKind.AE, n, tuple(vectors), f"spaced{supports}")
 
 
 class TestMatrixElementOracle:
