@@ -6,13 +6,17 @@ and 3 when ``search`` finds a staggered solution that fails direct KL
 verification, which would falsify the staggering argument.  Each report
 carries a manifest (command, input digests, parameters, verdict summary,
 tool version) that is byte-for-byte reproducible for identical inputs and
-parameters.
+parameters.  Every subcommand writes its report through ``_report``, one
+top-level key at a time in sorted order; the KL Gram entries of ``verify``,
+the operators of ``errors`` and the results of ``search`` are written one at
+a time rather than held as one string.
 
 ``covariance --bits`` (default 200) must lie between 53 and
-MAX_PRECISION_BITS (4096) bits; other values exit 2 before any work.  The
-decimals of ``cg``, ``verify`` and every other report are rendered at a fixed
-200 bits, so a report stays reproducible from a manifest that records no
-precision.
+MAX_PRECISION_BITS (4096) bits; other values exit 2 before any work.  Every
+other report renders its decimals at a fixed precision, so it stays
+reproducible from a manifest that records no precision: a radical sum at 200
+bits (``RadicalSum.to_decimal(200)``), and the ``cg`` value as 62 digits of
+``SqrtRational.to_mpf(200)``, which works at 210 bits.
 Likewise ``errors --two-j`` must lie between 0 and MAX_TWO_J (512), and so
 must the ``two_J`` of a code file given to ``verify``, ``map`` or
 ``covariance``, the n = 2gm + delta + 1 of ``construct``, and twice the
@@ -33,6 +37,7 @@ with any other mode it exits 2 before any check, rather than go unused.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -75,9 +80,10 @@ MAX_T = 6
 
 # `search` solves every staggered support pair that can carry a vertex.  At
 # the largest n admitted for t <= 2 and max-size 2-4, the slowest runs are
-# (21, 1, 3), with 84,000 pairs, 36,596 codes and a 22 MB report, and
-# (24, 0, 2), with 90,300 pairs and codes and a 49 MB report; they take 7-8 s and
-# 9 s end to end, and 16 s and 14-30 s with --out (2-core machine, Python 3.11).
+# (21, 1, 3), with 84,000 pairs, 36,596 codes and a 15.5 MB report, and
+# (24, 0, 2), with 90,300 pairs and codes and a 33.1 MB report; they take 7-8 s and
+# 9 s end to end, and 16 s and 14-30 s with --out, and peak at about 110 MB and
+# 195 MB RSS (2-core machine, Python 3.11).
 # At t = 2 and max-size 2 no pair has the 2t+2 indices a vertex needs, so
 # every n is admitted.
 MAX_SEARCH_PAIRS = 100_000
@@ -100,18 +106,27 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def make_manifest(command: str, inputs: dict[str, str], parameters: dict, verdicts: dict) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "parameters": parameters,
-        "verdicts": verdicts,
-        "tool_version": __version__,
-    }
+def _params(args, *names) -> dict:
+    return {k: getattr(args, k) for k in names}
 
 
-def _emit(report: dict) -> None:
-    sys.stdout.write(to_json(report) + "\n")
+def _report(
+    command: str, inputs: dict, params: dict, verdicts: dict, body: dict, write=None
+) -> None:
+    """Write ``to_json(body | {"manifest": manifest}) + "\\n"`` one top-level key at a time, to
+    ``write`` or else stdout; a callable value writes its own text at that depth."""
+    write = write or sys.stdout.write
+    manifest = {"command": command, "inputs": inputs, "parameters": params,
+                "verdicts": verdicts, "tool_version": __version__}
+    sep = "{"
+    for key, value in sorted((body | {"manifest": manifest}).items()):
+        write(f"{sep}\n  {to_json(key)}: ")
+        if callable(value):
+            value(write)
+        else:
+            write(to_json(value, "\n  "))
+        sep = ","
+    write("\n}\n")
 
 
 def _parse_twice(text: str) -> int:
@@ -149,17 +164,12 @@ def cmd_construct(args) -> int:
     if args.label:
         code = code.with_kind(code.kind, label=args.label)
     digest = _digest(code.save(args.out))
-    verdict = {"n": code.two_J, "dim": code.dim, "written": str(args.out)}
-    _emit(
-        {
-            "code": {"kind": code.kind.value, "two_J": code.two_J, "label": code.label},
-            "manifest": make_manifest(
-                "construct",
-                {args.out: digest},
-                {k: getattr(args, k) for k in ("g", "m", "delta", "epsilon", "kind", "out")},
-                verdict,
-            ),
-        }
+    _report(
+        "construct",
+        {args.out: digest},
+        _params(args, "g", "m", "delta", "epsilon", "kind", "out"),
+        {"n": code.two_J, "dim": code.dim, "written": str(args.out)},
+        {"code": {"kind": code.kind.value, "two_J": code.two_J, "label": code.label}},
     )
     return EXIT_PASS
 
@@ -169,12 +179,10 @@ def cmd_verify(args) -> int:
     if args.t_prime is not None and args.mode != "conditions":
         raise ValueError(f"--t-prime applies only to --mode conditions, not --mode {args.mode}")
     code, digest = _load_code(args.code_file)
-    params = {"file": str(args.code_file)} | {k: getattr(args, k) for k in ("t", "mode", "t_prime")}
-    kl = None
     if args.mode in ("correct", "detect"):
         checker = check_kl_correct if args.mode == "correct" else check_kl_detect
         kl = checker(code, build_ae_error_set(code.two_J, args.t))
-        passed = kl.passed
+        body, passed = kl.write_json, kl.passed  # its Gram entries written one at a time
     elif args.mode == "conditions":
         t_prime = args.t_prime if args.t_prime is not None else 2 * args.t
         report = check_conditions(code, args.t, t_prime)
@@ -182,15 +190,8 @@ def cmd_verify(args) -> int:
     else:  # cross
         passed = cross_validate(code, args.t)
         body = {"mode": "cross", "pass": passed}
-    manifest = make_manifest("verify", {args.code_file: digest}, params, {"pass": passed})
-    # The report as _emit writes it, a KL report's Gram entries one at a time.
-    write = sys.stdout.write
-    write('{\n  "manifest": ' + to_json(manifest, "\n  ") + ',\n  "report": ')
-    if kl is None:
-        write(to_json(body, "\n  "))
-    else:
-        kl.write_json(write)
-    write("\n}\n")
+    params = {"file": str(args.code_file)} | _params(args, "t", "mode", "t_prime")
+    _report("verify", {args.code_file: digest}, params, {"pass": passed}, {"report": body})
     return EXIT_PASS if passed else EXIT_FAIL
 
 
@@ -198,35 +199,21 @@ def cmd_errors(args) -> int:
     build = build_spin_error_set if args.spin else build_ae_error_set
     eset = build(_bounded("--two-j", args.two_j, 0, MAX_TWO_J), _bounded("--t", args.t, 0, MAX_T))
     count = len(eset.ops)
-    manifest = make_manifest(
-        "errors", {}, {"two_j": args.two_j, "t": args.t, "spin": bool(args.spin)}, {"count": count}
-    )
-    # The report as _emit writes it, keys in sorted order, with the operators
-    # array written one operator at a time rather than held as a second copy.
-    write = sys.stdout.write
-    write('{\n  "count": ' + str(count) + ',\n  "manifest": ' + to_json(manifest, "\n  "))
-    write(',\n  "operators": ')
-    write_operators_json(eset.ops, write)
-    write(f',\n  "t": {eset.t},\n  "two_J": {args.two_j}\n}}\n')
+    # The operators are written one at a time rather than held as a second copy.
+    operators = functools.partial(write_operators_json, eset.ops)
+    body = {"count": count, "operators": operators, "t": eset.t, "two_J": args.two_j}
+    _report("errors", {}, _params(args, "two_j", "t", "spin"), {"count": count}, body)
     return EXIT_PASS
 
 
 def cmd_cg(args) -> int:
     labels = (args.j1, args.m1, args.j2, args.m2, args.J, args.M)
     value = clebsch_gordan_t(*(_parse_twice(x) for x in labels))
-    decimal = mpmath.nstr(value.to_mpf(200), 62)  # the digits of a 200-bit report decimal
-    _emit(
-        {
-            "value": sqrt_rational_to_json(value),
-            "decimal": decimal,
-            "manifest": make_manifest(
-                "cg",
-                {},
-                {k: getattr(args, k) for k in ("j1", "m1", "j2", "m2", "J", "M")},
-                {"sign": value.sign},
-            ),
-        }
-    )
+    # 62 digits of a 210-bit value (to_mpf(200) works at 210 bits), not to_decimal(200): that
+    # rounds to 200 bits first, which changes the last digits of most values, the cg pin's too.
+    decimal = mpmath.nstr(value.to_mpf(200), 62)
+    body = {"value": sqrt_rational_to_json(value), "decimal": decimal}
+    _report("cg", {}, _params(args, "j1", "m1", "j2", "m2", "J", "M"), {"sign": value.sign}, body)
     return EXIT_PASS
 
 
@@ -235,17 +222,12 @@ def cmd_map(args) -> int:
     mapper = {"e": map_e, "h": map_h, "f": map_f}[args.via]
     mapped = mapper(code)
     inputs = {args.code_file: digest, args.out: _digest(mapped.save(args.out))}
-    _emit(
-        {
-            "kind_in": code.kind.value,
-            "kind_out": mapped.kind.value,
-            "manifest": make_manifest(
-                "map",
-                inputs,
-                {"via": args.via, "file": str(args.code_file), "out": str(args.out)},
-                {"written": str(args.out)},
-            ),
-        }
+    _report(
+        "map",
+        inputs,
+        {"via": args.via, "file": str(args.code_file), "out": str(args.out)},
+        {"written": str(args.out)},
+        {"kind_in": code.kind.value, "kind_out": mapped.kind.value},
     )
     return EXIT_PASS
 
@@ -273,34 +255,39 @@ def cmd_search(args) -> int:
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-    summary = []
-    written: dict[str, str] = {}
-    for i, res in enumerate(results):
-        entry = res.to_dict()
-        # The guard in enumerate_and_search has passed check_kl_correct at (n, t),
-        # which implies both halves of cross_validate (see its docstring).
-        entry["verdicts"] = {"kl_correct": True, "cross_validate": True}
+    paths = [str(out_dir / f"code_{i:03d}.json") for i in range(len(results))] if out_dir else []
+    # The code files go first: their digests are in the manifest, which precedes "results".
+    written = {path: _digest(res.code.save(path)) for path, res in zip(paths, results)}
+
+    def write_results(write) -> None:
+        sep = "["
+        for i, res in enumerate(results):
+            # The guard in enumerate_and_search has passed check_kl_correct at (n, t),
+            # which implies both halves of cross_validate (see its docstring).
+            entry = res.to_dict() | {"verdicts": {"kl_correct": True, "cross_validate": True}}
+            if paths:
+                entry["file"] = paths[i]
+            write(sep + "\n    " + to_json(entry, "\n    "))
+            sep = ","
+        write("\n  ]" if results else "[]")
+
+    with contextlib.ExitStack() as files:
+        outs = [sys.stdout]  # and summary.json, byte for byte, with --out
         if out_dir is not None:
-            path = out_dir / f"code_{i:03d}.json"
-            entry["file"] = str(path)
-            written[str(path)] = _digest(res.code.save(path))
-        summary.append(entry)
-    report = {
-        "n": args.n,
-        "t": args.t,
-        "found": len(results),
-        "results": summary,
-        "manifest": make_manifest(
+            outs.append(files.enter_context((out_dir / "summary.json").open("w", encoding="utf-8")))
+
+        def write(text: str) -> None:
+            for out in outs:
+                out.write(text)
+
+        _report(
             "search",
             written,
-            {k: getattr(args, k) for k in ("n", "t", "max_size", "limit", "counter_symmetric")},
+            _params(args, "n", "t", "max_size", "limit", "counter_symmetric"),
             {"found": len(results)},
-        ),
-    }
-    text = to_json(report) + "\n"
-    if out_dir is not None:
-        (out_dir / "summary.json").write_text(text, encoding="utf-8")
-    sys.stdout.write(text)
+            {"n": args.n, "t": args.t, "found": len(results), "results": write_results},
+            write,
+        )
     return EXIT_PASS
 
 
@@ -324,44 +311,25 @@ def cmd_covariance(args) -> int:
                 f" exceeds {MAX_FULL_GROUP_WORK}"
             )
     report = check_covariance(code, group, args.tol, bits, full_group=args.full_group)
-    _emit(
-        {
-            "report": report.to_dict(),
-            "manifest": make_manifest(
-                "covariance",
-                {args.code_file: digest},
-                {"file": str(args.code_file), "bits": bits}
-                | {k: getattr(args, k) for k in ("group", "b", "tol", "full_group")},
-                {"pass": report.passed},
-            ),
-        }
+    _report(
+        "covariance",
+        {args.code_file: digest},
+        {"file": str(args.code_file)} | _params(args, "bits", "group", "b", "tol", "full_group"),
+        {"pass": report.passed},
+        {"report": report.to_dict()},
     )
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
 def cmd_identities(args) -> int:
     results = run_identity_sweeps()
-    _emit(
-        {
-            "report": results,
-            "manifest": make_manifest(
-                "identities", {}, {}, {"all_passed": results["all_passed"]}
-            ),
-        }
-    )
+    _report("identities", {}, {}, {"all_passed": results["all_passed"]}, {"report": results})
     return EXIT_PASS if results["all_passed"] else EXIT_FAIL
 
 
 def cmd_reproduce(args) -> int:
     outcome = acceptance.run_all()
-    _emit(
-        {
-            "report": outcome,
-            "manifest": make_manifest(
-                "reproduce-paper", {}, {}, {"all_pass": outcome["all_pass"]}
-            ),
-        }
-    )
+    _report("reproduce-paper", {}, {}, {"all_pass": outcome["all_pass"]}, {"report": outcome})
     return EXIT_PASS if outcome["all_pass"] else EXIT_FAIL
 
 

@@ -149,9 +149,12 @@ def build_ae_error_set(two_J: int, t: int) -> ErrorSet:
     return _build_set(two_J, t, spin=False)
 
 
-@lru_cache(maxsize=256)
 def build_spin_error_set(two_J: int, t: int) -> ErrorSet:
-    """Rotation operators: the delta_J = 0 slice, sum_{r=0}^{t} (2r+1) of them."""
+    """Rotation operators: the delta_J = 0 slice, sum_{r=0}^{t} (2r+1) of them.
+
+    Not cached: ``aecodes errors --spin`` builds one set per process, so a cache would score
+    no hits and keep every set built alive.
+    """
     return _build_set(two_J, t, spin=True)
 
 

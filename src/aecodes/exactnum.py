@@ -11,7 +11,9 @@ over Q, so once a sum's cofactors are written over a coprime base, equality
 with zero is decided by inspecting that form, with no primality test.
 
 Both kinds keep their coefficients as plain ints, and only this module
-splits a radicand or combines kernels: no constructor takes a kernel.  A
+splits a radicand: no constructor takes a kernel.  Kernels are combined here,
+and in ``errors``, which folds the kernels of its own smooth runs with gcds
+and products (``squarefree_fold`` gives it each run's split).  A
 ``SqrtRational`` stores (numerator, denominator, kernel) and comes from
 ``zero``, ``from_rational``, ``sqrt`` or arithmetic, through the trusted
 ``_make``.  A ``RadicalSum`` stores one reduced (numerator, denominator) pair
@@ -299,7 +301,13 @@ class RadicalSum:
         return RadicalSum._from_terms(terms)
 
     def terms(self) -> list[tuple[int, Fraction]]:
-        """Canonically ordered (kernel, coefficient) pairs."""
+        """(kernel, coefficient) pairs by kernel, over the coprime base of this sum's cofactors.
+
+        The zero test is complete, but equal sums need not print the same terms: the base
+        of one sum cannot split a cofactor p^2 q (p a prime above 1000) without factoring it.
+        With p = 10**18 + 3 and q = 10**9 + 7, sqrt(p*p*q) prints [(p*p*q, 1)] and
+        p sqrt(q) prints [(q, p)], though the two sums are ==.
+        """
         items = self._canonical()._terms.items()
         return [(k, Fraction(num, den)) for k, (num, den) in sorted(items)]
 

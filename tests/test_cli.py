@@ -13,12 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aecodes import cli, search
+from aecodes import __version__, cli, search
 from aecodes.angular import clebsch_gordan_t
 from aecodes.cli import main
 from aecodes.codes import CodeBasis, CodeKind, GmdeParams, construct_ae_gmde, fixtures
 from aecodes.errors import ErrorSet
 from aecodes.exactnum import SqrtRational, sqrt_rational_to_json
+from aecodes.jsonfmt import to_json
 from aecodes.search import StaggeringFailure, enumerate_and_search, support_pair_count
 from oracles import code_dict
 
@@ -353,6 +354,15 @@ class TestOtherCommands:
         )
         assert status == 0 and report["found"] == 0
         assert json.loads((out_dir / "summary.json").read_text()) == report
+
+    def test_search_summary_is_stdout(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["search", "--n", "12", "--t", "1", "--max-size", "3", "--out", "found"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert (tmp_path / "found" / "summary.json").read_bytes() == out
+        digest = "5712fac8ed221b4ac47b78084085bdd316af99fcfedbdbe923af983871d22d7e"
+        assert hashlib.sha256(out).hexdigest() == digest
+        assert len(list((tmp_path / "found").iterdir())) == 81
 
     @pytest.mark.parametrize(
         "flags, digest",
@@ -889,8 +899,30 @@ _JSON_VALUES = st.recursive(
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(_JSON_VALUES, st.just({}), st.just([]), st.just({"a": [], "b": {}})))
-def test_emit_matches_indented_json_dumps(value):
-    buf = io.StringIO()
+def test_to_json_matches_indented_json_dumps(value):
+    assert to_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.text().filter(lambda key: key != "manifest"), _JSON_VALUES, max_size=4),
+    st.data(),
+)
+def test_report_matches_indented_json_dumps(body, data):
+    # Some values are written by a callable, as KL reports and operator lists are.
+    streamed = data.draw(st.sets(st.sampled_from(sorted(body))) if body else st.just(set()))
+    given_body = {
+        k: (lambda write, v=v: write(to_json(v, "\n  "))) if k in streamed else v
+        for k, v in body.items()
+    }
+    args = ("cmd", {"in.json": "ab"}, {"t": 1, "x": None}, {"pass": True}, given_body)
+    manifest = {
+        "command": "cmd", "inputs": {"in.json": "ab"}, "parameters": {"t": 1, "x": None},
+        "verdicts": {"pass": True}, "tool_version": __version__,
+    }
+    expected = json.dumps(body | {"manifest": manifest}, indent=2, sort_keys=True) + "\n"
+    buf, pieces = io.StringIO(), []
     with contextlib.redirect_stdout(buf):
-        cli._emit(value)
-    assert buf.getvalue() == json.dumps(value, indent=2, sort_keys=True) + "\n"
+        cli._report(*args)
+    cli._report(*args, write=pieces.append)
+    assert buf.getvalue() == "".join(pieces) == expected

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 from math import isqrt
 
 import mpmath
@@ -180,14 +181,23 @@ class TestCovariance:
         with pytest.raises(ValueError):
             check_covariance(fixtures()["J7half"], binary_dihedral_group(4, BITS), tol, BITS)
 
-    def test_verdicts_stable_under_precision_doubling(self):
-        code_good = fixtures()["J11half"]
-        code_bad = _random_rational_subspace(11, seed=7)
-        group = binary_dihedral_group(4, 400)
-        for code, expected in ((code_good, True), (code_bad, False)):
-            at200 = check_covariance(code, binary_dihedral_group(4, 200), TOL, 200)
-            at400 = check_covariance(code, group, TOL, 400)
-            assert at200.passed == at400.passed == expected
+    @pytest.mark.parametrize(
+        "group, code, expected",
+        [
+            (partial(binary_dihedral_group, 4), lambda: fixtures()["J11half"], True),
+            (partial(binary_dihedral_group, 4), partial(_random_rational_subspace, 11, seed=7), False),
+            (binary_icosahedral_group, lambda: fixtures()["J7half"], True),
+            (binary_icosahedral_group, partial(_random_rational_subspace, 7, seed=11), False),
+            (binary_octahedral_group, octahedral_control, True),
+            (binary_octahedral_group, partial(_random_rational_subspace, 11, seed=7), False),
+        ],
+        ids=["BD8-J11half", "BD8-random11", "2I-J7half", "2I-random7", "2O-control", "2O-random11"],
+    )
+    def test_verdicts_stable_under_precision_doubling(self, group, code, expected):
+        code = code()
+        at200 = check_covariance(code, group(200), TOL, 200)
+        at400 = check_covariance(code, group(400), TOL, 400)
+        assert at200.passed == at400.passed == expected
 
     def test_non_orthonormal_spanning_set_is_orthonormalized(self):
         # _random_rational_subspace draws these two vectors and orthonormalizes them exactly
