@@ -6,10 +6,10 @@ and 3 when ``search`` finds a staggered solution that fails direct KL
 verification, which would falsify the staggering argument.  Each report
 carries a manifest (command, input digests, parameters, verdict summary,
 tool version) that is byte-for-byte reproducible for identical inputs and
-parameters.  Every subcommand writes its report through ``_report``, one
-top-level key at a time in sorted order; the KL Gram entries of ``verify``,
-the operators of ``errors`` and the results of ``search`` are written one at
-a time rather than held as one string.
+parameters.  Every subcommand hands its report to ``_report``, which writes it
+by ``jsonfmt.write_json``; the Gram entries, violations and (C3)/(C4) failures
+of ``verify``, the operators of ``errors`` and the results of ``search`` are
+generators of item texts, written one at a time rather than held as one string.
 
 ``covariance --bits`` (default 200) must lie between 53 and
 MAX_PRECISION_BITS (4096) bits; other values exit 2 before any work.  Every
@@ -58,9 +58,9 @@ from .covariance import (
     check_covariance,
     fixed_point_bits,
 )
-from .errors import build_ae_error_set, build_spin_error_set, write_operators_json
+from .errors import build_ae_error_set, build_spin_error_set, operator_texts
 from .exactnum import sqrt_rational_to_json
-from .jsonfmt import to_json
+from .jsonfmt import to_json, write_json
 from .klverify import check_conditions, check_kl_correct, check_kl_detect, cross_validate
 from .search import StaggeringFailure, enumerate_and_search, support_pair_count
 
@@ -113,20 +113,13 @@ def _params(args, *names) -> dict:
 def _report(
     command: str, inputs: dict, params: dict, verdicts: dict, body: dict, write=None
 ) -> None:
-    """Write ``to_json(body | {"manifest": manifest}) + "\\n"`` one top-level key at a time, to
-    ``write`` or else stdout; a callable value writes its own text at that depth."""
+    """Write ``to_json(body | {"manifest": manifest}) + "\\n"`` by ``write_json``, to ``write``
+    or else stdout; an iterator value in ``body`` is an array of item texts."""
     write = write or sys.stdout.write
     manifest = {"command": command, "inputs": inputs, "parameters": params,
                 "verdicts": verdicts, "tool_version": __version__}
-    sep = "{"
-    for key, value in sorted((body | {"manifest": manifest}).items()):
-        write(f"{sep}\n  {to_json(key)}: ")
-        if callable(value):
-            value(write)
-        else:
-            write(to_json(value, "\n  "))
-        sep = ","
-    write("\n}\n")
+    write_json(body | {"manifest": manifest}, write)
+    write("\n")
 
 
 def _parse_twice(text: str) -> int:
@@ -181,15 +174,13 @@ def cmd_verify(args) -> int:
     code, digest = _load_code(args.code_file)
     if args.mode in ("correct", "detect"):
         checker = check_kl_correct if args.mode == "correct" else check_kl_detect
-        kl = checker(code, build_ae_error_set(code.two_J, args.t))
-        body, passed = kl.write_json, kl.passed  # its Gram entries written one at a time
+        body = checker(code, build_ae_error_set(code.two_J, args.t)).body()
     elif args.mode == "conditions":
         t_prime = args.t_prime if args.t_prime is not None else 2 * args.t
-        report = check_conditions(code, args.t, t_prime)
-        body, passed = report.to_dict(), report.all_pass
+        body = check_conditions(code, args.t, t_prime).body()
     else:  # cross
-        passed = cross_validate(code, args.t)
-        body = {"mode": "cross", "pass": passed}
+        body = {"mode": "cross", "pass": cross_validate(code, args.t)}
+    passed = body["pass"]
     params = {"file": str(args.code_file)} | _params(args, "t", "mode", "t_prime")
     _report("verify", {args.code_file: digest}, params, {"pass": passed}, {"report": body})
     return EXIT_PASS if passed else EXIT_FAIL
@@ -200,8 +191,7 @@ def cmd_errors(args) -> int:
     eset = build(_bounded("--two-j", args.two_j, 0, MAX_TWO_J), _bounded("--t", args.t, 0, MAX_T))
     count = len(eset.ops)
     # The operators are written one at a time rather than held as a second copy.
-    operators = functools.partial(write_operators_json, eset.ops)
-    body = {"count": count, "operators": operators, "t": eset.t, "two_J": args.two_j}
+    body = {"count": count, "operators": operator_texts(eset.ops), "t": eset.t, "two_J": args.two_j}
     _report("errors", {}, _params(args, "two_j", "t", "spin"), {"count": count}, body)
     return EXIT_PASS
 
@@ -258,18 +248,13 @@ def cmd_search(args) -> int:
     paths = [str(out_dir / f"code_{i:03d}.json") for i in range(len(results))] if out_dir else []
     # The code files go first: their digests are in the manifest, which precedes "results".
     written = {path: _digest(res.code.save(path)) for path, res in zip(paths, results)}
-
-    def write_results(write) -> None:
-        sep = "["
-        for i, res in enumerate(results):
-            # The guard in enumerate_and_search has passed check_kl_correct at (n, t),
-            # which implies both halves of cross_validate (see its docstring).
-            entry = res.to_dict() | {"verdicts": {"kl_correct": True, "cross_validate": True}}
-            if paths:
-                entry["file"] = paths[i]
-            write(sep + "\n    " + to_json(entry, "\n    "))
-            sep = ","
-        write("\n  ]" if results else "[]")
+    # The guard in enumerate_and_search has passed check_kl_correct at (n, t), which implies
+    # both halves of cross_validate (see its docstring).
+    verdicts = {"verdicts": {"kl_correct": True, "cross_validate": True}}
+    entries = (
+        to_json(res.to_dict() | verdicts | ({"file": paths[i]} if paths else {}), "\n    ")
+        for i, res in enumerate(results)
+    )
 
     with contextlib.ExitStack() as files:
         outs = [sys.stdout]  # and summary.json, byte for byte, with --out
@@ -285,7 +270,7 @@ def cmd_search(args) -> int:
             written,
             _params(args, "n", "t", "max_size", "limit", "counter_symmetric"),
             {"found": len(results)},
-            {"n": args.n, "t": args.t, "found": len(results), "results": write_results},
+            {"n": args.n, "t": args.t, "found": len(results), "results": entries},
             write,
         )
     return EXIT_PASS

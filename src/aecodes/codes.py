@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import comb, prod
 
 from .exactnum import SqrtRational, sqrt_ratio, sqrt_rational_from_json, sqrt_rational_to_json
-from .jsonfmt import int_field, to_json
+from .jsonfmt import field, int_field, to_json, write_json
 
 
 class CodeKind(str, enum.Enum):
@@ -77,7 +77,7 @@ class CodeBasis:
     def from_dict(d: dict) -> "CodeBasis":
         if not isinstance(d, dict):
             raise ValueError("a code file must hold a JSON object")
-        basis = d["basis"]
+        basis = field(d, "basis")
         if not isinstance(basis, list) or not all(isinstance(v, list) for v in basis):
             raise ValueError("basis must be a list of coefficient lists")
         if not all(isinstance(c, dict) for vec in basis for c in vec):
@@ -86,7 +86,7 @@ class CodeBasis:
             raise ValueError(f"label must be a string, got {label!r}")
         try:
             return CodeBasis(
-                kind=CodeKind(d["kind"]),
+                kind=CodeKind(field(d, "kind")),
                 two_J=int_field(d, "two_J"),
                 basis=tuple(tuple(sqrt_rational_from_json(c) for c in vec) for vec in basis),
                 label=label,
@@ -96,12 +96,13 @@ class CodeBasis:
 
     def save(self, path) -> bytes:
         """Write the code file and return its bytes, for a manifest to hash."""
-        rows = (",\n      ".join(map(_coefficient_json, v)) for v in self.basis)
-        basis = ",\n    ".join(f"[\n      {row}\n    ]" for row in rows)
-        # the other keys sort after "basis": their text is to_json's without its "{"
-        tail = to_json({"kind": self.kind.value, "label": self.label, "two_J": self.two_J})[1:]
+        rows = ("[\n      " + ",\n      ".join(map(_coefficient_json, v)) + "\n    ]"
+                for v in self.basis)
+        parts = []
+        write_json({"basis": rows, "kind": self.kind.value, "label": self.label,
+                    "two_J": self.two_J}, parts.append)
         with open(path, "wb") as fh:
-            fh.write(data := f'{{\n  "basis": [\n    {basis}\n  ],{tail}\n'.encode("utf-8"))
+            fh.write(data := "".join(parts + ["\n"]).encode("utf-8"))
         return data
 
 

@@ -158,9 +158,9 @@ def build_spin_error_set(two_J: int, t: int) -> ErrorSet:
     return _build_set(two_J, t, spin=True)
 
 
-def write_operators_json(ops, write) -> None:
-    """The report's operators array as ``to_json`` writes it, one ``write`` per operator."""
-    sep, tails = "[", {}  # an entry's text after its sign, per 2J and j
+def operator_texts(ops):
+    """Each operator's text as ``to_json`` lays it out in the report's operators array."""
+    tails = {}  # an entry's text after its sign, per 2J and j
     for op in ops:
         n, items = op.source_two_J, []
         if n not in tails:
@@ -179,13 +179,10 @@ def write_operators_json(ops, write) -> None:
             "radicand_num": "{num * num * (k // g)}",
             "sign": {(num > 0) - (num < 0)}{tail[j]}""")
         entries = "[\n        " + ",\n        ".join(items) + "\n      ]" if items else "[]"
-        write(f"""{sep}
-    {{
+        yield f"""{{
       "delta_J": {op.delta_J},
       "delta_m": {op.delta_m},
       "entries": {entries},
       "r": {op.r},
       "source_two_J": {n}
-    }}""")
-        sep = ","
-    write("\n  ]" if ops else "[]")
+    }}"""

@@ -133,6 +133,13 @@ def _coprime_base(xs: Iterable[int]) -> list[int]:
     return base
 
 
+def _term_mpf(num: int, den: int, kernel: int, prec: int) -> tuple:
+    """num / den * sqrt(kernel) as mpf arithmetic computes it under workprec(prec), in libmp."""
+    rnd = "n"  # round to nearest
+    q = mpf_div(from_int(num, prec, rnd), from_int(den), prec, rnd)
+    return mpf_mul(q, mpf_sqrt(from_int(kernel, prec, rnd), prec, rnd), prec, rnd)
+
+
 # ---------------------------------------------------------------------------
 # Signed square roots of rationals
 # ---------------------------------------------------------------------------
@@ -227,9 +234,7 @@ class SqrtRational:
         return hash((self.sign, self.radicand))
 
     def to_mpf(self, precision_bits: int = 200) -> mpmath.mpf:
-        with mpmath.workprec(precision_bits + 10):
-            val = mpmath.mpf(self.num) / self.den
-            return val * mpmath.sqrt(mpmath.mpf(self.kernel))
+        return mpmath.mp.make_mpf(_term_mpf(self.num, self.den, self.kernel, precision_bits + 10))
 
     def __repr__(self) -> str:
         coeff = Fraction(self.num, self.den)
@@ -340,11 +345,8 @@ class RadicalSum:
         """Canonical terms mpf(num) / den * sqrt(mpf(k)), summed by magnitude at bits + 20."""
         if precision_bits < 53:
             raise ValueError("precision_bits must be at least 53")
-        # The libmp calls that mpf arithmetic makes under workprec(prec), with no context entered.
-        prec, rnd, vals = precision_bits + 20, "n", []  # "n": round to nearest
-        for k, (num, den) in self._canonical()._terms.items():
-            q = mpf_div(from_int(num, prec, rnd), from_int(den), prec, rnd)
-            vals.append(mpf_mul(q, mpf_sqrt(from_int(k, prec, rnd), prec, rnd), prec, rnd))
+        prec, rnd = precision_bits + 20, "n"  # "n": round to nearest
+        vals = [_term_mpf(num, den, k, prec) for k, (num, den) in self._canonical()._terms.items()]
         # No term is zero; (top bit, mantissa aligned to prec bits) orders by magnitude.
         vals.sort(key=lambda v: (v[2] + v[3], v[1] << (prec - v[3])))
         acc = fzero

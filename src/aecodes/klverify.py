@@ -26,7 +26,8 @@ check collects these shifts, |d| <= 2t, t or t', once (``_shifts``): one set
 for a vector with itself, one for two vectors.  A block whose d is in neither
 is skipped as the empty sum; elsewhere only elements whose set holds d are
 dotted, so staggered supports (``search``) dot only diagonals at d = 0.  The
-checks run sequentially and deterministically, which fixes the report order.
+checks run sequentially and deterministically, which fixes the report order; a
+report's ``body`` is what ``jsonfmt.write_json`` streams, its arrays as item texts.
 Z_a depends on t alone and t' only bounds a, b and the shifts, so the (C1)-(C4)
 report at t' = t is the a, b <= t slice of the one at t' = 2t: the same c1 and
 c2, and those c3 and c4 failures in order.  ``cross_verdicts`` uses one pass.
@@ -43,7 +44,7 @@ from .errors import ErrorSet, build_ae_error_set
 from .exactnum import RadicalSum, dot, image, radical_sum_to_json, sqrt_ratio
 from .jsonfmt import to_json
 
-# The text of a zero value in a Gram entry as ``KLReport.write_json`` writes it.
+# The text of a zero value in a Gram entry as ``KLReport.body`` lays it out.
 _ZERO_VALUE = to_json(radical_sum_to_json(RadicalSum.zero()), "\n        ")
 
 
@@ -56,13 +57,7 @@ class KLViolation:
     residual: RadicalSum
 
     def to_dict(self) -> dict:
-        return {
-            "i": self.i,
-            "j": self.j,
-            "op_a": self.op_a,
-            "op_b": self.op_b,
-            "residual": radical_sum_to_json(self.residual),
-        }
+        return vars(self) | {"residual": radical_sum_to_json(self.residual)}
 
 
 @dataclass(frozen=True)
@@ -72,23 +67,18 @@ class KLReport:
     violations: tuple[KLViolation, ...]
     gram: dict[tuple[str, ...], RadicalSum]
 
-    def write_json(self, write) -> None:
-        """The report's JSON as ``to_json(..., "\\n  ")`` writes it, one ``write`` per Gram entry
-        and per violation: "gram" ({"ops", "value"} per entry, by ops), "mode", "pass" and
-        "violations" (each ``KLViolation.to_dict``)."""
-        sep, inner = '{\n    "gram": [', "\n        "  # inner: the indent of an entry's keys
+    def body(self) -> dict:
+        """The report for ``write_json`` under a top-level key, its arrays as item texts: "gram"
+        ({"ops", "value"} per entry, by ops), "mode", "pass" and "violations" (``to_dict``)."""
+        return {"gram": self._gram_texts(), "mode": self.mode, "pass": self.passed,
+                "violations": _item_texts(self.violations)}
+
+    def _gram_texts(self):
+        inner = "\n        "  # the indent of an entry's keys
         for key in sorted(self.gram):
             val, ops = self.gram[key], to_json(list(key), inner)
             value = _ZERO_VALUE if val.is_zero() else to_json(radical_sum_to_json(val), inner)
-            write(f'{sep}\n      {{\n        "ops": {ops},\n        "value": {value}\n      }}')
-            sep = ","
-        mode, passed = to_json(self.mode), to_json(self.passed)
-        sep = ("\n    ]" if self.gram else sep + "]") + (
-            f',\n    "mode": {mode},\n    "pass": {passed},\n    "violations": [')
-        for v in self.violations:
-            write(sep + "\n      " + to_json(v.to_dict(), "\n      "))
-            sep = ","
-        write(("\n    ]" if self.violations else sep + "]") + "\n  }")
+            yield f'{{\n        "ops": {ops},\n        "value": {value}\n      }}'
 
 
 @dataclass(frozen=True)
@@ -99,12 +89,8 @@ class ConditionFailure:
     residual: RadicalSum
 
     def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "pair": list(self.pair),
-            "residual": radical_sum_to_json(self.residual),
-        }
+        return vars(self) | {"pair": list(self.pair),
+                             "residual": radical_sum_to_json(self.residual)}
 
 
 @dataclass(frozen=True)
@@ -120,16 +106,15 @@ class ConditionReport:
     def all_pass(self) -> bool:
         return self.c1 and self.c2 and not self.c3_failures and not self.c4_failures
 
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "t_prime": self.t_prime,
-            "c1": self.c1,
-            "c2": self.c2,
-            "c3_failures": [f.to_dict() for f in self.c3_failures],
-            "c4_failures": [f.to_dict() for f in self.c4_failures],
-            "pass": self.all_pass,
-        }
+    def body(self) -> dict:
+        """The report for ``write_json`` under a top-level key, its failures as item texts."""
+        return vars(self) | {"c3_failures": _item_texts(self.c3_failures),
+                             "c4_failures": _item_texts(self.c4_failures), "pass": self.all_pass}
+
+
+def _item_texts(items):
+    """The ``to_dict`` text of each item of an array under a top-level key's dict."""
+    return (to_json(x.to_dict(), "\n      ") for x in items)
 
 
 def _check_dims(code: CodeBasis, eset: ErrorSet) -> None:

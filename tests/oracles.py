@@ -1,8 +1,11 @@
-"""Dense oracles and test-only readers that the tests check the program paths against."""
+"""Dense oracles, test-only readers and the plain forms of streamed reports and libmp decimals
+(report dicts, the ``workprec`` ``to_mpf``) that the tests check the program paths against."""
 
 import math
 from collections.abc import Iterable
 from fractions import Fraction
+
+import mpmath
 
 from aecodes.angular import HalfInt
 from aecodes.codes import CodeBasis
@@ -14,7 +17,7 @@ from aecodes.exactnum import (
     radical_sum_to_json,
     sqrt_rational_to_json,
 )
-from aecodes.klverify import KLReport
+from aecodes.klverify import ConditionReport, KLReport
 
 
 def binom(x: RationalLike, k: int) -> Fraction:
@@ -81,8 +84,15 @@ def apply(op: ErrorOp, v) -> list[SqrtRational]:
     return out
 
 
+def sqrt_rational_mpf(x: SqrtRational, precision_bits: int) -> mpmath.mpf:
+    """The mpf arithmetic under ``workprec`` that ``SqrtRational.to_mpf`` reproduces in libmp."""
+    with mpmath.workprec(precision_bits + 10):
+        val = mpmath.mpf(x.num) / x.den
+        return val * mpmath.sqrt(mpmath.mpf(x.kernel))
+
+
 def kl_report_dict(report: KLReport) -> dict:
-    """The dict whose ``to_json`` text ``KLReport.write_json`` streams."""
+    """The dict whose ``to_json`` text ``write_json`` streams from ``KLReport.body``."""
     return {
         "mode": report.mode,
         "pass": report.passed,
@@ -91,6 +101,19 @@ def kl_report_dict(report: KLReport) -> dict:
             {"ops": list(key), "value": radical_sum_to_json(val)}
             for key, val in sorted(report.gram.items())
         ],
+    }
+
+
+def condition_report_dict(report: ConditionReport) -> dict:
+    """The dict whose ``to_json`` text ``write_json`` streams from ``ConditionReport.body``."""
+    return {
+        "t": report.t,
+        "t_prime": report.t_prime,
+        "c1": report.c1,
+        "c2": report.c2,
+        "c3_failures": [f.to_dict() for f in report.c3_failures],
+        "c4_failures": [f.to_dict() for f in report.c4_failures],
+        "pass": report.all_pass,
     }
 
 

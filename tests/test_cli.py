@@ -19,7 +19,7 @@ from aecodes.cli import main
 from aecodes.codes import CodeBasis, CodeKind, GmdeParams, construct_ae_gmde, fixtures
 from aecodes.errors import ErrorSet
 from aecodes.exactnum import SqrtRational, sqrt_rational_to_json
-from aecodes.jsonfmt import to_json
+from aecodes.jsonfmt import to_json, write_json
 from aecodes.search import StaggeringFailure, enumerate_and_search, support_pair_count
 from oracles import code_dict
 
@@ -142,6 +142,17 @@ class TestConstructVerify:
         ):
             assert main(argv) == 2
             _assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "field", ["kind", "two_J", "basis", "sign", "radicand_num", "radicand_den"]
+    )
+    def test_missing_field_is_named(self, tmp_path, capsys, field):
+        data = code_dict(fixtures()["J7half"])
+        del (data if field in data else data["basis"][0][0])[field]
+        path = tmp_path / "missing.json"
+        path.write_text(json.dumps(data))
+        assert main(["verify", str(path), "--t", "1"]) == 2
+        assert _assert_one_error_line(capsys) == f"error: missing field {field!r}\n"
 
     def test_zero_radicand_denominator_exits_two(self, tmp_path, capsys):
         data = code_dict(fixtures()["J7half"])
@@ -903,26 +914,71 @@ def test_to_json_matches_indented_json_dumps(value):
     assert to_json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.dictionaries(st.text().filter(lambda key: key != "manifest"), _JSON_VALUES, max_size=4),
-    st.data(),
+_BODIES = st.dictionaries(
+    st.text().filter(lambda key: key != "manifest"), _JSON_VALUES, max_size=4
 )
+
+
+def _list_paths(d: dict, path=()):
+    """The key path of each list value of ``d``, at any depth of dicts."""
+    for key, value in d.items():
+        if isinstance(value, dict):
+            yield from _list_paths(value, path + (key,))
+        elif isinstance(value, list):
+            yield path + (key,)
+
+
+def _streamed(d: dict, chosen, items: list, indent: str = "\n", path=()) -> dict:
+    """``d`` with each list value whose path is in ``chosen`` made an iterator of its items'
+    ``to_json`` texts, at the depth ``write_json`` lays them out; the texts go to ``items`` in
+    the order ``write_json`` writes them."""
+    out = {}
+    for key, value in sorted(d.items()):
+        if isinstance(value, dict):
+            value = _streamed(value, chosen, items, indent + "  ", path + (key,))
+        elif path + (key,) in chosen:
+            texts = [to_json(x, indent + "    ") for x in value]
+            items += texts
+            value = iter(texts)
+        out[key] = value
+    return out
+
+
+def _draw_streamed(data, d: dict) -> set:
+    paths = sorted(_list_paths(d))
+    return data.draw(st.sets(st.sampled_from(paths)) if paths else st.just(set()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_BODIES, st.just({"a": [], "b": {"c": [], "d": [1, [2]]}})), st.data())
+def test_write_json_matches_indented_json_dumps(d, data):
+    # A drawn subset of the list values, empty ones included, are iterators of item texts.
+    items: list[str] = []
+    given_d = _streamed(d, _draw_streamed(data, d), items)
+    pieces: list[str] = []
+    write_json(given_d, pieces.append)
+    assert "".join(pieces) == json.dumps(d, indent=2, sort_keys=True)
+    # each item text arrives in a write of its own, the one after its separator
+    assert [pieces[i + 1] for i, p in enumerate(pieces) if p.strip() in ("[", ",")] == items
+
+
+@settings(max_examples=200, deadline=None)
+@given(_BODIES, st.data())
 def test_report_matches_indented_json_dumps(body, data):
-    # Some values are written by a callable, as KL reports and operator lists are.
-    streamed = data.draw(st.sets(st.sampled_from(sorted(body))) if body else st.just(set()))
-    given_body = {
-        k: (lambda write, v=v: write(to_json(v, "\n  "))) if k in streamed else v
-        for k, v in body.items()
-    }
-    args = ("cmd", {"in.json": "ab"}, {"t": 1, "x": None}, {"pass": True}, given_body)
+    # Some list values are iterators of item texts, as KL reports and operator lists are.
+    streamed = _draw_streamed(data, body)
     manifest = {
         "command": "cmd", "inputs": {"in.json": "ab"}, "parameters": {"t": 1, "x": None},
         "verdicts": {"pass": True}, "tool_version": __version__,
     }
     expected = json.dumps(body | {"manifest": manifest}, indent=2, sort_keys=True) + "\n"
+
+    def args():  # each report consumes its iterators
+        given_body = _streamed(body, streamed, [])
+        return ("cmd", {"in.json": "ab"}, {"t": 1, "x": None}, {"pass": True}, given_body)
+
     buf, pieces = io.StringIO(), []
     with contextlib.redirect_stdout(buf):
-        cli._report(*args)
-    cli._report(*args, write=pieces.append)
+        cli._report(*args())
+    cli._report(*args(), write=pieces.append)
     assert buf.getvalue() == "".join(pieces) == expected

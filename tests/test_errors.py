@@ -14,10 +14,10 @@ from aecodes.errors import (
     ErrorOp,
     build_ae_error_set,
     build_spin_error_set,
-    write_operators_json,
+    operator_texts,
 )
 from aecodes.exactnum import SqrtRational, sqrt_rational_to_json
-from aecodes.jsonfmt import to_json
+from aecodes.jsonfmt import to_json, write_json
 from oracles import amplitudes, apply, target_two_J
 
 
@@ -126,7 +126,7 @@ class TestStorage:
             for t in range(min(3, two_J // 2) + 1):
                 ops = build(two_J, t).ops
                 parts: list[str] = []
-                write_operators_json(ops, parts.append)
+                write_json({"operators": operator_texts(ops)}, parts.append)
                 expected = [
                     {
                         "delta_J": op.delta_J,
@@ -140,7 +140,7 @@ class TestStorage:
                     }
                     for op in ops
                 ]
-                assert "".join(parts) == to_json(expected, "\n  "), (two_J, t)
+                assert "".join(parts) == to_json({"operators": expected}), (two_J, t)
 
 
 class TestApply:
@@ -249,5 +249,5 @@ def test_empty_arrays_written_as_to_json_writes_them():
     empty = ErrorOp(1, -1, 0, 2, {})
     for ops in ([], [empty], [empty, build_ae_error_set(2, 1).ops[0]]):
         parts: list[str] = []
-        write_operators_json(ops, parts.append)
-        assert "".join(parts) == to_json(json.loads("".join(parts)), "\n  ")
+        write_json({"operators": operator_texts(ops)}, parts.append)
+        assert "".join(parts) == to_json(json.loads("".join(parts)))

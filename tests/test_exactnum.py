@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aecodes.angular import clebsch_gordan_t
 from aecodes.exactnum import (
     RadicalSum,
     _perfect_root,
@@ -19,7 +20,7 @@ from aecodes.exactnum import (
     sqrt_rational_from_json,
     sqrt_rational_to_json,
 )
-from oracles import total
+from oracles import sqrt_rational_mpf, total
 
 
 def brute_squarefree(n: int) -> bool:
@@ -596,6 +597,36 @@ def test_decimal_matches_nstr_oracle(s, bits):
     value, text = _nstr_oracle(s, bits)
     assert s.to_mpf(bits)._mpf_ == value._mpf_
     assert s.to_decimal(bits) == text
+
+
+@st.composite
+def _cg_values(draw) -> SqrtRational:
+    """A Clebsch-Gordan coefficient with 2j1, 2j2 <= 60 and |M| <= J."""
+    tj1, tj2 = draw(st.integers(0, 60)), draw(st.integers(0, 60))
+    tm1 = draw(st.sampled_from(range(-tj1, tj1 + 1, 2)))
+    tm2 = draw(st.sampled_from(range(-tj2, tj2 + 1, 2)))
+    tJ = draw(st.sampled_from(range(max(abs(tj1 - tj2), abs(tm1 + tm2)), tj1 + tj2 + 1, 2)))
+    return clebsch_gordan_t(tj1, tm1, tj2, tm2, tJ, tm1 + tm2)
+
+
+# sqrt(p/q) or its negative for ints p, q below 10^30
+_SIGNED_ROOTS = st.builds(
+    lambda root, negate: -root if negate else root,
+    st.builds(
+        lambda p, q: SqrtRational.sqrt(Fraction(p, q)),
+        st.integers(0, 10**30 - 1),
+        st.integers(1, 10**30 - 1),
+    ),
+    st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_cg_values(), _SIGNED_ROOTS), st.sampled_from((53, 200, 400)))
+def test_sqrt_rational_to_mpf_matches_workprec_oracle(x, bits):
+    value = sqrt_rational_mpf(x, bits)
+    assert x.to_mpf(bits)._mpf_ == value._mpf_
+    assert mpmath.nstr(x.to_mpf(bits), 62) == mpmath.nstr(value, 62)
 
 
 class TestSerialization:

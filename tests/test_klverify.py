@@ -31,7 +31,7 @@ from aecodes.codes import (
 )
 from aecodes.errors import build_ae_error_set
 from aecodes.exactnum import RadicalSum, SqrtRational, dot, image
-from aecodes.jsonfmt import to_json
+from aecodes.jsonfmt import to_json, write_json
 from aecodes.klverify import (
     KLReport,
     KLViolation,
@@ -43,7 +43,7 @@ from aecodes.klverify import (
     cross_validate,
     cross_verdicts,
 )
-from oracles import amplitudes, apply, kl_report_dict, total
+from oracles import amplitudes, apply, condition_report_dict, kl_report_dict, total
 
 
 class TestDirectKL:
@@ -599,8 +599,8 @@ def report_digest() -> str:
     for code, t in _report_slice():
         eset = build_ae_error_set(code.two_J, t)
         for report in (
-            check_conditions(code, t, 2 * t).to_dict(),
-            check_conditions(code, t, t).to_dict(),
+            condition_report_dict(check_conditions(code, t, 2 * t)),
+            condition_report_dict(check_conditions(code, t, t)),
             kl_report_dict(check_kl_correct(code, eset)),
             kl_report_dict(check_kl_detect(code, eset)),
         ):
@@ -613,10 +613,16 @@ def test_reports_byte_identical():
 
 
 def _written(report) -> str:
+    """The text ``cmd_verify`` streams of the report, at the depth of its "report" key."""
     parts: list[str] = []
-    report.write_json(parts.append)
-    # one write per Gram entry and per violation, and one for the closing text
-    assert len(parts) == len(report.gram) + len(report.violations) + 1
+    write_json(report.body(), parts.append, "\n  ")
+    if isinstance(report, KLReport):
+        d, arrays = kl_report_dict(report), ("gram", "violations")
+    else:
+        d, arrays = condition_report_dict(report), ("c3_failures", "c4_failures")
+    # each Gram entry, violation or failure arrives in a write of its own, after its separator
+    items = [to_json(x, "\n      ") for key in arrays for x in d[key]]
+    assert [parts[i + 1] for i, p in enumerate(parts) if p.strip() in ("[", ",")] == items
     return "".join(parts)
 
 
@@ -630,6 +636,16 @@ def test_kl_writer_matches_to_dict():
             assert _written(report) == to_json(kl_report_dict(report), "\n  "), (code.label, t)
             kinds.add((report.mode, report.passed))
     assert kinds == {("correct", True), ("correct", False), ("detect", True), ("detect", False)}
+
+
+def test_condition_writer_matches_to_dict():
+    # The (C1)-(C4) report streams its failures the same way, on the digest's slice.
+    verdicts = set()
+    for code, t in _report_slice():
+        for report in (check_conditions(code, t, 2 * t), check_conditions(code, t, t)):
+            assert _written(report) == to_json(condition_report_dict(report), "\n  ")
+            verdicts.add((report.all_pass, bool(report.c3_failures), bool(report.c4_failures)))
+    assert {(True, False, False), (False, True, True)} <= verdicts
 
 
 def test_kl_writer_edge_reports():
