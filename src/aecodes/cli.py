@@ -16,7 +16,8 @@ MAX_PRECISION_BITS (4096) bits; other values exit 2 before any work.  Every
 other report renders its decimals at a fixed precision, so it stays
 reproducible from a manifest that records no precision: a radical sum at 200
 bits (``RadicalSum.to_decimal(200)``), and the ``cg`` value as 62 digits of
-``SqrtRational.to_mpf(200)``, which works at 210 bits.
+``SqrtRational.to_mpf(200)``, which works at 210 bits.  mpmath is imported here,
+not at ``exactnum``'s first decimal, so that no in-process ``main`` call pays for it.
 Likewise ``errors --two-j`` must lie between 0 and MAX_TWO_J (512), and so
 must the ``two_J`` of a code file given to ``verify``, ``map`` or
 ``covariance``, the n = 2gm + delta + 1 of ``construct``, and twice the

@@ -28,24 +28,23 @@ per kernel starts only when a second turns up.  ``terms()`` hands
 of ints, so the family amplitudes and condition weights make no ``Fraction``.
 
 All values here are immutable and all operations are pure, so they can be
-shared freely between threads or tasks.
+shared freely between threads or tasks.  Floating point begins at ``to_mpf``
+and ``to_decimal``, whose first call imports mpmath: no verdict loads it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import gcd
-from typing import Iterable, Union
-
-import mpmath
-from mpmath.libmp import fzero, from_int, mpf_add, mpf_div, mpf_mul, mpf_pos, mpf_sqrt, to_str
 
 from .jsonfmt import int_field
 
-RationalLike = Union[Fraction, int]
+RationalLike = Fraction | int
+mpmath = None  # bound with the libmp names of ``_bind_mpmath`` by the first float method
 
 # ---------------------------------------------------------------------------
 # Square-free splits: trial division by the primes below 1000, then one
@@ -131,6 +130,13 @@ def _coprime_base(xs: Iterable[int]) -> list[int]:
         else:
             base.append(a)
     return base
+
+
+def _bind_mpmath() -> None:
+    global mpmath, fzero, from_int, mpf_add, mpf_div, mpf_mul, mpf_pos, mpf_sqrt, to_str
+    if mpmath is None:  # bound last: a thread that sees it set sees every name
+        from mpmath.libmp import fzero, from_int, mpf_add, mpf_div, mpf_mul, mpf_pos, mpf_sqrt, to_str
+        import mpmath
 
 
 def _term_mpf(num: int, den: int, kernel: int, prec: int) -> tuple:
@@ -234,6 +240,7 @@ class SqrtRational:
         return hash((self.sign, self.radicand))
 
     def to_mpf(self, precision_bits: int = 200) -> mpmath.mpf:
+        _bind_mpmath()
         return mpmath.mp.make_mpf(_term_mpf(self.num, self.den, self.kernel, precision_bits + 10))
 
     def __repr__(self) -> str:
@@ -345,6 +352,7 @@ class RadicalSum:
         """Canonical terms mpf(num) / den * sqrt(mpf(k)), summed by magnitude at bits + 20."""
         if precision_bits < 53:
             raise ValueError("precision_bits must be at least 53")
+        _bind_mpmath()
         prec, rnd = precision_bits + 20, "n"  # "n": round to nearest
         vals = [_term_mpf(num, den, k, prec) for k, (num, den) in self._canonical()._terms.items()]
         # No term is zero; (top bit, mantissa aligned to prec bits) orders by magnitude.
@@ -356,7 +364,8 @@ class RadicalSum:
 
     def to_decimal(self, precision_bits: int = 200) -> str:
         """``mpmath.nstr(self.to_mpf(bits), int(bits / 3.32) + 2)``, byte for byte."""
-        return to_str(self.to_mpf(precision_bits)._mpf_, int(precision_bits / 3.32) + 2)
+        value = self.to_mpf(precision_bits)._mpf_  # before ``to_str`` is looked up: it binds it
+        return to_str(value, int(precision_bits / 3.32) + 2)
 
     def __repr__(self) -> str:
         if not self._terms:

@@ -34,13 +34,13 @@ def write_json(d: dict, write, indent: str = "\n") -> None:
         if isinstance(value := d[key], dict):
             write_json(value, write, inner)
         elif isinstance(value, Iterator):
-            sep = "["
+            item, rest = "[" + inner + "  ", "," + inner + "  "
             for text in value:
-                write(f"{sep}{inner}  ")
+                write(item)
                 write(text)
                 del text  # not held while the next item is built
-                sep = ","
-            write(inner + "]" if sep == "," else "[]")
+                item = rest
+            write(inner + "]" if item is rest else "[]")
         else:
             write(to_json(value, inner))
         sep = ","

@@ -44,8 +44,8 @@ from .errors import ErrorSet, build_ae_error_set
 from .exactnum import RadicalSum, dot, image, radical_sum_to_json, sqrt_ratio
 from .jsonfmt import to_json
 
-# The text of a zero value in a Gram entry as ``KLReport.body`` lays it out.
-_ZERO_VALUE = to_json(radical_sum_to_json(RadicalSum.zero()), "\n        ")
+# A zero Gram value's text as ``KLReport.body`` lays it out, spelt out to leave mpmath unloaded.
+_ZERO_VALUE = to_json({"decimal": "0.0", "terms": []}, "\n        ")
 
 
 @dataclass(frozen=True)
