@@ -28,11 +28,17 @@ the order ``--t`` of ``errors``, ``verify`` and ``search`` must lie between
 1 <= ``--max-size`` <= n+1 and ``--limit`` >= 0, and it solves at most
 MAX_SEARCH_PAIRS (100,000) staggered support pairs (``support_pair_count``).
 ``covariance --full-group`` checks every element of the closure, as many as
-the group's ``order``; it exits 2 before any work when the order exceeds
-MAX_CLOSURE_ORDER (4096), or order x (2J+1)^2 x (bits + 2J + 32) exceeds
-MAX_FULL_GROUP_WORK (7 x 10^8).
+the group's ``order``.  Its bounds are ``check_covariance``'s: it refuses
+before any work, and the command exits 2, when the order exceeds
+``covariance.MAX_CLOSURE_ORDER`` (4096) or order x (2J+1)^2 x (bits + 2J + 32)
+exceeds ``covariance.MAX_FULL_GROUP_WORK`` (7 x 10^8).
 ``verify --t-prime`` sets the order t' of ``--mode conditions`` (default 2t);
 with any other mode it exits 2 before any check, rather than go unused.
+
+Besides mpmath, this module imports only what ``construct``, ``verify``,
+``errors`` and ``map`` run; ``cg``, ``covariance``, ``search``, ``identities``
+and ``reproduce-paper`` each import their own modules, so a process loads what
+its subcommand uses.
 """
 
 from __future__ import annotations
@@ -47,23 +53,12 @@ from pathlib import Path
 
 import mpmath
 
-from . import __version__, acceptance
-from .angular import clebsch_gordan_t
+from . import __version__
 from .codes import CodeBasis, GmdeParams, construct_ae_gmde, construct_pi_gmde, map_e, map_f, map_h
-from .combinatorics import run_identity_sweeps
-from .covariance import (
-    MAX_CLOSURE_ORDER,
-    binary_dihedral_group,
-    binary_icosahedral_group,
-    binary_octahedral_group,
-    check_covariance,
-    fixed_point_bits,
-)
 from .errors import build_ae_error_set, build_spin_error_set, operator_texts
 from .exactnum import sqrt_rational_to_json
 from .jsonfmt import to_json, write_json
 from .klverify import check_conditions, check_kl_correct, check_kl_detect, cross_validate
-from .search import StaggeringFailure, enumerate_and_search, support_pair_count
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -88,13 +83,6 @@ MAX_T = 6
 # At t = 2 and max-size 2 no pair has the 2t+2 indices a vertex needs, so
 # every n is admitted.
 MAX_SEARCH_PAIRS = 100_000
-
-# `covariance --full-group` checks each of the closure's `order` elements with
-# O((2J+1)^2) products of S-bit ints, S = bits + 2J + 32, so it is bounded on
-# order * (2J+1)^2 * S.  The slowest runs admitted, 2I on 2J = 36 at 4096 bits
-# and on 2J = 126 at 200 bits, take 35 s and 12 s end to end (2-core machine,
-# Python 3.11).
-MAX_FULL_GROUP_WORK = 7 * 10**8
 
 
 def _bounded(name: str, value: int, low: int, high: int) -> int:
@@ -198,6 +186,8 @@ def cmd_errors(args) -> int:
 
 
 def cmd_cg(args) -> int:
+    from .angular import clebsch_gordan_t
+
     labels = (args.j1, args.m1, args.j2, args.m2, args.J, args.M)
     value = clebsch_gordan_t(*(_parse_twice(x) for x in labels))
     # 62 digits of a 210-bit value (to_mpf(200) works at 210 bits), not to_decimal(200): that
@@ -224,6 +214,8 @@ def cmd_map(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from .search import StaggeringFailure, enumerate_and_search, support_pair_count
+
     _bounded("--t", args.t, 0, MAX_T)
     _bounded("--n", args.n, 2 * args.t + 1, MAX_TWO_J)
     _bounded("--max-size", args.max_size, 1, args.n + 1)
@@ -278,25 +270,16 @@ def cmd_search(args) -> int:
 
 
 def cmd_covariance(args) -> int:
+    from . import covariance
+
     bits = _bounded("--bits", args.bits, 53, MAX_PRECISION_BITS)
     code, digest = _load_code(args.code_file)
     group = {
-        "bd": functools.partial(binary_dihedral_group, args.b),
-        "2o": binary_octahedral_group,
-        "2i": binary_icosahedral_group,
+        "bd": functools.partial(covariance.binary_dihedral_group, args.b),
+        "2o": covariance.binary_octahedral_group,
+        "2i": covariance.binary_icosahedral_group,
     }[args.group](bits)
-    if args.full_group:
-        if group.order > MAX_CLOSURE_ORDER:
-            raise ValueError(
-                f"--full-group closure order {group.order} exceeds {MAX_CLOSURE_ORDER}"
-            )
-        work = group.order * (code.two_J + 1) ** 2 * fixed_point_bits(code.two_J, bits)
-        if work > MAX_FULL_GROUP_WORK:
-            raise ValueError(
-                f"--full-group work order x (2J+1)^2 x (bits + 2J + 32) = {work}"
-                f" exceeds {MAX_FULL_GROUP_WORK}"
-            )
-    report = check_covariance(code, group, args.tol, bits, full_group=args.full_group)
+    report = covariance.check_covariance(code, group, args.tol, bits, full_group=args.full_group)
     _report(
         "covariance",
         {args.code_file: digest},
@@ -308,12 +291,16 @@ def cmd_covariance(args) -> int:
 
 
 def cmd_identities(args) -> int:
+    from .combinatorics import run_identity_sweeps
+
     results = run_identity_sweeps()
     _report("identities", {}, {}, {"all_passed": results["all_passed"]}, {"report": results})
     return EXIT_PASS if results["all_passed"] else EXIT_FAIL
 
 
 def cmd_reproduce(args) -> int:
+    from . import acceptance
+
     outcome = acceptance.run_all()
     _report("reproduce-paper", {}, {}, {"all_pass": outcome["all_pass"]}, {"report": outcome})
     return EXIT_PASS if outcome["all_pass"] else EXIT_FAIL

@@ -56,52 +56,51 @@ class GroupSpec:
     labels: tuple[str, ...]
 
 
+def _su2(a, b) -> mpmath.matrix:
+    """The SU(2) element [[a, -b*], [b, a*]], for |a|^2 + |b|^2 = 1."""
+    return mpmath.matrix([[a, -mpmath.conj(b)], [b, mpmath.conj(a)]])
+
+
 def binary_dihedral_group(b: int, precision_bits: int = 200) -> GroupSpec:
     """Generators i*X, i*Z and the diagonal rotation diag(e^{-i pi/2b}, e^{i pi/2b})."""
     if b <= 0:
         raise ValueError("b must be positive")
     with workprec(precision_bits):
-        ix = mpmath.matrix([[0, mpc(0, 1)], [mpc(0, 1), 0]])
-        iz = mpmath.matrix([[mpc(0, 1), 0], [0, mpc(0, -1)]])
-        phase = mpmath.exp(mpc(0, -1) * mpmath.pi / (2 * b))
-        rot = mpmath.matrix([[phase, 0], [0, mpmath.conj(phase)]])
+        ix = _su2(0, mpc(0, 1))
+        iz = _su2(mpc(0, 1), 0)
+        rot = _su2(mpmath.exp(mpc(0, -1) * mpmath.pi / (2 * b)), 0)
     return GroupSpec(f"BD_{2 * b}", 8 * b, (ix, iz, rot), ("iX", "iZ", f"Rz(pi/{b})"))
 
 
 def binary_octahedral_group(precision_bits: int = 200) -> GroupSpec:
     with workprec(precision_bits):
-        phase = mpmath.exp(mpc(0, -1) * mpmath.pi / 4)
-        r4 = mpmath.matrix([[phase, 0], [0, mpmath.conj(phase)]])
+        r4 = _su2(mpmath.exp(mpc(0, -1) * mpmath.pi / 4), 0)
         half = mpmath.mpf(1) / 2
-        r3 = mpmath.matrix(
-            [
-                [half * (1 - 1j), half * (-1 - 1j)],
-                [half * (1 - 1j), half * (1 + 1j)],
-            ]
-        )
+        r3 = _su2(half * (1 - 1j), half * (1 - 1j))
     return GroupSpec("2O", 48, (r4, r3), ("Rz(pi/2)", "R3(111)"))
 
 
 def binary_icosahedral_group(precision_bits: int = 200) -> GroupSpec:
     with workprec(precision_bits):
-        phase = mpmath.exp(mpc(0, -1) * mpmath.pi / 5)
-        r5 = mpmath.matrix([[phase, 0], [0, mpmath.conj(phase)]])
+        r5 = _su2(mpmath.exp(mpc(0, -1) * mpmath.pi / 5), 0)
         phi = (1 + mpmath.sqrt(5)) / 2
         ct = phi / mpmath.sqrt(phi + 2)
         st = 1 / mpmath.sqrt(phi + 2)
         azim = mpmath.exp(mpc(0, 1) * mpmath.pi / 5)
         # pi rotation about (st*cos(pi/5), st*sin(pi/5), ct): -i (n . sigma)
-        r2 = mpmath.matrix(
-            [
-                [mpc(0, -1) * ct, mpc(0, -1) * st * mpmath.conj(azim)],
-                [mpc(0, -1) * st * azim, mpc(0, 1) * ct],
-            ]
-        )
+        r2 = _su2(mpc(0, -1) * ct, mpc(0, -1) * st * azim)
     return GroupSpec("2I", 120, (r5, r2), ("Rz(2pi/5)", "R2(tilted)"))
 
 
 # The most elements a closure may reach: BD with b = 512 has 8b of them.
 MAX_CLOSURE_ORDER = 4096
+
+# A full-group check runs each of the closure's `order` elements with
+# O((2J+1)^2) products of S-bit ints, S = bits + 2J + 32, so it is bounded on
+# order * (2J+1)^2 * S.  The slowest runs admitted, 2I on 2J = 36 at 4096 bits
+# and on 2J = 126 at 200 bits, take 35 s and 12 s end to end (2-core machine,
+# Python 3.11).
+MAX_FULL_GROUP_WORK = 7 * 10**8
 
 
 def group_closure(generators, precision_bits: int = 200) -> list[mpmath.matrix]:
@@ -260,8 +259,20 @@ def check_covariance(
     """Residuals of the codespace projector under each generator (or element).
 
     Invariance under the generators implies invariance under the whole
-    group; ``full_group`` enumerates the closure instead.
+    group; ``full_group`` enumerates the closure instead, and is refused
+    before any work past MAX_CLOSURE_ORDER elements or MAX_FULL_GROUP_WORK.
     """
+    if full_group:
+        if group.order > MAX_CLOSURE_ORDER:
+            raise ValueError(
+                f"--full-group closure order {group.order} exceeds {MAX_CLOSURE_ORDER}"
+            )
+        work = group.order * (code.two_J + 1) ** 2 * fixed_point_bits(code.two_J, precision_bits)
+        if work > MAX_FULL_GROUP_WORK:
+            raise ValueError(
+                f"--full-group work order x (2J+1)^2 x (bits + 2J + 32) = {work}"
+                f" exceeds {MAX_FULL_GROUP_WORK}"
+            )
     if code.kind is CodeKind.PI:
         raise ValueError("covariance applies to AE or SPIN codes, not PI")
     # A NaN fails both comparisons; a tolerance of 1 or more passes every

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aecodes import __version__, cli, search
+from aecodes import __version__, angular, cli, covariance, search
 from aecodes.angular import clebsch_gordan_t
 from aecodes.cli import main
 from aecodes.codes import CodeBasis, CodeKind, GmdeParams, construct_ae_gmde, fixtures
@@ -453,7 +453,7 @@ class TestOtherCommands:
     def test_precision_bounds(self, tmp_path, monkeypatch):
         path = str(tmp_path / "q7.json")
         fixtures()["J7half"].save(path)
-        monkeypatch.setattr(cli, "check_covariance", _start)
+        monkeypatch.setattr(covariance, "check_covariance", _start)
         for bits in (53, cli.MAX_PRECISION_BITS):
             with pytest.raises(_Started) as started:
                 main(["covariance", path, "--group", "2i", "--bits", str(bits)])
@@ -463,7 +463,7 @@ class TestOtherCommands:
     def test_bits_out_of_range_exits_two(self, tmp_path, capsys, monkeypatch, bits):
         path = str(tmp_path / "q7.json")
         fixtures()["J7half"].save(path)
-        monkeypatch.setattr(cli, "check_covariance", _must_not_run)
+        monkeypatch.setattr(covariance, "check_covariance", _must_not_run)
         status = main(["covariance", path, "--group", "2i", "--bits", bits])
         assert status == 2
         _assert_one_error_line(capsys)
@@ -586,10 +586,14 @@ class TestOtherCommands:
         path = self._code_file(tmp_path, cli.MAX_TWO_J + 1, "PI")
         for name in (
             "build_ae_error_set", "check_kl_correct", "check_kl_detect", "check_conditions",
-            "cross_validate", "map_e", "map_h", "map_f", "check_covariance",
-            "binary_dihedral_group", "binary_octahedral_group", "binary_icosahedral_group",
+            "cross_validate", "map_e", "map_h", "map_f",
         ):
             monkeypatch.setattr(cli, name, _must_not_run)
+        for name in (
+            "check_covariance", "binary_dihedral_group", "binary_octahedral_group",
+            "binary_icosahedral_group",
+        ):
+            monkeypatch.setattr(covariance, name, _must_not_run)
         out = str(tmp_path / "out.json")
         for argv in (
             *(["verify", path, "--t", "1", "--mode", mode] for mode in ("correct", "detect")),
@@ -610,9 +614,9 @@ class TestOtherCommands:
         self, tmp_path, capsys, monkeypatch, group, b, order, bits
     ):
         # the least spin over the bound exits 2 before any element is checked; one less starts work
-        monkeypatch.setattr(cli, "check_covariance", _start)
+        monkeypatch.setattr(covariance, "code_columns", _start)
         work = [order * (n + 1) ** 2 * (bits + n + 32) for n in range(cli.MAX_TWO_J + 1)]
-        n = next(n for n, w in enumerate(work) if w > cli.MAX_FULL_GROUP_WORK)
+        n = next(n for n, w in enumerate(work) if w > covariance.MAX_FULL_GROUP_WORK)
         argv = ["--group", group, "--b", str(b), "--bits", str(bits)]
         over = self._code_file(tmp_path, n, "AE")
         assert main(["covariance", over, *argv, "--full-group"]) == 2
@@ -624,7 +628,7 @@ class TestOtherCommands:
     @pytest.mark.parametrize("b", [513, 1383])
     def test_full_group_closure_over_cap_exits_two(self, tmp_path, capsys, monkeypatch, b):
         # BD's closure has 8b elements: past the cap at b = 513 on any spin, while b = 512 starts
-        monkeypatch.setattr(cli, "check_covariance", _start)
+        monkeypatch.setattr(covariance, "code_columns", _start)
         path = self._code_file(tmp_path, 1, "AE")
         assert main(["covariance", path, "--group", "bd", "--b", str(b), "--full-group"]) == 2
         _assert_one_error_line(capsys)
@@ -651,7 +655,7 @@ class TestOtherCommands:
         ],
     )
     def test_cg_label_out_of_range_exits_two(self, capsys, monkeypatch, position, value):
-        monkeypatch.setattr(cli, "clebsch_gordan_t", _must_not_run)
+        monkeypatch.setattr(angular, "clebsch_gordan_t", _must_not_run)
         labels = ["1", "0", "1", "0", "1", "0"]
         labels[position] = value
         names = ("j1", "m1", "j2", "m2", "J", "M")
@@ -726,7 +730,7 @@ class TestOtherCommands:
         ],
     )
     def test_search_out_of_range_exits_two(self, capsys, monkeypatch, flags):
-        monkeypatch.setattr(cli, "enumerate_and_search", _must_not_run)
+        monkeypatch.setattr(search, "enumerate_and_search", _must_not_run)
         argv = {"--n": "10", "--t": "1", "--max-size": "2"}
         argv.update(zip(flags[::2], flags[1::2]))
         assert main(["search", *(f"{k}={v}" for k, v in argv.items())]) == 2
@@ -735,13 +739,13 @@ class TestOtherCommands:
     def test_search_bound_admits_limit(self, capsys, monkeypatch):
         # the largest t = 1, size-2 search under the pair limit runs; one more index does not
         n = max(n for n in range(3, 100) if support_pair_count(n, 1, 2) <= cli.MAX_SEARCH_PAIRS)
-        monkeypatch.setattr(cli, "enumerate_and_search", lambda *args, **kwargs: [])
+        monkeypatch.setattr(search, "enumerate_and_search", lambda *args, **kwargs: [])
         status, report = run(capsys, "search", "--n", str(n), "--t", "1", "--limit", "0")
         assert status == 0 and report["found"] == 0
         # 37,720 staggered pairs, though 537,289 ordered pairs of spaced supports
         status, report = run(capsys, "search", "--n", "19", "--t", "1", "--max-size", "3")
         assert status == 0 and report["found"] == 0
-        monkeypatch.setattr(cli, "enumerate_and_search", _must_not_run)
+        monkeypatch.setattr(search, "enumerate_and_search", _must_not_run)
         assert main(["search", "--n", str(n + 1), "--t", "1"]) == 2
         _assert_one_error_line(capsys)
 

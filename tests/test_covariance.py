@@ -8,9 +8,12 @@ from math import isqrt
 import mpmath
 import pytest
 
+from aecodes import covariance
 from aecodes.acceptance import _random_rational_subspace
 from aecodes.codes import CodeBasis, CodeKind, construct_pi_gmde, GmdeParams, fixtures
 from aecodes.covariance import (
+    MAX_CLOSURE_ORDER,
+    MAX_FULL_GROUP_WORK,
     binary_dihedral_group,
     binary_icosahedral_group,
     binary_octahedral_group,
@@ -77,6 +80,20 @@ def dense_residual(cols, two_J: int, u) -> mpmath.mpf:
         d = wigner_D(HalfInt(two_J), u, BITS)
         eigenvalues = mpmath.eigh(d * proj * d.transpose_conj() - proj, eigvals_only=True)
         return max(abs(eigenvalues[i]) for i in range(eigenvalues.rows))
+
+
+def one_vector_code(two_J: int, kind: CodeKind = CodeKind.AE) -> CodeBasis:
+    """The one-vector code |j = 0> of spin two_J / 2."""
+    vec = (SqrtRational.from_rational(1),) + (SqrtRational.zero(),) * two_J
+    return CodeBasis(kind, two_J, (vec,))
+
+
+class _Started(Exception):
+    """Raised by ``_start``, a stub for the work a check begins once its input is admitted."""
+
+
+def _start(*args, **kwargs):
+    raise _Started(*args)
 
 
 def closure_order(group, bits: int) -> int:
@@ -180,6 +197,44 @@ class TestCovariance:
     def test_tolerance_out_of_range_rejected(self, tol):
         with pytest.raises(ValueError):
             check_covariance(fixtures()["J7half"], binary_dihedral_group(4, BITS), tol, BITS)
+
+    @pytest.mark.parametrize(
+        "group, bits",
+        [(partial(binary_dihedral_group, 300), 200), (binary_octahedral_group, 200),
+         (binary_icosahedral_group, 200), (binary_icosahedral_group, 4096)],
+        ids=["BD600-200", "2O-200", "2I-200", "2I-4096"],
+    )
+    def test_full_group_work_bound(self, monkeypatch, group, bits):
+        # the least spin over the bound is refused before any work, a PI code too; one less starts
+        monkeypatch.setattr(covariance, "code_columns", _start)
+        group = group(bits)
+        work = [group.order * (n + 1) ** 2 * (bits + n + 32) for n in range(1000)]
+        n = next(n for n, w in enumerate(work) if w > MAX_FULL_GROUP_WORK)
+        for kind in (CodeKind.AE, CodeKind.PI):
+            with pytest.raises(ValueError) as refused:
+                check_covariance(one_vector_code(n, kind), group, TOL, bits, full_group=True)
+            assert str(refused.value) == (
+                f"--full-group work order x (2J+1)^2 x (bits + 2J + 32) = {work[n]}"
+                f" exceeds {MAX_FULL_GROUP_WORK}"
+            )
+        for code, full_group in ((one_vector_code(n - 1), True), (one_vector_code(n), False)):
+            with pytest.raises(_Started):
+                check_covariance(code, group, TOL, bits, full_group)
+
+    @pytest.mark.parametrize("b", [513, 1383])
+    def test_full_group_closure_bound(self, monkeypatch, b):
+        # BD's closure has 8b elements: past the cap at b = 513 on any spin, while b = 512 starts
+        monkeypatch.setattr(covariance, "code_columns", _start)
+        for kind in (CodeKind.AE, CodeKind.PI):
+            with pytest.raises(ValueError) as refused:
+                check_covariance(
+                    one_vector_code(1, kind), binary_dihedral_group(b, BITS), TOL, BITS, True
+                )
+            assert str(refused.value) == (
+                f"--full-group closure order {8 * b} exceeds {MAX_CLOSURE_ORDER}"
+            )
+        with pytest.raises(_Started):
+            check_covariance(one_vector_code(1), binary_dihedral_group(512, BITS), TOL, BITS, True)
 
     @pytest.mark.parametrize(
         "group, code, expected",

@@ -1,5 +1,6 @@
 """Importing one aecodes module loads only the aecodes modules it uses, and the exact ones no
-mpmath: their verdicts need none, and their first decimal binds it."""
+mpmath: their verdicts need none, and their first decimal binds it.  Each ``aecodes``
+subcommand adds to what ``cli`` loads only the modules it runs."""
 
 import json
 import os
@@ -33,6 +34,7 @@ def _python(*args: str) -> str:
     ("name", "loaded", "mpmath"),
     [
         ("__version__", "", False),
+        ("cli", "cli codes errors exactnum jsonfmt klverify", True),
         ("klverify", "codes errors exactnum jsonfmt klverify", False),
         ("covariance", "angular codes covariance exactnum jsonfmt", True),
         ("combinatorics", "combinatorics", False),
@@ -41,7 +43,7 @@ def _python(*args: str) -> str:
         ("errors", "errors exactnum jsonfmt", False),
         ("exactnum", "exactnum jsonfmt", False),
     ],
-    ids=["version", "klverify", "covariance", "combinatorics", "search", "codes", "errors",
+    ids=["version", "cli", "klverify", "covariance", "combinatorics", "search", "codes", "errors",
          "exactnum"],
 )
 def test_import_loads_only_what_it_uses(name, loaded, mpmath):
@@ -53,6 +55,65 @@ def test_import_loads_only_what_it_uses(name, loaded, mpmath):
     modules, has_mpmath = _python("-c", script).splitlines()
     assert modules.split() == ["aecodes"] + [f"aecodes.{m}" for m in loaded.split()]
     assert has_mpmath == str(mpmath)
+
+
+# Run in a fresh interpreter with a working directory and then the subcommand line as its
+# arguments: it writes the q7 and pi7 code files, runs main on the line, and prints the exit
+# status and the aecodes and mpmath modules loaded before the call, then after it.
+_MAIN_SCRIPT = """\
+import contextlib, io, os, sys
+from aecodes import cli
+from aecodes.codes import GmdeParams, construct_ae_gmde, construct_pi_gmde
+os.chdir(sys.argv[1])
+construct_ae_gmde(GmdeParams(2, 1, 2, -1)).save("q7.json")
+construct_pi_gmde(GmdeParams(2, 1, 2, -1)).save("pi7.json")
+def loaded():
+    return sorted(m for m in sys.modules if m.partition(".")[0] in ("aecodes", "mpmath"))
+before = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    statuses = [cli.main(line.split()) for line in sys.argv[2:]]
+print(*statuses)
+print(*before)
+print(*loaded())
+"""
+
+
+def _main_loads(tmp_path, *lines: str) -> tuple[list[str], list[str], list[str]]:
+    statuses, before, after = _python("-c", _MAIN_SCRIPT, str(tmp_path), *lines).splitlines()
+    return statuses.split(), before.split(), after.split()
+
+
+@pytest.mark.parametrize(
+    ("line", "added"),
+    [
+        ("construct --g 2 --m 1 --delta 2 --epsilon -1 --out c.json", ""),
+        ("verify q7.json --t 1", ""),
+        ("errors --two-j 7 --t 1", ""),
+        ("map pi7.json --via e --out m.json", ""),
+        ("cg --j1 1/2 --m1 1/2 --j2 1/2 --m2=-1/2 --J 1 --M 0", "angular"),
+        ("covariance q7.json --group 2i", "angular covariance"),
+        ("search --n 9 --t 1", "search"),
+        ("identities", "combinatorics"),
+    ],
+    ids=["construct", "verify", "errors", "map", "cg", "covariance", "search", "identities"],
+)
+def test_subcommand_loads_only_what_it_runs(tmp_path, line, added):
+    statuses, _, after = _main_loads(tmp_path, line)
+    assert statuses == ["0"]
+    modules = "cli codes errors exactnum jsonfmt klverify " + added
+    assert [m for m in after if m.startswith("aecodes")] == sorted(
+        ["aecodes"] + [f"aecodes.{m}" for m in modules.split()]
+    )
+
+
+def test_spin_scale_calls_load_nothing(tmp_path):
+    """The calls the spin-scale benchmark times, an ``errors`` call and a ``verify --mode
+    correct`` call, load no aecodes or mpmath module once ``cli`` and ``codes`` are loaded."""
+    statuses, before, after = _main_loads(
+        tmp_path, "errors --two-j 7 --t 1", "verify q7.json --t 1 --mode correct"
+    )
+    assert statuses == ["0", "0"]
+    assert after == before
 
 
 def test_verdicts_need_no_mpmath():
