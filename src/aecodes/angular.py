@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from math import comb
 
 import mpmath
+from mpmath.libmp import mpf_shift, to_int
 
 from .exactnum import SqrtRational, sqrt_ratio
 
@@ -113,15 +114,21 @@ def _as_mp_matrix(u) -> mpmath.matrix:
     return m
 
 
-def _require_special_unitary(u: mpmath.matrix, tol: mpmath.mpf) -> None:
-    err = mpmath.mpf(0)
-    for i in range(2):
-        for j in range(2):
-            s = sum(mpmath.conj(u[k, i]) * u[k, j] for k in range(2))
-            err = max(err, abs(s - (1 if i == j else 0)))
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    if err > tol or abs(det - 1) > tol:
+def _fixed_special_unitary(u: mpmath.matrix, scale: int) -> list[tuple[int, int]]:
+    """The entries of u, row by row, as Gaussian ints (re, im) at scale 2^scale, once they make
+    u^dagger u = I and det u = 1 to 2^-40 (on the ints, complex residuals by squared magnitude)."""
+    fixed = [tuple(to_int(mpf_shift(x._mpf_, scale)) for x in (z.real, z.imag)) for z in u]
+    (ar, ai), (br, bi), (cr, ci), (dr, di) = fixed
+    one = 1 << 2 * scale
+    squared_errors = (  # u^dagger u - I on and above the diagonal, then det u - 1
+        (ar * ar + ai * ai + cr * cr + ci * ci - one) ** 2,
+        (br * br + bi * bi + dr * dr + di * di - one) ** 2,
+        (ar * br + ai * bi + cr * dr + ci * di) ** 2 + (ar * bi - ai * br + cr * di - ci * dr) ** 2,
+        (ar * dr - ai * di - br * cr + bi * ci - one) ** 2 + (ar * di + ai * dr - br * ci - bi * cr) ** 2,
+    )
+    if max(squared_errors) << 80 > 1 << 4 * scale:
         raise ValueError("input is not a special unitary 2x2 matrix")
+    return fixed
 
 
 def _linear_form_powers(a, b, n: int) -> list[list]:
@@ -145,7 +152,7 @@ def wigner_D(J: HalfInt, u, precision_bits: int = 200) -> mpmath.matrix:
     n = J.twice_value
     with mpmath.workprec(precision_bits):
         u = _as_mp_matrix(u)
-        _require_special_unitary(u, mpmath.mpf(2) ** -40)
+        _fixed_special_unitary(u, precision_bits)
         xs = _linear_form_powers(u[0, 0], u[1, 0], n)
         ys = _linear_form_powers(u[0, 1], u[1, 1], n)
         norm = [mpmath.sqrt(comb(n, k)) for k in range(n + 1)]

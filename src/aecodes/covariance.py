@@ -14,8 +14,11 @@ No dense D is formed: column c is the polynomial sum_p sqrt(C(N,p)) c_p
 x^p y^(N-p), N = 2J, and D(u) substitutes x -> u00 x + u10 y and
 y -> u01 x + u11 y by Horner in O((k+1) N^2) per element (``angular.wigner_D``
 is the dense oracle), on Python ints in fixed point: Gaussian integers
-(re, im) scaled by 2^S.  Coefficients grow to about 2^N, so S = bits + N + 32
-keeps D C and the leak L well below 2^-bits; only L^dagger L goes to mpmath.
+(re, im) scaled by 2^S.  The entries of u are fixed once and checked special
+unitary on those ints; each Gaussian product takes three multiplications
+(Gauss's trick), exactly.  Coefficients grow to about 2^N, so S = bits + N + 32
+keeps D C and the leak L well below 2^-bits.  Only the Gram matrix L^dagger L
+goes to mpmath, each entry rounded once, for its largest eigenvalue.
 
 Verdicts stay floating-point (default 200 bits), with tolerances around 1e-10:
 a covariant code shows about 2^-bits, as its generators are rounded to that
@@ -37,14 +40,14 @@ Generator conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from math import comb, isqrt
 from operator import mul
 
 import mpmath
 from mpmath import mpc, workprec
+from mpmath.libmp import from_man_exp
 
-from .angular import _as_mp_matrix, _require_special_unitary
+from .angular import _as_mp_matrix, _fixed_special_unitary
 from .codes import CodeBasis, CodeKind
 
 
@@ -98,8 +101,8 @@ MAX_CLOSURE_ORDER = 4096
 # A full-group check runs each of the closure's `order` elements with
 # O((2J+1)^2) products of S-bit ints, S = bits + 2J + 32, so it is bounded on
 # order * (2J+1)^2 * S.  The slowest runs admitted, 2I on 2J = 36 at 4096 bits
-# and on 2J = 126 at 200 bits, take 35 s and 12 s end to end (2-core machine,
-# Python 3.11).
+# and on 2J = 126 at 200 bits, take 31-33 s and 10-11 s end to end (2-core
+# machine, Python 3.11).
 MAX_FULL_GROUP_WORK = 7 * 10**8
 
 
@@ -182,13 +185,22 @@ def code_columns(code: CodeBasis, precision_bits: int = 200) -> list[list[int]]:
     return cols
 
 
-def _times_form(poly, form, scale, w, add):
-    """Coefficients, by the power of x, of poly * (f0 x + f1 y) + w * add."""
+def _times_form(poly, form, scale, w=0, add=None):
+    """Coefficients, by the power of x, of poly * (f0 x + f1 y) [+ w * add], each Gaussian
+    product in three multiplications: (fr + i fi)(a + i b) = k - (fr + fi) b + i (k + (fi - fr) a)
+    for k = fr (a + b)."""
     (xr, xi), (yr, yi) = form
+    xs, xd, ys, yd = xr + xi, xi - xr, yr + yi, yi - yr
+    pairs = zip([(0, 0)] + poly, poly + [(0, 0)])
+    if add is None:
+        return [
+            ((k := xr * (a + b) + yr * (c + d)) - xs * b - ys * d >> scale, k + xd * a + yd * c >> scale)
+            for (a, b), (c, d) in pairs
+        ]
     return [
-        ((xr * a - xi * b + yr * c - yi * d + w * e) >> scale,
-         (xr * b + xi * a + yr * d + yi * c + w * f) >> scale)
-        for (a, b), (c, d), (e, f) in zip([(0, 0)] + poly, poly + [(0, 0)], add)
+        ((k := xr * (a + b) + yr * (c + d)) - xs * b - ys * d + w * e >> scale,
+         k + xd * a + yd * c + w * f >> scale)
+        for ((a, b), (c, d)), (e, f) in zip(pairs, add)
     ]
 
 
@@ -196,13 +208,11 @@ def rotate_columns(c: list[list[int]], two_J: int, u, precision_bits: int = 200)
     """D(u) C as columns of Gaussian fixed-point pairs (re, im), with no D formed."""
     n, scale = two_J, fixed_point_bits(two_J, precision_bits)
     with workprec(scale):  # at 53 bits, the entries of u would cap the accuracy
-        u = _as_mp_matrix(u)
-        _require_special_unitary(u, mpmath.mpf(2) ** -40)
-        fixed = [(int(mpmath.ldexp(z.real, scale)), int(mpmath.ldexp(z.imag, scale))) for z in u]
+        fixed = _fixed_special_unitary(_as_mp_matrix(u), scale)
     l1, l2 = fixed[::2], fixed[1::2]  # u00 x + u10 y and u01 x + u11 y
     powers = [[(1 << scale, 0)]]  # (u01 x + u11 y)^m for m = 0..n
     for _ in range(n):
-        powers.append(_times_form(powers[-1], l2, scale, 0, repeat((0, 0))))
+        powers.append(_times_form(powers[-1], l2, scale))
     roots = [isqrt(comb(n, p) << 2 * scale) for p in range(n + 1)]
     inverse_roots = [isqrt((1 << 2 * scale) // comb(n, p)) for p in range(n + 1)]
     out = []
@@ -216,19 +226,20 @@ def rotate_columns(c: list[list[int]], two_J: int, u, precision_bits: int = 200)
 
 
 def operator_norm(m: mpmath.matrix) -> mpmath.mpf:
-    """Spectral norm of a Hermitian matrix: its largest |eigenvalue|."""
-    eigenvalues = mpmath.eigh(m, eigvals_only=True)
+    """Spectral norm of a Hermitian matrix: its largest |eigenvalue|.  m is overwritten."""
+    eigenvalues = mpmath.eigh(m, eigvals_only=True, overwrite_a=True)
     return max(abs(eigenvalues[i]) for i in range(eigenvalues.rows))
 
 
 def covariance_residual(
     c: list[list[int]], two_J: int, u, precision_bits: int = 200
-) -> tuple[mpmath.mpf, mpmath.matrix]:
+) -> tuple[mpmath.mpf, list[list[tuple[int, int]]]]:
     """The residual ||D P D^dagger - P||_2 of one element and its k x k action.
 
-    With D C formed once, the action is A = C^T D C (C is real) and the leak
-    out of the codespace is L = D C - C A = (I - P) D C, whose 2-norm is the
-    residual: the square root of the largest eigenvalue of L^dagger L.
+    With D C formed once, the action is A = C^T D C (C is real), as Gaussian
+    ints at scale 2^``fixed_point_bits``, and the leak out of the codespace is
+    L = D C - C A = (I - P) D C, whose 2-norm is the residual: the square root
+    of the largest eigenvalue of L^dagger L.
     """
     scale = fixed_point_bits(two_J, precision_bits)
     dc = [tuple(zip(*col)) for col in rotate_columns(c, two_J, u, precision_bits)]  # (re, im)
@@ -239,13 +250,16 @@ def covariance_residual(
             re = [x - (v * row[j][0] >> scale) for x, v in zip(re, ci)]
             im = [x - (v * row[j][1] >> scale) for x, v in zip(im, ci)]
         leak.append((re, im))
+
+    def entry(re: int, im: int) -> mpc:  # mpc(re, im) / 2^(2 scale), rounded once
+        return mpmath.mp.make_mpc((from_man_exp(re, -2 * scale, precision_bits, "n"),
+                                   from_man_exp(im, -2 * scale, precision_bits, "n")))
+
+    gram = mpmath.matrix([
+        [entry(_dot(ri, rj) + _dot(ii, ij), _dot(ri, ij) - _dot(ii, rj)) for rj, ij in leak]
+        for ri, ii in leak
+    ])
     with workprec(precision_bits):
-        gram = mpmath.matrix([
-            [mpc(_dot(ri, rj) + _dot(ii, ij), _dot(ri, ij) - _dot(ii, rj)) / (1 << 2 * scale)
-             for rj, ij in leak]
-            for ri, ii in leak
-        ])
-        action = mpmath.matrix([[mpc(a, b) / (1 << scale) for a, b in row] for row in action])
         return mpmath.sqrt(operator_norm(gram)), action
 
 
@@ -265,12 +279,12 @@ def check_covariance(
     if full_group:
         if group.order > MAX_CLOSURE_ORDER:
             raise ValueError(
-                f"--full-group closure order {group.order} exceeds {MAX_CLOSURE_ORDER}"
+                f"full-group closure order {group.order} exceeds {MAX_CLOSURE_ORDER}"
             )
         work = group.order * (code.two_J + 1) ** 2 * fixed_point_bits(code.two_J, precision_bits)
         if work > MAX_FULL_GROUP_WORK:
             raise ValueError(
-                f"--full-group work order x (2J+1)^2 x (bits + 2J + 32) = {work}"
+                f"full-group work order x (2J+1)^2 x (bits + 2J + 32) = {work}"
                 f" exceeds {MAX_FULL_GROUP_WORK}"
             )
     if code.kind is CodeKind.PI:
@@ -305,4 +319,6 @@ def logical_action(
         raise ValueError(
             f"element does not preserve the codespace (residual {mpmath.nstr(residual, 6)})"
         )
-    return action
+    scale = fixed_point_bits(code.two_J, precision_bits)
+    with workprec(precision_bits):
+        return mpmath.matrix([[mpc(a, b) / (1 << scale) for a, b in row] for row in action])

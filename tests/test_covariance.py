@@ -1,5 +1,6 @@
 """Group covariance: generator sets, closure orders, residual checks."""
 
+import hashlib
 import random
 from fractions import Fraction
 from functools import partial
@@ -128,6 +129,22 @@ class TestGroups:
             for u in group.generators:
                 wigner_D(HalfInt(1), u, BITS)  # raises if not special unitary
 
+    def test_non_special_unitary_refused(self):
+        # the one check, shared by the kernel and the dense oracle, at its 2^-40 tolerance
+        r3 = binary_octahedral_group(BITS).generators[1]
+        with mpmath.workprec(BITS):
+            perturbed = {
+                e: r3 + mpmath.matrix([[mpmath.mpf(2) ** -e, 0], [0, 0]]) for e in (30, 60)
+            }
+        c = code_columns(fixtures()["J7half"], BITS)
+        checks = (lambda u: wigner_D(HalfInt(7), u, BITS), lambda u: rotate_columns(c, 7, u, BITS))
+        for check in checks:
+            for u in ([[0, 1], [1, 0]], [[2, 0], [0, mpmath.mpf(1) / 2]], perturbed[30]):
+                with pytest.raises(ValueError) as refused:
+                    check(u)
+                assert str(refused.value) == "input is not a special unitary 2x2 matrix"
+            check(perturbed[60])
+
 
 class TestCovariance:
     def test_j11half_is_bd8_covariant(self):
@@ -214,7 +231,7 @@ class TestCovariance:
             with pytest.raises(ValueError) as refused:
                 check_covariance(one_vector_code(n, kind), group, TOL, bits, full_group=True)
             assert str(refused.value) == (
-                f"--full-group work order x (2J+1)^2 x (bits + 2J + 32) = {work[n]}"
+                f"full-group work order x (2J+1)^2 x (bits + 2J + 32) = {work[n]}"
                 f" exceeds {MAX_FULL_GROUP_WORK}"
             )
         for code, full_group in ((one_vector_code(n - 1), True), (one_vector_code(n), False)):
@@ -231,7 +248,7 @@ class TestCovariance:
                     one_vector_code(1, kind), binary_dihedral_group(b, BITS), TOL, BITS, True
                 )
             assert str(refused.value) == (
-                f"--full-group closure order {8 * b} exceeds {MAX_CLOSURE_ORDER}"
+                f"full-group closure order {8 * b} exceeds {MAX_CLOSURE_ORDER}"
             )
         with pytest.raises(_Started):
             check_covariance(one_vector_code(1), binary_dihedral_group(512, BITS), TOL, BITS, True)
@@ -404,3 +421,48 @@ class TestLogicalAction:
                 binary_icosahedral_group(BITS).generators[0],
                 BITS,
             )
+
+
+def rational_spanning_set(two_J: int, k: int, seed: int) -> CodeBasis:
+    """k random rational vectors, which ``code_columns`` orthonormalizes."""
+    rng = random.Random(seed)
+    return CodeBasis(CodeKind.AE, two_J, tuple(
+        tuple(SqrtRational.from_rational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+              for _ in range(two_J + 1))
+        for _ in range(k)
+    ))
+
+
+def mpf_words(x: mpmath.mpf) -> tuple:
+    sign, man, exp, bc = x._mpf_
+    return sign, int(man), exp, bc
+
+
+class TestPinnedBits:
+    """A rewrite of the fixed-point kernel, the Gram or the eigenvalue moves no residual bit."""
+
+    def test_residual_bits_pinned(self):
+        h = hashlib.sha256()
+        codes = list(fixtures().values()) + [
+            rational_spanning_set(two_J, k, seed)
+            for two_J, k, seed in ((5, 2, 1), (16, 3, 2), (27, 2, 3), (31, 3, 4))
+        ]
+        for bits in (53, 200, 1024):
+            groups = (binary_dihedral_group(4, bits), binary_dihedral_group(7, bits),
+                      binary_octahedral_group(bits), binary_icosahedral_group(bits))
+            for code in codes:
+                for group in groups:
+                    report = check_covariance(code, group, 2.0 ** (20 - bits), bits)
+                    h.update(repr([mpf_words(r) for r in report.per_generator.values()]).encode())
+        j21 = fixtures()["J21half"]
+        c = code_columns(j21, BITS)
+        bd8 = binary_dihedral_group(4, BITS)
+        dense, monomial = binary_octahedral_group(BITS).generators[1], bd8.generators[0]
+        for u in (dense, monomial):
+            h.update(repr(rotate_columns(c, j21.two_J, u, BITS)).encode())
+        two_i = binary_icosahedral_group(BITS)
+        report = check_covariance(fixtures()["J7half"], two_i, TOL, BITS, full_group=True)
+        h.update(repr([mpf_words(r) for r in report.per_generator.values()]).encode())
+        action = logical_action(fixtures()["J11half"], bd8.generators[2], BITS)
+        h.update(repr([(mpf_words(z.real), mpf_words(z.imag)) for z in action]).encode())
+        assert h.hexdigest() == "f8b504a7231b14c9179a56b6c5e9cf68054a7829bb873d1c8f53ce7a9920fb6a"
