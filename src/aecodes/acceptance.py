@@ -1,17 +1,22 @@
 """Reproduction scenarios: every headline claim as one runnable check.
 
-Each criterion function returns a small dict with a boolean verdict and
-enough detail to see what was checked.  ``run_all`` drives them in order;
-the ``reproduce-paper`` CLI subcommand and the acceptance test module are
-both thin wrappers around this file, so there is a single source of truth
-for what "reproduced" means.
+``run_all`` drives the criteria in ``CRITERIA`` in order; the
+``reproduce-paper`` CLI subcommand and the acceptance test module are both
+thin wrappers around this file, so there is a single source of truth for what
+"reproduced" means.
+
+To add a criterion, decorate a function ``criterion_k`` with
+``@criterion("its-name")`` below the others and have it return
+``(passed, details)``: a boolean verdict and a dict showing what was checked.
+The decorator appends it to ``CRITERIA``, and its 1-based place there is its
+id; calling it returns ``{"id", "name", "pass", "details"}``.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache
+from functools import cache, wraps
 
 import mpmath
 
@@ -70,7 +75,6 @@ def _family_sweep():
         entries.append(
             {
                 "params": (g, m, delta, eps, t),
-                "n": code.two_J,
                 "cond_2t": cond_2t,
                 "correct": correct,
                 "cond_t": cond_t,
@@ -80,9 +84,15 @@ def _family_sweep():
     return entries
 
 
+@cache
+def _search_n9() -> tuple:
+    """The staggered search at n=9, t=1, support size <= 2; cached across criteria."""
+    return tuple(enumerate_and_search(9, 1, max_support_size=2))
+
+
 def _search_codes() -> list:
     """Codes produced by the search component during this run."""
-    results = list(enumerate_and_search(9, 1, max_support_size=2))
+    results = list(_search_n9())
     # A direct higher-order staggered instance.
     res = solve_staggered(SearchSpec(25, 2, (0, 10, 20), (5, 15, 25)))
     if res.feasible:
@@ -132,29 +142,46 @@ def _random_rational_subspace(n: int, seed: int) -> CodeBasis:
 # The criteria
 # ---------------------------------------------------------------------------
 
+CRITERIA: list = []
 
-def criterion_1() -> dict:
+
+def criterion(name: str):
+    """Append the decorated ``() -> (passed, details)`` to ``CRITERIA`` as criterion ``name``,
+    numbered by its place there; the registered function returns the result dict."""
+
+    def register(check):
+        number = len(CRITERIA) + 1
+
+        @wraps(check)
+        def run() -> dict:
+            passed, details = check()
+            return {"id": number, "name": name, "pass": passed, "details": details}
+
+        CRITERIA.append(run)
+        return run
+
+    return register
+
+
+@criterion("construction-fidelity-J7half")
+def criterion_1():
     """Construction fidelity of the spin-7/2 example, exact equality."""
     built = construct_ae_gmde(GmdeParams(2, 1, 2, -1))
     fix = fixtures()["J7half"]
-    ok = built.basis == fix.basis and built.two_J == fix.two_J and built.kind == fix.kind
-    return {"id": 1, "name": "construction-fidelity-J7half", "pass": ok, "details": {}}
+    return built.basis == fix.basis and built.two_J == fix.two_J and built.kind == fix.kind, {}
 
 
-def criterion_2() -> dict:
+@criterion("order-1-correction-J7half")
+def criterion_2():
     """Order-1 correction of the spin-7/2 code against all 10 operators."""
     eset = build_ae_error_set(7, 1)
     report = check_kl_correct(fixtures()["J7half"], eset)
     ok = len(eset.ops) == 10 and report.passed
-    return {
-        "id": 2,
-        "name": "order-1-correction-J7half",
-        "pass": ok,
-        "details": {"operators": len(eset.ops), "violations": len(report.violations)},
-    }
+    return ok, {"operators": len(eset.ops), "violations": len(report.violations)}
 
 
-def criterion_3() -> dict:
+@criterion("order-2-correction-J21half")
+def criterion_3():
     """Order-2 correction of the spin-21/2 code; expected amplitude set."""
     code = construct_ae_gmde(GmdeParams(4, 2, 4, -1))
     radicands = {
@@ -164,40 +191,28 @@ def criterion_3() -> dict:
     eset = build_ae_error_set(21, 2)
     report = check_kl_correct(code, eset)
     ok = radicands == expected and len(eset.ops) == 35 and report.passed
-    return {
-        "id": 3,
-        "name": "order-2-correction-J21half",
-        "pass": ok,
-        "details": {"radicands": sorted(str(r) for r in radicands)},
-    }
+    return ok, {"radicands": sorted(str(r) for r in radicands)}
 
 
-def criterion_4() -> dict:
+@criterion("two-qubit-code-J27half")
+def criterion_4():
     """The four-dimensional spin-27/2 code corrects t=1 and detects t=2."""
     code = fixtures()["J27half"]
     correct = check_kl_correct(code, build_ae_error_set(27, 1)).passed
     detect = check_kl_detect(code, build_ae_error_set(27, 2)).passed
-    return {
-        "id": 4,
-        "name": "two-qubit-code-J27half",
-        "pass": correct and detect,
-        "details": {"correct_t1": correct, "detect_t2": detect},
-    }
+    return correct and detect, {"correct_t1": correct, "detect_t2": detect}
 
 
-def criterion_5() -> dict:
+@criterion("sufficiency-sweep-n60")
+def criterion_5():
     """Family sweep up to n=60: conditions and direct checks all pass."""
     entries = _family_sweep()
     bad = [e["params"] for e in entries if not (e["cond_2t"] and e["correct"])]
-    return {
-        "id": 5,
-        "name": "sufficiency-sweep-n60",
-        "pass": not bad,
-        "details": {"instances": len(entries), "failures": bad[:10]},
-    }
+    return not bad, {"instances": len(entries), "failures": bad[:10]}
 
 
-def criterion_6() -> dict:
+@criterion("cross-validation")
+def criterion_6():
     """No conditions-pass/direct-fail counterexample, sweep plus search codes."""
     entries = _family_sweep()
     counterexamples = []
@@ -210,19 +225,15 @@ def criterion_6() -> dict:
     counterexamples += [
         ("cross", r.code.label) for r in searched if not cross_validate(r.code, r.spec.t)
     ]
-    return {
-        "id": 6,
-        "name": "cross-validation",
-        "pass": not counterexamples,
-        "details": {
-            "sweep_instances": len(entries),
-            "search_codes": len(searched),
-            "counterexamples": counterexamples[:10],
-        },
+    return not counterexamples, {
+        "sweep_instances": len(entries),
+        "search_codes": len(searched),
+        "counterexamples": counterexamples[:10],
     }
 
 
-def criterion_7() -> dict:
+@criterion("mapping-identities")
+def criterion_7():
     """Mapping identities: e carries the PI construction to the AE one; f is an involution."""
     mismatches = []
     for g in range(1, 6):
@@ -241,26 +252,22 @@ def criterion_7() -> dict:
     involution_ok = all(
         map_f(map_f(c).with_kind(CodeKind.SPIN)).basis == c.basis for c in spin_codes
     )
-    return {
-        "id": 7,
-        "name": "mapping-identities",
-        "pass": not mismatches and involution_ok,
-        "details": {"mismatches": mismatches[:5], "involution": involution_ok},
+    return not mismatches and involution_ok, {
+        "mismatches": mismatches[:5], "involution": involution_ok,
     }
 
 
-def criterion_8() -> dict:
+@criterion("binomial-identity-oracles")
+def criterion_8():
     """Exhaustive binomial-identity sweeps."""
     results = run_identity_sweeps()
-    return {
-        "id": 8,
-        "name": "binomial-identity-oracles",
-        "pass": results["all_passed"],
-        "details": {k: v["passed"] for k, v in results.items() if isinstance(v, dict)},
+    return results["all_passed"], {
+        k: v["passed"] for k, v in results.items() if isinstance(v, dict)
     }
 
 
-def criterion_9() -> dict:
+@criterion("clebsch-gordan-consistency")
+def criterion_9():
     """Clebsch-Gordan consistency: closed form vs general routine; completeness sums."""
     mismatch = 0
     checked = 0
@@ -293,17 +300,15 @@ def criterion_9() -> dict:
                         ).radicand
                     if total != 1:
                         ortho_bad += 1
-    return {
-        "id": 9,
-        "name": "clebsch-gordan-consistency",
-        "pass": mismatch == 0 and ortho_bad == 0,
-        "details": {"pairs_checked": checked, "mismatches": mismatch, "ortho_bad": ortho_bad},
+    return mismatch == 0 and ortho_bad == 0, {
+        "pairs_checked": checked, "mismatches": mismatch, "ortho_bad": ortho_bad,
     }
 
 
-def criterion_10() -> dict:
+@criterion("staggered-search-witness")
+def criterion_10():
     """Search witness at n=9, t=1 with the exact solution, all results verified."""
-    results = enumerate_and_search(9, 1, max_support_size=2)
+    results = _search_n9()
     witness = next(
         (
             r
@@ -318,15 +323,11 @@ def criterion_10() -> dict:
     all_pass = all(
         check_kl_correct(r.code, build_ae_error_set(9, 1)).passed for r in results
     )
-    return {
-        "id": 10,
-        "name": "staggered-search-witness",
-        "pass": witness_ok and all_pass,
-        "details": {"results": len(results), "witness_found": witness is not None},
-    }
+    return witness_ok and all_pass, {"results": len(results), "witness_found": witness is not None}
 
 
-def criterion_11() -> dict:
+@criterion("group-covariance")
+def criterion_11():
     """Covariance of the example codes; random subspaces are rejected."""
     bits = 200
     tol = 1e-10
@@ -337,20 +338,16 @@ def criterion_11() -> dict:
     r_2i = check_covariance(fx["J7half"], twoi, tol, bits)
     neg_bd = check_covariance(_random_rational_subspace(11, seed=7), bd8, tol, bits)
     neg_2i = check_covariance(_random_rational_subspace(7, seed=11), twoi, tol, bits)
-    ok = r_bd.passed and r_2i.passed and not neg_bd.passed and not neg_2i.passed
-    return {
-        "id": 11,
-        "name": "group-covariance",
-        "pass": ok,
-        "details": {
-            "J11half_BD8_residual": mpmath.nstr(r_bd.max_residual, 6),
-            "J7half_2I_residual": mpmath.nstr(r_2i.max_residual, 6),
-            "negatives_fail": not neg_bd.passed and not neg_2i.passed,
-        },
+    negatives_fail = not neg_bd.passed and not neg_2i.passed
+    return r_bd.passed and r_2i.passed and negatives_fail, {
+        "J11half_BD8_residual": mpmath.nstr(r_bd.max_residual, 6),
+        "J7half_2I_residual": mpmath.nstr(r_2i.max_residual, 6),
+        "negatives_fail": negatives_fail,
     }
 
 
-def criterion_12() -> dict:
+@criterion("negative-controls")
+def criterion_12():
     """Negative controls: duplication breaks orthogonality; any perturbation is caught."""
     fx = fixtures()
     base = fx["J7half"]
@@ -370,28 +367,7 @@ def criterion_12() -> dict:
                 )
                 if not flipped:
                     missed.append((name, vi, ci))
-    return {
-        "id": 12,
-        "name": "negative-controls",
-        "pass": dup_caught and not missed,
-        "details": {"duplicate_caught": dup_caught, "missed_perturbations": missed},
-    }
-
-
-CRITERIA = [
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-    criterion_10,
-    criterion_11,
-    criterion_12,
-]
+    return dup_caught and not missed, {"duplicate_caught": dup_caught, "missed_perturbations": missed}
 
 
 def run_all() -> dict:

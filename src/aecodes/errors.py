@@ -120,11 +120,14 @@ def _mirror(entries, n: int, r_minus_dJ: int, above: int = -1) -> dict:
     return {n - j: (-a[0], a[1], a[2]) if odd else a for j, a in items if n - j > above}
 
 
+def check_order(two_J: int, t: int) -> None:
+    if t < 0 or two_J < 2 * t:
+        raise ValueError("t must be nonnegative" if t < 0 else
+                         f"two_J={two_J} too small for order t={t} (need two_J >= 2t)")
+
+
 def _build_set(two_J: int, t: int, spin: bool) -> ErrorSet:
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if two_J < 2 * t:
-        raise ValueError(f"two_J={two_J} too small for order t={t} (need two_J >= 2t)")
+    check_order(two_J, t)
     ops, runs = {}, [[(1, 1, 1)] * (two_J + 1)]  # runs[k][u] = (s, kernel, x), x = s**2 kernel
     for k in range(1, 2 * t + 1):  # the product (u+1)(u+2)...(u+k), for k <= 2t and u <= 2J
         runs.append([(*squarefree_fold((u + k,), s, sk), x * (u + k))

@@ -40,7 +40,7 @@ from itertools import combinations, product
 from math import comb
 
 from .codes import CodeBasis
-from .errors import ErrorSet, build_ae_error_set
+from .errors import ErrorSet, build_ae_error_set, check_order
 from .exactnum import RadicalSum, dot, image, radical_sum_to_json, sqrt_ratio
 from .jsonfmt import to_json
 
@@ -220,10 +220,7 @@ def check_conditions(code: CodeBasis, t: int, t_prime: int) -> ConditionReport:
     For codes with more than two basis vectors every unordered pair is
     checked, matching the k-dimensional statement.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if code.two_J < 2 * t:
-        raise ValueError(f"two_J={code.two_J} too small for order t={t} (need two_J >= 2t)")
+    check_order(code.two_J, t)
     if t_prime not in (t, 2 * t):
         raise ValueError(f"t_prime must be t or 2t, got {t_prime}")
     vectors = _vectors(code)

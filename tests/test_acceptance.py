@@ -2,10 +2,19 @@
 
 Each test prints a single PASS/FAIL line (visible with ``pytest -s`` or on
 failure) and asserts the criterion's verdict.  The heavy family sweep is
-computed once and shared by the criteria that consume it.
+computed once and shared by the criteria that consume it, and by the
+``reproduce-paper`` tests that follow them.
 """
 
-from aecodes import acceptance
+import contextlib
+import hashlib
+import io
+import json
+
+from aecodes import acceptance, cli
+
+# sha256 of ``aecodes reproduce-paper``'s stdout, as CI pins it
+REPRODUCE_SHA256 = "6014c47667f09e91acbd040f75ab536b8f502827f29e5cc853dbbd938c77717f"
 
 
 def _run(criterion):
@@ -67,3 +76,33 @@ def test_criterion_11_covariance():
 
 def test_criterion_12_negative_controls():
     _run(acceptance.criterion_12)
+
+
+def test_criteria_registered_in_order():
+    assert [fn.__name__ for fn in acceptance.CRITERIA] == [f"criterion_{k}" for k in range(1, 13)]
+
+
+def _reproduce() -> tuple[int, str]:
+    """Exit status and stdout of an in-process ``aecodes reproduce-paper``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = cli.main(["reproduce-paper"])
+    return status, out.getvalue()
+
+
+def test_reproduce_paper_pinned():
+    """Every criterion's id, name, verdict and details, byte for byte, and exit 0."""
+    status, text = _reproduce()
+    assert status == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == REPRODUCE_SHA256
+
+
+def test_reproduce_paper_failure_exits_one(monkeypatch):
+    failed = {"id": 1, "name": "construction-fidelity-J7half", "pass": False, "details": {}}
+    monkeypatch.setattr(acceptance, "CRITERIA", [lambda: failed, *acceptance.CRITERIA[1:]])
+    status, text = _reproduce()
+    document = json.loads(text)
+    assert status == 1
+    assert document["report"]["all_pass"] is False
+    assert document["manifest"]["verdicts"]["all_pass"] is False
+    assert document["report"]["criteria"][0] == failed

@@ -54,6 +54,20 @@ class TestCounts:
         with pytest.raises(ValueError):
             build_spin_error_set(1, 1)
 
+    @pytest.mark.parametrize(
+        ("two_J", "t", "message"),
+        [
+            (7, -1, "t must be nonnegative"),
+            (-3, -1, "t must be nonnegative"),  # both rules broken: t's is checked first
+            (7, 4, "two_J=7 too small for order t=4 (need two_J >= 2t)"),
+        ],
+    )
+    def test_order_rule_messages(self, two_J, t, message):
+        for build in (build_ae_error_set, build_spin_error_set):
+            with pytest.raises(ValueError) as caught:
+                build(two_J, t)
+            assert str(caught.value) == message
+
 
 class TestAmplitudes:
     def test_spin_ops_are_the_zero_shift_slice(self):

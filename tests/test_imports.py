@@ -42,9 +42,13 @@ def _python(*args: str) -> str:
         ("codes", "codes exactnum jsonfmt", False),
         ("errors", "errors exactnum jsonfmt", False),
         ("exactnum", "exactnum jsonfmt", False),
+        ("jsonfmt", "jsonfmt", False),
+        ("angular", "angular exactnum jsonfmt", True),
+        ("acceptance", "acceptance angular codes combinatorics covariance errors exactnum jsonfmt "
+         "klverify search", True),
     ],
     ids=["version", "cli", "klverify", "covariance", "combinatorics", "search", "codes", "errors",
-         "exactnum"],
+         "exactnum", "jsonfmt", "angular", "acceptance"],
 )
 def test_import_loads_only_what_it_uses(name, loaded, mpmath):
     script = (

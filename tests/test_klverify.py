@@ -148,6 +148,14 @@ class TestConditions:
         with pytest.raises(ValueError):
             check_conditions(fixtures()["J7half"], 1, 3)
 
+    @pytest.mark.parametrize("t", [-1, 4])
+    def test_order_rejected_as_error_sets_reject_it(self, t):
+        with pytest.raises(ValueError) as built:
+            build_ae_error_set(7, t)
+        with pytest.raises(ValueError) as checked:
+            check_conditions(fixtures()["J7half"], t, 2 * t)
+        assert str(checked.value) == str(built.value)
+
     def test_condition_image_keys_within_0_to_n_minus_2t(self):
         # With j <= n - 2t and a <= t' <= 2t no source index j + a passes n,
         # so the images need no cutoff at the top.
